@@ -16,7 +16,6 @@ from .closed_form import (
     VertexValues,
     critical_point_sequence,
     derived_constants,
-    limit_point,
     minimize_closed_form,
     minimize_n1,
     vertex_values,
@@ -96,7 +95,6 @@ __all__ = [
     "hessian",
     "incenter",
     "kkt_residual",
-    "limit_point",
     "minimize_closed_form",
     "minimize_n1",
     "project_to_triangle",

@@ -1,51 +1,31 @@
-"""Scalar numeric kernels, jit-compiled when the numba backend is active.
+"""Numeric kernels on the apex frame: triangle with vertices (0, a),
+(-b, 0), (c, 0), all of a, b, c positive.
 
-Backend selection happens once at import time from the TRIPOWMIN_BACKEND
-environment variable: "auto" (default) compiles the kernels whenever numba
-imports cleanly, "numba" requires it, "numpy" forces the pure-python /
-vectorized fallbacks. Everything here works on the apex frame: triangle
-with vertices (0, a), (-b, 0), (c, 0), all of a, b, c positive.
+``side_slacks`` and ``eval_f`` work elementwise on numpy arrays as well as
+on floats; the lattice scan uses them that way.
 """
 
+import functools
 import math
-import os
 
 import numpy as np
 
 
-def _pick_backend():
-    choice = os.environ.get("TRIPOWMIN_BACKEND", "auto").strip().lower() or "auto"
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            "TRIPOWMIN_BACKEND must be 'auto', 'numba' or 'numpy', got %r" % choice
-        )
-    if choice == "numpy":
-        return "numpy", None
-    try:
-        from numba import njit
-    except ImportError:
-        if choice == "numba":
-            raise ImportError("TRIPOWMIN_BACKEND=numba but numba is not importable")
-        return "numpy", None
-    return "numba", njit
+def side_slacks(a, b, c, x, y):
+    """Signed distances from (x, y) to the three side lines, positive inside.
 
-
-BACKEND, _njit = _pick_backend()
-
-
-def backend() -> str:
-    """Name of the active kernel backend: "numba" or "numpy"."""
-    return BACKEND
+    The first line runs through (0, a) and (-b, 0), the second through
+    (0, a) and (c, 0), the third is the base y = 0.
+    """
+    p = math.sqrt(a * a + b * b)
+    q = math.sqrt(a * a + c * c)
+    return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
 
 
 def eval_f(a, b, c, n, x, y):
     """Sum of n-th powered distances from (x, y) to the three side lines."""
-    p = math.sqrt(a * a + b * b)
-    q = math.sqrt(a * a + c * c)
-    d1 = abs(a * x - b * y + a * b) / p
-    d2 = abs(-a * x - c * y + a * c) / q
-    d3 = abs(y)
-    return d1 ** n + d2 ** n + d3 ** n
+    s1, s2, s3 = side_slacks(a, b, c, x, y)
+    return abs(s1) ** n + abs(s2) ** n + abs(s3) ** n
 
 
 def grad_f(a, b, c, n, x, y):
@@ -57,9 +37,7 @@ def grad_f(a, b, c, n, x, y):
     """
     p = math.sqrt(a * a + b * b)
     q = math.sqrt(a * a + c * c)
-    u = (a * x - b * y + a * b) / p
-    v = (-a * x - c * y + a * c) / q
-    w = y
+    u, v, w = side_slacks(a, b, c, x, y)
     if u < 0.0:
         u = 0.0
     if v < 0.0:
@@ -110,76 +88,27 @@ def project_point(a, b, c, x, y):
     return bx, by
 
 
-def _lattice_best_loop(a, b, c, n, m, w1x, w1y, w2x, w2y, w3x, w3y):
-    # Scan the barycentric lattice of the window triangle (w1, w2, w3) at
-    # resolution m; strict < keeps the lowest lattice index on exact ties.
-    p = math.sqrt(a * a + b * b)
-    q = math.sqrt(a * a + c * c)
-    inv = 1.0 / m
-    best_x = w1x
-    best_y = w1y
-    best_f = math.inf
-    for i in range(m + 1):
-        wa = i * inv
-        for j in range(m + 1 - i):
-            wb = j * inv
-            wc = (m - i - j) * inv
-            x = wa * w1x + wb * w2x + wc * w3x
-            y = wa * w1y + wb * w2y + wc * w3y
-            d1 = abs(a * x - b * y + a * b) / p
-            d2 = abs(-a * x - c * y + a * c) / q
-            d3 = abs(y)
-            f = d1 ** n + d2 ** n + d3 ** n
-            if f < best_f:
-                best_f = f
-                best_x = x
-                best_y = y
-    return best_x, best_y, best_f
-
-
-_BARY_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _bary_weights(m):
-    cached = _BARY_CACHE.get(m)
-    if cached is None:
-        counts = np.arange(m + 1, 0, -1)
-        ii = np.repeat(np.arange(m + 1), counts).astype(np.float64)
-        jj = np.concatenate([np.arange(k) for k in counts]).astype(np.float64)
-        kk = m - ii - jj
-        inv = 1.0 / m
-        cached = (ii * inv, jj * inv, kk * inv)
-        _BARY_CACHE[m] = cached
-    return cached
+    counts = np.arange(m + 1, 0, -1)
+    ii = np.repeat(np.arange(m + 1), counts).astype(np.float64)
+    jj = np.concatenate([np.arange(k) for k in counts]).astype(np.float64)
+    kk = m - ii - jj
+    inv = 1.0 / m
+    return ii * inv, jj * inv, kk * inv
 
 
-def _lattice_best_numpy(a, b, c, n, m, w1x, w1y, w2x, w2y, w3x, w3y):
-    # Vectorized twin of _lattice_best_loop: same enumeration order, same
-    # arithmetic expressions.  numpy's vectorized pow can round a different
-    # way than libm's scalar pow, so the handful of near-minimal lattice
-    # points is re-evaluated with scalar arithmetic; both implementations
-    # then return identical bits, lowest lattice index on exact ties.
-    p = math.sqrt(a * a + b * b)
-    q = math.sqrt(a * a + c * c)
+def lattice_best(a, b, c, n, m, window):
+    """Best point of the barycentric lattice of resolution m over the window
+    triangle whose vertices are the rows of ``window``; returns (x, y, f),
+    lowest lattice index on ties."""
     wa, wb, wc = _bary_weights(m)
+    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
     x = wa * w1x + wb * w2x + wc * w3x
     y = wa * w1y + wb * w2y + wc * w3y
-    d1 = np.abs(a * x - b * y + a * b) / p
-    d2 = np.abs(-a * x - c * y + a * c) / q
-    d3 = np.abs(y)
-    f = d1 ** n + d2 ** n + d3 ** n
-    fmin = float(np.min(f))
-    cutoff = fmin + 32.0 * float(np.spacing(fmin))
-    best_x = w1x
-    best_y = w1y
-    best_f = math.inf
-    for k in np.nonzero(f <= cutoff)[0]:
-        fk = float(d1[k]) ** n + float(d2[k]) ** n + float(d3[k]) ** n
-        if fk < best_f:
-            best_f = fk
-            best_x = float(x[k])
-            best_y = float(y[k])
-    return best_x, best_y, best_f
+    f = eval_f(a, b, c, n, x, y)
+    k = int(np.argmin(f))
+    return float(x[k]), float(y[k]), float(f[k])
 
 
 def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
@@ -211,22 +140,11 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
     gy *= inv0
     gn = math.hypot(gx, gy)
     bx, by, bf = x, y, f
-    hist = np.empty(10)
-    for i in range(10):
-        hist[i] = f
+    hist = [f] * 10
     s = step0
     it = 0
     while it < max_iters and s * gn > tol:
-        fmax = hist[0]
-        for i in range(1, 10):
-            if hist[i] > fmax:
-                fmax = hist[i]
-        accepted = False
-        cx = x
-        cy = y
-        cf = f
-        dx = 0.0
-        dy = 0.0
+        fmax = max(hist)
         while s * gn > tol:
             cx, cy = project_point(a, b, c, x - s * gx, y - s * gy)
             dx = cx - x
@@ -234,10 +152,10 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
             if dx != 0.0 or dy != 0.0:
                 cf = eval_f(a, b, c, n, cx, cy) * inv0
                 if cf <= fmax + 1e-4 * (gx * dx + gy * dy):
-                    accepted = True
                     break
             s *= 0.5
-        if not accepted:
+        else:
+            # the step fell to the stopping threshold without a move
             break
         ngx, ngy = grad_f(a, b, c, n, cx, cy)
         ngx *= inv0
@@ -261,23 +179,3 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
         it += 1
     return bx, by, bf / inv0, it, s * gn
 
-
-if BACKEND == "numba":
-    _jit = _njit(cache=True)
-    _seg_closest = _jit(_seg_closest)
-    eval_f = _jit(eval_f)
-    grad_f = _jit(grad_f)
-    project_point = _jit(project_point)
-    pg_minimize = _jit(pg_minimize)
-    lattice_best = _jit(_lattice_best_loop)
-else:
-    lattice_best = _lattice_best_numpy
-
-
-def warmup():
-    """Force one compilation/execution of every kernel (useful for timing)."""
-    eval_f(3.0, 1.0, 2.0, 2.0, 0.2, 0.8)
-    grad_f(3.0, 1.0, 2.0, 2.0, 0.2, 0.8)
-    project_point(3.0, 1.0, 2.0, 5.0, -1.0)
-    lattice_best(3.0, 1.0, 2.0, 2.0, 8, 0.0, 3.0, -1.0, 0.0, 2.0, 0.0)
-    pg_minimize(3.0, 1.0, 2.0, 2.0, 0.3, 1.0, 0.36, 1e-10, 50)

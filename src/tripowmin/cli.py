@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -13,7 +14,6 @@ import numpy as np
 from . import __version__
 from .closed_form import (
     critical_point_sequence,
-    derived_constants,
     minimize_closed_form,
     minimize_n1,
 )
@@ -31,7 +31,7 @@ from .geometry import (
     incenter,
 )
 from .kkt import Verdict, kkt_residual
-from .oracle import DiscrepancyReport, OracleConfig, compare, grid_search
+from .oracle import OracleConfig, _discrepancy, compare, grid_search
 from .sampling import random_general_triangle
 
 # iteration cap used by the CLI's own oracle runs; roomier than the library
@@ -103,16 +103,6 @@ def _kkt_dict(report) -> dict:
     }
 
 
-def _oracle_dict(report: DiscrepancyReport) -> dict:
-    return {
-        "point_gap": float(report.point_gap),
-        "value_gap_rel": float(report.value_gap_rel),
-        "oracle_value": float(report.oracle_value),
-        "closed_form_value": float(report.closed_form_value),
-        "passed": bool(report.passed),
-    }
-
-
 def cmd_solve(args) -> int:
     tri, iso, verts = _triangle_from_args(args)
     n = float(args.n)
@@ -137,15 +127,8 @@ def cmd_solve(args) -> int:
     if args.verify:
         if n == 1.0:
             gp, gv = grid_search(tri, n, _CLI_ORACLE_CFG)
-            point_gap = float(np.hypot(*(point_c - gp)))
-            denom = max(abs(gv), abs(value), 1e-300)
-            gap_rel = abs(value - gv) / denom
-            oracle_report = DiscrepancyReport(
-                point_gap=point_gap,
-                value_gap_rel=gap_rel,
-                oracle_value=float(gv),
-                closed_form_value=float(value),
-                passed=point_gap <= args.tol_point and gap_rel <= args.tol_value,
+            oracle_report = _discrepancy(
+                point_c, value, gp, gv, args.tol_point, args.tol_value
             )
             failed = not oracle_report.passed
         else:
@@ -176,7 +159,10 @@ def cmd_solve(args) -> int:
                 "lambda": constants.lam,
             },
             "kkt": None if kkt_report is None else _kkt_dict(kkt_report),
-            "oracle": None if oracle_report is None else _oracle_dict(oracle_report),
+            # DiscrepancyReport holds plain floats and a bool
+            "oracle": None
+            if oracle_report is None
+            else dataclasses.asdict(oracle_report),
         }
         print(json.dumps(doc, indent=2))
     elif args.format == "csv":

@@ -15,8 +15,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidExponent
-from .geometry import Altitudes, CanonicalTriangle, Isometry, altitudes, incenter
+from .errors import _check_exponent
+from .geometry import Altitudes, CanonicalTriangle, Isometry, altitudes
 
 
 class DerivedConstants(NamedTuple):
@@ -50,13 +50,6 @@ class VertexMinimum(NamedTuple):
     label: str  # 'A' = apex, 'B' = (-b, 0), 'C' = (c, 0)
     point: np.ndarray
     value: float
-
-
-def _check_exponent(n) -> float:
-    n = float(n)
-    if not math.isfinite(n) or n <= 1.0:
-        raise InvalidExponent(f"exponent must be a finite real > 1, got {n!r}")
-    return n
 
 
 def _pow_or_inf(base: float, n: float) -> float:
@@ -105,16 +98,10 @@ def minimize_closed_form(
 
 
 def vertex_values(tri: CanonicalTriangle, n) -> VertexValues:
-    """Objective at the three vertices: a^n, (a(b+c)/q)^n, (a(b+c)/p)^n."""
-    n = float(n)
-    if not math.isfinite(n) or n < 1.0:
-        raise InvalidExponent(f"exponent must be a finite real >= 1, got {n!r}")
-    a, b, c = tri.a, tri.b, tri.c
-    return VertexValues(
-        _pow_or_inf(a, n),
-        _pow_or_inf(a * (b + c) / tri.q, n),
-        _pow_or_inf(a * (b + c) / tri.p, n),
-    )
+    """Objective at the three vertices: each vertex's altitude to the n-th
+    power, a^n, (a(b+c)/q)^n and (a(b+c)/p)^n."""
+    n = _check_exponent(n, allow_one=True)
+    return VertexValues(*(_pow_or_inf(h, n) for h in altitudes(tri)))
 
 
 def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:
@@ -130,11 +117,6 @@ def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:
         if alts[i] < alts[best]:
             best = i
     return VertexMinimum("ABC"[best], verts[best].copy(), float(alts[best]))
-
-
-def limit_point(tri: CanonicalTriangle) -> np.ndarray:
-    """Limit of the minimizers as n -> infinity: the incenter."""
-    return incenter(tri)
 
 
 def critical_point_sequence(

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the exponent check."""
+
+import math
 
 
 class TriPowMinError(Exception):
@@ -23,3 +25,13 @@ class PointNotFeasible(TriPowMinError):
 
 class DidNotConverge(TriPowMinError):
     """An iterative oracle hit its iteration cap far from stationarity."""
+
+
+def _check_exponent(n, allow_one: bool = False) -> float:
+    """``float(n)``, or InvalidExponent unless it is finite and > 1
+    (>= 1 with ``allow_one``)."""
+    n = float(n)
+    if not math.isfinite(n) or n < 1.0 or (n == 1.0 and not allow_one):
+        bound = ">= 1" if allow_one else "> 1"
+        raise InvalidExponent(f"exponent must be a finite real {bound}, got {n!r}")
+    return n

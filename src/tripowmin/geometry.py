@@ -174,11 +174,10 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
 
 def side_distances(tri: CanonicalTriangle, point) -> SideDistances:
     """Unsigned distances from a point to the three side lines."""
-    x, y = float(point[0]), float(point[1])
-    a, b, c = tri.a, tri.b, tri.c
-    d1 = abs(a * x - b * y + a * b) / tri.p
-    d2 = abs(-a * x - c * y + a * c) / tri.q
-    return SideDistances(d1, d2, abs(y))
+    s1, s2, s3 = _kernels.side_slacks(
+        tri.a, tri.b, tri.c, float(point[0]), float(point[1])
+    )
+    return SideDistances(abs(s1), abs(s2), abs(s3))
 
 
 def contains(tri: CanonicalTriangle, point) -> bool:
@@ -189,11 +188,9 @@ def contains(tri: CanonicalTriangle, point) -> bool:
     boundary points look like.
     """
     x, y = float(point[0]), float(point[1])
-    a, b, c = tri.a, tri.b, tri.c
-    eps = 1e-12 * (a + b + c + abs(x) + abs(y))
-    s1 = (a * x - b * y + a * b) / tri.p
-    s2 = (-a * x - c * y + a * c) / tri.q
-    return s1 >= -eps and s2 >= -eps and y >= -eps
+    eps = 1e-12 * (tri.a + tri.b + tri.c + abs(x) + abs(y))
+    s1, s2, s3 = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
+    return s1 >= -eps and s2 >= -eps and s3 >= -eps
 
 
 def project_to_triangle(tri: CanonicalTriangle, point) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidExponent, PointNotFeasible, PointNotInterior
+from .errors import PointNotFeasible, PointNotInterior, _check_exponent
 from .geometry import CanonicalTriangle
 
 _SIDE_LABELS = ("AB", "AC", "BC")
@@ -51,35 +51,17 @@ class KktReport:
     verdict: Verdict
 
 
-def _signed_distances(tri: CanonicalTriangle, x: float, y: float):
-    a, b, c = tri.a, tri.b, tri.c
-    s1 = (a * x - b * y + a * b) / tri.p
-    s2 = (-a * x - c * y + a * c) / tri.q
-    return s1, s2, y
-
-
-def _check_n_gt1(n) -> float:
-    n = float(n)
-    if not math.isfinite(n) or n <= 1.0:
-        raise InvalidExponent(f"exponent must be a finite real > 1, got {n!r}")
-    return n
-
-
 def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     """Powered-distance sum at any planar point (n >= 1)."""
-    n = float(n)
-    if not math.isfinite(n) or n < 1.0:
-        raise InvalidExponent(f"exponent must be a finite real >= 1, got {n!r}")
-    return float(
-        _kernels.eval_f(tri.a, tri.b, tri.c, n, float(point[0]), float(point[1]))
-    )
+    n = _check_exponent(n, allow_one=True)
+    return _kernels.eval_f(tri.a, tri.b, tri.c, n, float(point[0]), float(point[1]))
 
 
 def gradient(tri: CanonicalTriangle, n, point) -> np.ndarray:
     """Gradient of F at a strictly interior point, n > 1."""
-    n = _check_n_gt1(n)
+    n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
-    if min(_signed_distances(tri, x, y)) <= 0.0:
+    if min(_kernels.side_slacks(tri.a, tri.b, tri.c, x, y)) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
     gx, gy = _kernels.grad_f(tri.a, tri.b, tri.c, n, x, y)
     return np.array([gx, gy])
@@ -92,9 +74,9 @@ def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
     side-distance powers rather than fxx*fyy - fxy^2; both agree to
     roundoff and the tests cross-check them.
     """
-    n = _check_n_gt1(n)
+    n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
-    s1, s2, s3 = _signed_distances(tri, x, y)
+    s1, s2, s3 = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
     if min(s1, s2, s3) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
     a, b, c = tri.a, tri.b, tri.c
@@ -122,10 +104,10 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     a descent direction into the interior reports MULTIPLIER_NEGATIVE even
     though its Lagrangian is stationary.
     """
-    n = _check_n_gt1(n)
+    n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a if tolerance is None else float(tolerance)
-    slacks = _signed_distances(tri, x, y)
+    slacks = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
     if min(slacks) < -tol:
         raise PointNotFeasible(
             f"point {(x, y)} violates a side constraint by more than {tol}"

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .closed_form import minimize_closed_form
-from .errors import DidNotConverge, InvalidExponent
+from .errors import DidNotConverge, _check_exponent
 from .geometry import CanonicalTriangle
 
 
@@ -90,12 +90,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     half_rt3 = 0.5 * math.sqrt(3.0)
     best_x, best_y, best_f = 0.0, 0.0, math.inf
     for _ in range(cfg.zoom_iterations + 1):
-        lx, ly, lf = _kernels.lattice_best(
-            a, b, c, n, cfg.grid_resolution,
-            window[0, 0], window[0, 1],
-            window[1, 0], window[1, 1],
-            window[2, 0], window[2, 1],
-        )
+        lx, ly, lf = _kernels.lattice_best(a, b, c, n, cfg.grid_resolution, window)
         if lf < best_f:
             best_x, best_y, best_f = lx, ly, lf
         radius /= cfg.zoom_factor
@@ -118,9 +113,7 @@ def projected_gradient(
     the threshold; a capped run that is merely slow to polish returns
     normally and the caller sees its iteration count.
     """
-    n = float(n)
-    if not math.isfinite(n) or n <= 1.0:
-        raise InvalidExponent(f"exponent must be a finite real > 1, got {n!r}")
+    n = _check_exponent(n)
     cfg = config if config is not None else OracleConfig()
     if start is None:
         start = tri.vertices().mean(axis=0)
@@ -154,15 +147,26 @@ def compare(
         oracle_point, oracle_value = grid_point, grid_value
     else:
         oracle_point, oracle_value = pg.point, pg.value
-    gap = closed.point_canonical - oracle_point
+    return _discrepancy(
+        closed.point_canonical, closed.value, oracle_point, oracle_value,
+        point_tol, value_tol,
+    )
+
+
+def _discrepancy(
+    point, value, oracle_point, oracle_value, point_tol: float, value_tol: float
+) -> DiscrepancyReport:
+    """Gaps between a formula's (point, value) and an oracle's, and whether
+    both are within tolerance: point_gap is absolute, the value gap is
+    relative to the larger magnitude of the two values."""
+    gap = point - oracle_point
     point_gap = float(np.hypot(gap[0], gap[1]))
-    denom = max(abs(oracle_value), abs(closed.value), 1e-300)
-    value_gap_rel = abs(closed.value - oracle_value) / denom
-    passed = point_gap <= point_tol and value_gap_rel <= value_tol
+    denom = max(abs(oracle_value), abs(value), 1e-300)
+    value_gap_rel = float(abs(value - oracle_value) / denom)
     return DiscrepancyReport(
         point_gap=point_gap,
         value_gap_rel=value_gap_rel,
         oracle_value=float(oracle_value),
-        closed_form_value=float(closed.value),
-        passed=passed,
+        closed_form_value=float(value),
+        passed=bool(point_gap <= point_tol and value_gap_rel <= value_tol),
     )

@@ -6,7 +6,6 @@ import pytest
 from tripowmin.closed_form import (
     critical_point_sequence,
     derived_constants,
-    limit_point,
     minimize_closed_form,
     minimize_n1,
     vertex_values,
@@ -236,13 +235,6 @@ def test_sequence_matches_individual_solves_and_validates_upfront():
         assert r.value == single.value
     with pytest.raises(InvalidExponent):
         critical_point_sequence(WORKED, [2.0, 1.0, 3.0])
-
-
-def test_limit_point_is_incenter():
-    rng = np.random.default_rng(18)
-    for _ in range(10):
-        tri = random_canonical_triangle(rng)
-        assert np.array_equal(limit_point(tri), incenter(tri))
 
 
 def test_minimizers_approach_incenter_as_n_grows():

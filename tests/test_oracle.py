@@ -1,11 +1,15 @@
 """Grid and descent oracles: accuracy against the closed form, determinism,
 and honest failure when an iteration budget is too small."""
 
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from tripowmin import _kernels
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import DidNotConverge, InvalidExponent
 from tripowmin.geometry import CanonicalTriangle, GeneralTriangle, canonicalize, contains
@@ -69,10 +73,70 @@ def test_grid_coarse_run_matches_lattice_resolution():
     assert np.linalg.norm(coarse_pt - pt) < 2.0 * spacing
 
 
+def test_grid_ties_go_to_lowest_lattice_index():
+    # for n = 1 every point of an isosceles triangle's base ties exactly;
+    # the lattice enumeration starts at the right-hand vertex (c, 0), so
+    # the lowest-index rule keeps the scan on the right half
+    pt, _ = grid_search(ISOSCELES, 1.0)
+    assert pt[0] > 0.0 and pt[1] == 0.0
+
+
 def test_grid_is_bit_deterministic():
     a = grid_search(WORKED, 3.0)
     b = grid_search(WORKED, 3.0)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+# lattice scan ---------------------------------------------------------------
+
+def _lattice_best_loop(a, b, c, n, m, window):
+    # Scalar reference for _kernels.lattice_best: the same barycentric
+    # enumeration one point at a time; strict < keeps the lowest lattice
+    # index on exact ties.
+    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
+    p = math.sqrt(a * a + b * b)
+    q = math.sqrt(a * a + c * c)
+    inv = 1.0 / m
+    best_x, best_y, best_f = w1x, w1y, math.inf
+    for i in range(m + 1):
+        wa = i * inv
+        for j in range(m + 1 - i):
+            wb = j * inv
+            wc = (m - i - j) * inv
+            x = wa * w1x + wb * w2x + wc * w3x
+            y = wa * w1y + wb * w2y + wc * w3y
+            d1 = abs(a * x - b * y + a * b) / p
+            d2 = abs(-a * x - c * y + a * c) / q
+            f = d1 ** n + d2 ** n + abs(y) ** n
+            if f < best_f:
+                best_x, best_y, best_f = x, y, f
+    return best_x, best_y, best_f
+
+
+def assert_lattice_matches_loop(args):
+    # numpy's vectorized pow may round differently from libm's scalar pow,
+    # so the value may differ in the last bits; the chosen point may not
+    lx, ly, lf = _lattice_best_loop(*args)
+    vx, vy, vf = _kernels.lattice_best(*args)
+    assert (vx, vy) == (lx, ly)
+    assert abs(vf - lf) <= 2.0 * np.spacing(lf)
+
+
+def test_lattice_twins_agree():
+    rng = np.random.default_rng(33)
+    for _ in range(12):
+        tri, _ = canonicalize(random_general_triangle(rng))
+        for n in (1.0, 2.0, 4.5, 9.0):
+            for m in (7, 32, 64):
+                assert_lattice_matches_loop(
+                    (tri.a, tri.b, tri.c, float(n), m, tri.vertices())
+                )
+
+
+def test_lattice_twins_agree_on_shrunk_windows():
+    # windows produced by zooming are not in canonical position
+    window = np.array([[0.1, 0.7], [-0.4, 0.2], [0.8, 0.05]])
+    assert_lattice_matches_loop((WORKED.a, WORKED.b, WORKED.c, 5.0, 64, window))
 
 
 # projected_gradient ---------------------------------------------------------
@@ -169,6 +233,38 @@ def test_closed_form_never_above_oracle():
 def test_compare_rejects_n1():
     with pytest.raises(InvalidExponent):
         compare(WORKED, 1.0)
+
+
+PROBE = r"""
+import json
+from tripowmin.geometry import CanonicalTriangle
+from tripowmin.oracle import compare, grid_search, projected_gradient
+
+tri = CanonicalTriangle(3.0, 1.0, 2.0)
+gp, gv = grid_search(tri, 3.0)
+pg = projected_gradient(tri, 3.0)
+rep = compare(tri, 3.0)
+print(json.dumps({
+    "grid": [float(gp[0]), float(gp[1]), float(gv)],
+    "pg": [float(pg.point[0]), float(pg.point[1]), float(pg.value), int(pg.iterations)],
+    "compare_passed": bool(rep.passed),
+}))
+"""
+
+
+def test_in_process_results_match_subprocess():
+    gp, gv = grid_search(WORKED, 3.0)
+    pg = projected_gradient(WORKED, 3.0)
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["grid"] == [float(gp[0]), float(gp[1]), float(gv)]
+    assert got["pg"] == [
+        float(pg.point[0]), float(pg.point[1]), float(pg.value), pg.iterations
+    ]
+    assert got["compare_passed"] is True
 
 
 # configuration --------------------------------------------------------------

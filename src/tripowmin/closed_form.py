@@ -93,7 +93,7 @@ def minimize_closed_form(
     y = a * (b + c) * k.r / k.lam
     value = _pow_or_inf(a * (b + c) / k.lam, n) * (k.lam / k.q)
     point = np.array([x, y])
-    original = point.copy() if isometry is None else isometry.to_original(point)
+    original = point.copy() if isometry is None else isometry.to_original((x, y))
     return MinimizerResult(point, original, value, k, n)
 
 

@@ -66,6 +66,9 @@ class GeneralTriangle:
     def __post_init__(self):
         for name in ("v1", "v2", "v3"):
             v = np.asarray(getattr(self, name), dtype=float).reshape(2)
+            x, y = v.tolist()
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"vertex {name} must be finite, got {(x, y)!r}")
             object.__setattr__(self, name, v)
 
     def vertex_array(self) -> np.ndarray:
@@ -92,19 +95,16 @@ class Isometry:
 
     def to_canonical(self, point) -> np.ndarray:
         x, y = float(point[0]), float(point[1])
+        tx, ty = self.translation.tolist()
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return np.array(
-            [
-                ca * x - sa * y + self.translation[0],
-                sa * x + ca * y + self.translation[1],
-            ]
-        )
+        return np.array((ca * x - sa * y + tx, sa * x + ca * y + ty))
 
     def to_original(self, point) -> np.ndarray:
-        x = float(point[0]) - self.translation[0]
-        y = float(point[1]) - self.translation[1]
+        tx, ty = self.translation.tolist()
+        x = float(point[0]) - tx
+        y = float(point[1]) - ty
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return np.array([ca * x + sa * y, -sa * x + ca * y])
+        return np.array((ca * x + sa * y, -sa * x + ca * y))
 
 
 class SideDistances(NamedTuple):
@@ -119,8 +119,24 @@ class Altitudes(NamedTuple):
     h_c: float
 
 
-def _cross(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
+def _dot(u, v) -> float:
+    """numpy's dot of two 2-vectors, not ``u0*v0 + u1*v1``: the BLAS kernel
+    behind it may fuse the multiply-add, and the frame's projections keep
+    the bits they have always had (see tests/test_geometry.py)."""
+    return float(np.array(u).dot(v))
+
+
+def _obtuse_or_right(ux, uy, wx, wy) -> bool:
+    """Sign test ``u . w <= 0`` as numpy's dot decides it.
+
+    The float dot has the same sign whenever it is clear of roundoff; at a
+    right angle the sign is roundoff, and the float and the fused result can
+    disagree, so that case asks numpy.
+    """
+    uw = ux * wx + uy * wy
+    if abs(uw) > 1e-15 * (abs(ux * wx) + abs(uy * wy)):
+        return uw < 0.0
+    return _dot((ux, uy), np.array((wx, wy))) <= 0.0
 
 
 def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry]:
@@ -132,43 +148,54 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     input vertex is kept, so an already-canonical triangle maps to itself
     under the identity.
     """
-    verts = triangle.vertex_array()
-    edges = [verts[1] - verts[0], verts[2] - verts[1], verts[0] - verts[2]]
-    longest_sq = max(float(e @ e) for e in edges)
-    doubled_area = _cross(verts[1] - verts[0], verts[2] - verts[0])
+    verts = (triangle.v1.tolist(), triangle.v2.tolist(), triangle.v3.tolist())
+    (x1, y1), (x2, y2), (x3, y3) = verts
+    # The sign tests (collinearity, apex, orientation) run on the vertices
+    # scaled by a power of two, which is exact: their verdicts do not depend
+    # on the unit of length, and no square overflows or underflows.
+    shift = -math.frexp(max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3)))[1]
+    x1, y1, x2, y2, x3, y3 = (math.ldexp(u, shift) for u in (x1, y1, x2, y2, x3, y3))
+    # edge i runs from vertex i to vertex i + 1
+    edges = ((x2 - x1, y2 - y1), (x3 - x2, y3 - y2), (x1 - x3, y1 - y3))
+    longest_sq = max(ux * ux + uy * uy for ux, uy in edges)
+    doubled_area = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
     if longest_sq == 0.0 or abs(doubled_area) <= DEGENERACY_REL_TOL * longest_sq:
         raise DegenerateTriangle("vertices are collinear within tolerance")
 
     apex = 0
     for i in range(3):
-        u = verts[(i + 1) % 3] - verts[i]
-        w = verts[(i + 2) % 3] - verts[i]
-        if float(u @ w) <= 0.0:
+        # the angle at vertex i lies between edge i and edge i - 1 reversed
+        (ux, uy), (wx, wy) = edges[i], edges[i - 1]
+        if _obtuse_or_right(ux, uy, -wx, -wy):
             apex = i
             break
 
     i2, i3 = (apex + 1) % 3, (apex + 2) % 3
     # (apex, left, right) must wind counterclockwise for the frame to come
-    # out with a > 0 without reflecting
-    if _cross(verts[i2] - verts[apex], verts[i3] - verts[apex]) > 0.0:
-        left, right = verts[i2], verts[i3]
+    # out with a > 0 without reflecting. It winds as (v1, v2, v3) do, and the
+    # sign of their doubled area is clear of roundoff once the collinearity
+    # test has passed.
+    if doubled_area > 0.0:
+        i_left, i_right = i2, i3
     else:
-        left, right = verts[i3], verts[i2]
+        i_left, i_right = i3, i2
 
-    base = right - left
-    ex = base / math.hypot(base[0], base[1])
-    ey = np.array([-ex[1], ex[0]])
-    foot = left + float((verts[apex] - left) @ ex) * ex
-    a = float((verts[apex] - foot) @ ey)
-    b = float((foot - left) @ ex)
-    c = float((right - foot) @ ex)
+    (px, py), (lx, ly), (rx, ry) = verts[apex], verts[i_left], verts[i_right]
+    h = math.hypot(rx - lx, ry - ly)
+    ex0, ex1 = (rx - lx) / h, (ry - ly) / h
+    ex, ey = np.array((ex0, ex1)), np.array((-ex1, ex0))
+    t = _dot((px - lx, py - ly), ex)
+    fx, fy = lx + t * ex0, ly + t * ex1
+    a = _dot((px - fx, py - fy), ey)
+    b = _dot((fx - lx, fy - ly), ex)
+    c = _dot((rx - fx, ry - fy), ex)
     if a <= 0.0 or b <= 0.0 or c <= 0.0:
         # can only happen when a base angle is right/obtuse at float
         # precision, i.e. the triangle is degenerate for this frame
         raise DegenerateTriangle("altitude foot falls outside the base segment")
 
-    angle = math.atan2(-ex[1], ex[0])
-    translation = np.array([-float(foot @ ex), -float(foot @ ey)])
+    angle = math.atan2(-ex1, ex0)
+    translation = (-_dot((fx, fy), ex), -_dot((fx, fy), ey))
     return CanonicalTriangle(a, b, c), Isometry(angle, translation, apex)
 
 

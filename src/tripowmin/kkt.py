@@ -76,9 +76,14 @@ def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
-    s1, s2, s3 = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
-    if min(s1, s2, s3) <= 0.0:
+    slacks = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
+    if min(slacks) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
+    return _hessian(tri, n, *slacks)
+
+
+def _hessian(tri: CanonicalTriangle, n: float, s1, s2, s3) -> HessianInfo:
+    """``hessian`` from the three (positive) side slacks."""
     a, b, c = tri.a, tri.b, tri.c
     p2 = tri.p * tri.p
     q2 = tri.q * tri.q
@@ -93,13 +98,38 @@ def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
     return HessianInfo(fxx, fxy, fyy, det)
 
 
+def _multipliers(normals, active, gx, gy) -> list[float]:
+    """Multipliers of the active constraints in grad F = sum_i m_i * normal_i.
+
+    One active side: the projection of the gradient on its normal. Two: the
+    2x2 system, solved by Cramer's rule (the normals of two sides are never
+    parallel). Three, which only a needle's sharp tip reaches within
+    tolerance: least squares.
+    """
+    m = [0.0, 0.0, 0.0]
+    if len(active) == 1:
+        i = active[0]
+        ux, uy = normals[i]
+        m[i] = (ux * gx + uy * gy) / (ux * ux + uy * uy)
+    elif len(active) == 2:
+        i, j = active
+        (ux, uy), (vx, vy) = normals[i], normals[j]
+        det = ux * vy - uy * vx
+        m[i] = (gx * vy - gy * vx) / det
+        m[j] = (ux * gy - uy * gx) / det
+    elif len(active) == 3:
+        sol, *_ = np.linalg.lstsq(np.array(normals).T, (gx, gy), rcond=None)
+        m = sol.tolist()
+    return m
+
+
 def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     """First-order certificate at a feasible point.
 
     Slack is measured as perpendicular distance to each side, a constraint
     counts as active when its slack is at most ``tolerance`` (default
     1e-9 * a), and the active multipliers solve the stationarity equations:
-    exactly for two active constraints (a vertex), least-squares otherwise.
+    exactly for one or two active constraints, least-squares for three.
     Multiplier signs are judged before stationarity, so an edge point with
     a descent direction into the interior reports MULTIPLIER_NEGATIVE even
     though its Lagrangian is stationary.
@@ -107,33 +137,27 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a if tolerance is None else float(tolerance)
-    slacks = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
+    a, b, c = tri.a, tri.b, tri.c
+    slacks = _kernels.side_slacks(a, b, c, x, y)
     if min(slacks) < -tol:
         raise PointNotFeasible(
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    a, b, c = tri.a, tri.b, tri.c
-    gx, gy = _kernels.grad_f(tri.a, tri.b, tri.c, n, x, y)
-    grad_obj = np.array([gx, gy])
+    gx, gy = _kernels.grad_f(a, b, c, n, x, y)
     # gradients of the raw constraint functions g1, g2, g3
-    constraint_grads = np.array([[a, -b], [-a, -c], [0.0, 1.0]])
-    raw_slacks = np.array([slacks[0] * tri.p, slacks[1] * tri.q, slacks[2]])
-
+    normals = ((a, -b), (-a, -c), (0.0, 1.0))
     active = [i for i in range(3) if slacks[i] <= tol]
-    multipliers = np.zeros(3)
-    if active:
-        cols = constraint_grads[active].T
-        if len(active) == 2:
-            sol = np.linalg.solve(cols, grad_obj)
-        else:
-            sol, *_ = np.linalg.lstsq(cols, grad_obj, rcond=None)
-        multipliers[active] = sol
-    residual_vec = grad_obj - constraint_grads.T @ multipliers
-    stationarity = float(np.hypot(residual_vec[0], residual_vec[1]))
-    comp_slack = float(np.max(np.abs(multipliers * raw_slacks)))
+    m = _multipliers(normals, active, gx, gy)
+    rx, ry = gx, gy
+    for i in active:
+        rx -= m[i] * normals[i][0]
+        ry -= m[i] * normals[i][1]
+    stationarity = math.hypot(rx, ry)
+    raw_slacks = (slacks[0] * tri.p, slacks[1] * tri.q, slacks[2])
+    comp_slack = max(abs(mi * si) for mi, si in zip(m, raw_slacks))
 
-    if np.any(multipliers < -tol):
+    if any(mi < -tol for mi in m):
         verdict = Verdict.MULTIPLIER_NEGATIVE
     elif stationarity > tol or comp_slack > tol:
         verdict = Verdict.STATIONARITY_FAILED
@@ -141,14 +165,14 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
         verdict = Verdict.SATISFIED
 
     if min(slacks) > 0.0:
-        hess = hessian(tri, n, (x, y))
-        h_fxx, h_det = float(hess.fxx), float(hess.det)
+        hess = _hessian(tri, n, *slacks)
+        h_fxx, h_det = hess.fxx, hess.det
     else:
         h_fxx, h_det = math.nan, math.nan
 
     return KktReport(
         active_set=tuple(_SIDE_LABELS[i] for i in active),
-        multipliers=multipliers,
+        multipliers=np.array(m),
         stationarity_residual=stationarity,
         complementary_slackness_residual=comp_slack,
         hessian_fxx=h_fxx,

@@ -143,6 +143,8 @@ def test_solve_general_triangle_reports_original_frame():
         ["solve", "--n", "2"],
         ["solve", "--vertices", "0,3 -1,0", "--n", "2"],
         ["solve", "--vertices", "0,3 -1,0 2,zebra", "--n", "2"],
+        ["solve", "--vertices", "nan,0 1,0 0,1", "--n", "2"],
+        ["solve", "--vertices", "0,0 1,inf 0,1", "--n", "2"],
         ["solve", "--canonical", "2,1", "--n", "2"],
         ["solve", "--canonical", "-2,1,1", "--n", "2"],
         ["sequence", *WORKED_ARGS, "--n-list", "1,2"],

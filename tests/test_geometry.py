@@ -1,10 +1,16 @@
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from tripowmin.errors import DegenerateTriangle
 from tripowmin.geometry import (
+    DEGENERACY_REL_TOL,
     CanonicalTriangle,
     GeneralTriangle,
+    Isometry,
     altitudes,
     canonicalize,
     contains,
@@ -123,6 +129,110 @@ def test_canonicalize_rejects_degenerate_input(v1, v2, v3):
     g = GeneralTriangle(np.array(v1, float), np.array(v2, float), np.array(v3, float))
     with pytest.raises(DegenerateTriangle):
         canonicalize(g)
+
+
+def canonicalize_reference(triangle):
+    """canonicalize as it was written on numpy 2-vectors, kept as the
+    reference for the float version: same frame, same bits."""
+    verts = triangle.vertex_array()
+
+    def cross(u, v):
+        return float(u[0] * v[1] - u[1] * v[0])
+
+    edges = [verts[1] - verts[0], verts[2] - verts[1], verts[0] - verts[2]]
+    longest_sq = max(float(e @ e) for e in edges)
+    doubled_area = cross(verts[1] - verts[0], verts[2] - verts[0])
+    if longest_sq == 0.0 or abs(doubled_area) <= DEGENERACY_REL_TOL * longest_sq:
+        raise DegenerateTriangle("vertices are collinear within tolerance")
+    apex = 0
+    for i in range(3):
+        u = verts[(i + 1) % 3] - verts[i]
+        w = verts[(i + 2) % 3] - verts[i]
+        if float(u @ w) <= 0.0:
+            apex = i
+            break
+    i2, i3 = (apex + 1) % 3, (apex + 2) % 3
+    if cross(verts[i2] - verts[apex], verts[i3] - verts[apex]) > 0.0:
+        left, right = verts[i2], verts[i3]
+    else:
+        left, right = verts[i3], verts[i2]
+    base = right - left
+    ex = base / math.hypot(base[0], base[1])
+    ey = np.array([-ex[1], ex[0]])
+    foot = left + float((verts[apex] - left) @ ex) * ex
+    a = float((verts[apex] - foot) @ ey)
+    b = float((foot - left) @ ex)
+    c = float((right - foot) @ ex)
+    if a <= 0.0 or b <= 0.0 or c <= 0.0:
+        raise DegenerateTriangle("altitude foot falls outside the base segment")
+    angle = math.atan2(-ex[1], ex[0])
+    translation = np.array([-float(foot @ ex), -float(foot @ ey)])
+    return CanonicalTriangle(a, b, c), Isometry(angle, translation, apex)
+
+
+def reference_triangles(rng, count):
+    """Regular, thin (thinness 1e-3..1e-2) and right-angled triangles in
+    every vertex order, at scales 1e-3..1e3 and random positions."""
+    for k in range(count):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        kind = k % 3
+        if kind == 0:
+            local = rng.uniform(-1.0, 1.0, size=(3, 2))
+        elif kind == 1:
+            tau = 10.0 ** rng.uniform(-3.0, -2.0)
+            foot = rng.uniform(0.05, 0.95)
+            local = np.array([[0.0, 0.0], [1.0, 0.0], [foot, tau]])
+        else:
+            # a right angle at the origin, legs along the rotated axes
+            local = np.array([[0.0, 0.0], [rng.uniform(0.1, 1.0), 0.0],
+                              [0.0, rng.uniform(0.1, 1.0)]])
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
+        verts = scale * (local @ rot.T + rng.uniform(-1.0, 1.0, size=2))
+        for order in itertools.permutations(range(3)):
+            yield verts[list(order)]
+
+
+def canonical_outcome(fn, verts):
+    try:
+        tri, iso = fn(GeneralTriangle(*verts))
+    except DegenerateTriangle as exc:
+        return str(exc)
+    return (tri.a, tri.b, tri.c, iso.angle, iso.apex_index, *iso.translation.tolist())
+
+
+def test_canonicalize_matches_array_reference_bit_for_bit():
+    # both sides call numpy's dot for the projections, so this holds
+    # whether or not the BLAS fuses multiply-add
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for verts in reference_triangles(rng, 1800):
+        got = canonical_outcome(canonicalize, verts)
+        want = canonical_outcome(canonicalize_reference, verts)
+        assert got == want, verts.tolist()
+        checked += 1
+    assert checked >= 10_000
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_canonicalize_is_scale_free(scale):
+    # squares of these coordinates overflow (underflow) a double
+    tri, iso = canonicalize(GeneralTriangle((scale, 0.0), (0.0, scale), (0.0, 0.0)))
+    assert iso.apex_index == 2
+    half_diag = scale / math.sqrt(2.0)
+    for v in (tri.a, tri.b, tri.c):
+        assert v == pytest.approx(half_diag, rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_general_triangle_rejects_non_finite_vertex(bad, position):
+    verts = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
+    verts[position] = (bad, 0.0) if position != 1 else (0.0, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"vertex v{position + 1} must be finite"):
+            GeneralTriangle(*verts)
 
 
 def test_canonical_triangle_validates_parameters():

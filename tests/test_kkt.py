@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tripowmin import _kernels
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import InvalidExponent, PointNotFeasible, PointNotInterior
 from tripowmin.geometry import CanonicalTriangle, incenter
@@ -212,3 +213,78 @@ def test_infeasible_point_raises():
         kkt_residual(WORKED, 2.0, np.array([0.0, -1e-6]))
     with pytest.raises(PointNotFeasible):
         kkt_residual(WORKED, 2.0, np.array([4.0, 1.0]))
+
+
+# kkt_residual against the numpy solve it replaced ---------------------------
+
+def kkt_reference(tri, n, point, tol):
+    """Active set, multipliers, stationarity and complementary-slackness
+    residuals as kkt_residual computed them with numpy's solve and lstsq,
+    kept as the reference for its closed forms."""
+    x, y = float(point[0]), float(point[1])
+    a, b, c = tri.a, tri.b, tri.c
+    slacks = _kernels.side_slacks(a, b, c, x, y)
+    gx, gy = _kernels.grad_f(a, b, c, n, x, y)
+    grad_obj = np.array([gx, gy])
+    constraint_grads = np.array([[a, -b], [-a, -c], [0.0, 1.0]])
+    raw_slacks = np.array([slacks[0] * tri.p, slacks[1] * tri.q, slacks[2]])
+    active = [i for i in range(3) if slacks[i] <= tol]
+    multipliers = np.zeros(3)
+    if active:
+        cols = constraint_grads[active].T
+        if len(active) == 2:
+            sol = np.linalg.solve(cols, grad_obj)
+        else:
+            sol, *_ = np.linalg.lstsq(cols, grad_obj, rcond=None)
+        multipliers[active] = sol
+    residual_vec = grad_obj - constraint_grads.T @ multipliers
+    stationarity = float(np.hypot(residual_vec[0], residual_vec[1]))
+    comp_slack = float(np.max(np.abs(multipliers * raw_slacks)))
+    if np.any(multipliers < -tol):
+        verdict = Verdict.MULTIPLIER_NEGATIVE
+    elif stationarity > tol or comp_slack > tol:
+        verdict = Verdict.STATIONARITY_FAILED
+    else:
+        verdict = Verdict.SATISFIED
+    return active, multipliers, stationarity, comp_slack, verdict, math.hypot(gx, gy)
+
+
+def reference_points(tri, rng):
+    """Interior points, points on each side (one active constraint) and
+    the three vertices (two active)."""
+    verts = tri.vertices()
+    yield from interior_points(tri, rng, 4)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        for w in rng.uniform(0.05, 0.95, size=2):
+            yield (1.0 - w) * verts[i] + w * verts[j]
+    yield from verts
+
+
+# a needle whose apex is the sharp tip: its short base lies within the
+# default tolerance of all three sides
+NEEDLE = CanonicalTriangle(1.0, 1e-10, 2e-10)
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 5.0, 10.0])
+def test_kkt_residual_matches_numpy_reference(n):
+    rng = np.random.default_rng(int(100 * n))
+    cases = [(random_canonical_triangle(rng), None) for _ in range(30)]
+    cases = [(tri, pt) for tri, _ in cases for pt in reference_points(tri, rng)]
+    cases += [(NEEDLE, pt) for pt in NEEDLE.vertices()[1:]]
+    counts = [0, 0, 0, 0]
+    for tri, pt in cases:
+        rep = kkt_residual(tri, n, pt)
+        active, mult, stat, comp, verdict, gnorm = kkt_reference(tri, n, pt, 1e-9 * tri.a)
+        counts[len(active)] += 1
+        assert rep.verdict is verdict
+        assert rep.active_set == tuple(("AB", "AC", "BC")[i] for i in active)
+        # multipliers relative to the largest; residuals relative to the
+        # gradient, whose terms cancel in them
+        assert np.allclose(rep.multipliers, mult, rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(mult)) + 1e-300)
+        assert abs(rep.stationarity_residual - stat) <= 1e-12 * gnorm + 1e-300
+        assert abs(rep.complementary_slackness_residual - comp) <= 1e-12 * comp + 1e-300
+        if not active:
+            h = hessian(tri, n, pt)
+            assert (rep.hessian_fxx, rep.hessian_det) == (h.fxx, h.det)
+    assert all(counts), counts

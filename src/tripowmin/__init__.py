@@ -14,7 +14,6 @@ from .closed_form import (
     MinimizerResult,
     VertexMinimum,
     VertexValues,
-    critical_point_sequence,
     derived_constants,
     minimize_closed_form,
     minimize_n1,
@@ -87,7 +86,6 @@ __all__ = [
     "canonicalize",
     "compare",
     "contains",
-    "critical_point_sequence",
     "derived_constants",
     "evaluate_F",
     "gradient",

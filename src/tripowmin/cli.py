@@ -6,22 +6,18 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .closed_form import (
-    critical_point_sequence,
-    minimize_closed_form,
-    minimize_n1,
-)
+from .closed_form import minimize_closed_form, minimize_n1
 from .errors import (
     DegenerateTriangle,
     DidNotConverge,
     InvalidExponent,
     TriPowMinError,
+    _check_exponent,
 )
 from .geometry import (
     CanonicalTriangle,
@@ -31,12 +27,11 @@ from .geometry import (
     incenter,
 )
 from .kkt import Verdict, kkt_residual
-from .oracle import OracleConfig, _discrepancy, compare, grid_search
+from .oracle import _discrepancy, compare, grid_search
 from .sampling import random_general_triangle
 
-# iteration cap used by the CLI's own oracle runs; roomier than the library
-# default so thin random triangles still polish to tolerance
-_CLI_ORACLE_CFG = OracleConfig(pg_max_iters=200_000)
+# output names of DerivedConstants' fields, in order
+_CONSTANT_KEYS = ("p", "q", "t", "r", "lambda")
 
 
 class _CliInputError(ValueError):
@@ -44,8 +39,20 @@ class _CliInputError(ValueError):
 
 
 def _fmt(x) -> str:
+    """Twelve significant digits; None (a cell with no value) prints empty."""
+    if x is None:
+        return ""
     # + 0.0 folds negative zero into plain zero before printing
     return "%.12g" % (float(x) + 0.0)
+
+
+def _kv(fields: dict) -> str:
+    return " ".join(f"{k}={_fmt(v)}" for k, v in fields.items())
+
+
+def _json_default(obj):
+    # the two non-JSON fields of a KktReport: its verdict and multiplier array
+    return obj.value if isinstance(obj, Verdict) else obj.tolist()
 
 
 def _parse_pair(token: str) -> tuple[float, float]:
@@ -89,123 +96,75 @@ def _point_dict(pt) -> dict:
     return {"x": float(pt[0]) + 0.0, "y": float(pt[1]) + 0.0}
 
 
-def _kkt_dict(report) -> dict:
-    return {
-        "active_set": list(report.active_set),
-        "multipliers": [float(m) for m in report.multipliers],
-        "stationarity_residual": float(report.stationarity_residual),
-        "complementary_slackness_residual": float(
-            report.complementary_slackness_residual
-        ),
-        "hessian_fxx": float(report.hessian_fxx),
-        "hessian_det": float(report.hessian_det),
-        "verdict": report.verdict.value,
-    }
-
-
 def cmd_solve(args) -> int:
     tri, iso, verts = _triangle_from_args(args)
-    n = float(args.n)
-    if not math.isfinite(n) or n < 1.0:
-        raise _CliInputError(f"--n must be a real >= 1, got {args.n}")
-
-    constants = None
+    n = _check_exponent(args.n, allow_one=True)
+    kkt_report = oracle_report = None
     if n == 1.0:
         vm = minimize_n1(tri)
-        point_c = vm.point
-        value = vm.value
-    else:
-        res = minimize_closed_form(tri, n, isometry=iso)
-        point_c = res.point_canonical
-        value = res.value
-        constants = res.constants
-    point_o = iso.to_original(point_c)
-
-    kkt_report = None
-    oracle_report = None
-    failed = False
-    if args.verify:
-        if n == 1.0:
-            gp, gv = grid_search(tri, n, _CLI_ORACLE_CFG)
+        point_c, value, constants = vm.point, vm.value, None
+        if args.verify:
+            gp, gv = grid_search(tri, n)
             oracle_report = _discrepancy(
                 point_c, value, gp, gv, args.tol_point, args.tol_value
             )
-            failed = not oracle_report.passed
-        else:
+    else:
+        res = minimize_closed_form(tri, n, isometry=iso)
+        point_c, value = res.point_canonical, res.value
+        constants = dict(zip(_CONSTANT_KEYS, res.constants))
+        if args.verify:
             kkt_report = kkt_residual(tri, n, point_c)
-            oracle_report = compare(
-                tri, n, _CLI_ORACLE_CFG, args.tol_point, args.tol_value
-            )
-            failed = (
-                kkt_report.verdict is not Verdict.SATISFIED
-                or not oracle_report.passed
-            )
+            oracle_report = compare(tri, n, None, args.tol_point, args.tol_value)
 
+    doc = {
+        "triangle": verts.tolist(),
+        "canonical": dataclasses.asdict(tri),
+        "n": n,
+        "minimizer": _point_dict(point_c),
+        "minimizer_original": _point_dict(iso.to_original(point_c)),
+        "value": float(value),
+        "constants": constants,
+        "kkt": None if kkt_report is None else dataclasses.asdict(kkt_report),
+        "oracle": None
+        if oracle_report is None
+        else dataclasses.asdict(oracle_report),
+    }
+    kkt, oracle = doc["kkt"], doc["oracle"]
     if args.format == "json":
-        doc = {
-            "triangle": [[float(v[0]), float(v[1])] for v in verts],
-            "canonical": {"a": tri.a, "b": tri.b, "c": tri.c},
-            "n": n,
-            "minimizer": _point_dict(point_c),
-            "minimizer_original": _point_dict(point_o),
-            "value": float(value),
-            "constants": None
-            if constants is None
-            else {
-                "p": constants.p,
-                "q": constants.q,
-                "t": constants.t,
-                "r": constants.r,
-                "lambda": constants.lam,
-            },
-            "kkt": None if kkt_report is None else _kkt_dict(kkt_report),
-            # DiscrepancyReport holds plain floats and a bool
-            "oracle": None
-            if oracle_report is None
-            else dataclasses.asdict(oracle_report),
-        }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2, default=_json_default))
     elif args.format == "csv":
+        mc, mo = doc["minimizer"], doc["minimizer_original"]
         writer = csv.writer(sys.stdout)
         writer.writerow(
-            ["n", "x", "y", "x_original", "y_original", "value",
-             "p", "q", "t", "r", "lambda"]
+            ["n", "x", "y", "x_original", "y_original", "value", *_CONSTANT_KEYS]
         )
-        const_cells = (
-            ["", "", "", "", ""]
-            if constants is None
-            else [_fmt(constants.p), _fmt(constants.q), _fmt(constants.t),
-                  _fmt(constants.r), _fmt(constants.lam)]
-        )
-        writer.writerow(
-            [_fmt(n), _fmt(point_c[0]), _fmt(point_c[1]),
-             _fmt(point_o[0]), _fmt(point_o[1]), _fmt(value)] + const_cells
-        )
+        cells = [n, mc["x"], mc["y"], mo["x"], mo["y"], doc["value"]]
+        cells += constants.values() if constants else [None] * 5
+        writer.writerow([_fmt(v) for v in cells])
     else:
-        print(f"canonical: a={_fmt(tri.a)} b={_fmt(tri.b)} c={_fmt(tri.c)}")
+        print(f"canonical: {_kv(doc['canonical'])}")
         print(f"n: {_fmt(n)}")
-        print(f"minimizer (canonical): x={_fmt(point_c[0])} y={_fmt(point_c[1])}")
-        print(f"minimizer (original): x={_fmt(point_o[0])} y={_fmt(point_o[1])}")
-        print(f"value: {_fmt(value)}")
-        if constants is not None:
+        print(f"minimizer (canonical): {_kv(doc['minimizer'])}")
+        print(f"minimizer (original): {_kv(doc['minimizer_original'])}")
+        print(f"value: {_fmt(doc['value'])}")
+        if constants:
+            print(f"constants: {_kv(constants)}")
+        if kkt:
             print(
-                f"constants: p={_fmt(constants.p)} q={_fmt(constants.q)} "
-                f"t={_fmt(constants.t)} r={_fmt(constants.r)} "
-                f"lambda={_fmt(constants.lam)}"
+                f"kkt: verdict={kkt['verdict'].value} "
+                f"stationarity_residual={_fmt(kkt['stationarity_residual'])} "
+                f"active_set={list(kkt['active_set'])}"
             )
-        if kkt_report is not None:
+        if oracle:
             print(
-                f"kkt: verdict={kkt_report.verdict.value} "
-                f"stationarity_residual={_fmt(kkt_report.stationarity_residual)} "
-                f"active_set={list(kkt_report.active_set)}"
-            )
-        if oracle_report is not None:
-            print(
-                f"oracle: passed={str(oracle_report.passed).lower()} "
-                f"point_gap={_fmt(oracle_report.point_gap)} "
-                f"value_gap_rel={_fmt(oracle_report.value_gap_rel)}"
+                f"oracle: passed={str(oracle['passed']).lower()} "
+                f"point_gap={_fmt(oracle['point_gap'])} "
+                f"value_gap_rel={_fmt(oracle['value_gap_rel'])}"
             )
 
+    failed = (kkt and kkt["verdict"] is not Verdict.SATISFIED) or (
+        oracle and not oracle["passed"]
+    )
     if failed:
         print("verification failed", file=sys.stderr)
         return 3
@@ -217,58 +176,45 @@ def cmd_sequence(args) -> int:
     if (args.n_list is None) == (args.n_max is None):
         raise _CliInputError("exactly one of --n-list or --n-max is required")
     if args.n_list is not None:
-        try:
-            ns = [float(s) for s in args.n_list.split(",") if s.strip()]
-        except ValueError as exc:
-            raise _CliInputError(f"bad --n-list value in {args.n_list!r}") from exc
-        if not ns:
-            raise _CliInputError("--n-list is empty")
-        if any(not math.isfinite(n) or n <= 1.0 for n in ns):
-            raise _CliInputError("every n in --n-list must be a real > 1")
+        ns = [s for s in args.n_list.split(",") if s.strip()]
     else:
-        if args.n_max < 2:
-            raise _CliInputError("--n-max must be an integer >= 2")
-        ns = [float(k) for k in range(2, args.n_max + 1)]
+        ns = range(2, args.n_max + 1)
+    if not ns:
+        raise _CliInputError("no exponents: --n-list is empty or --n-max is below 2")
+    ns = [_check_exponent(s) for s in ns]
 
-    results = critical_point_sequence(tri, ns, isometry=iso)
     inc_c = incenter(tri)
-    inc_o = iso.to_original(inc_c)
     rows = []
-    for res in results:
+    for n in ns:
+        res = minimize_closed_form(tri, n, isometry=iso)
         d = res.point_canonical - inc_c
         rows.append(
-            (
-                res.exponent,
-                float(res.point_original[0]),
-                float(res.point_original[1]),
-                res.value,
-                float(np.hypot(d[0], d[1])),
-            )
+            {
+                "n": n,
+                "x": float(res.point_original[0]),
+                "y": float(res.point_original[1]),
+                "value": res.value,
+                "dist_to_incenter": float(np.hypot(d[0], d[1])),
+            }
         )
+    inc_o = iso.to_original(inc_c)
 
     if args.format == "json":
         doc = {
-            "canonical": {"a": tri.a, "b": tri.b, "c": tri.c},
-            "rows": [
-                {"n": n, "x": x, "y": y, "value": v, "dist_to_incenter": d}
-                for n, x, y, v, d in rows
-            ],
+            "canonical": dataclasses.asdict(tri),
+            "rows": rows,
             "limit": _point_dict(inc_o),
         }
         print(json.dumps(doc, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "x", "y", "value", "dist_to_incenter"])
-        for n, x, y, v, d in rows:
-            writer.writerow([_fmt(n), _fmt(x), _fmt(y), _fmt(v), _fmt(d)])
-        writer.writerow(["limit", _fmt(inc_o[0]), _fmt(inc_o[1]), "", _fmt(0.0)])
+        return 0
+    table = [["n", "x", "y", "value", "dist_to_incenter"]]
+    table += [[_fmt(v) for v in row.values()] for row in rows]
+    table.append(["limit", _fmt(inc_o[0]), _fmt(inc_o[1]), "", _fmt(0.0)])
+    if args.format == "csv":
+        csv.writer(sys.stdout).writerows(table)
     else:
-        print(f"{'n':>12} {'x':>18} {'y':>18} {'value':>18} {'dist_to_incenter':>18}")
-        for n, x, y, v, d in rows:
-            print(f"{_fmt(n):>12} {_fmt(x):>18} {_fmt(y):>18} "
-                  f"{_fmt(v):>18} {_fmt(d):>18}")
-        print(f"{'limit':>12} {_fmt(inc_o[0]):>18} {_fmt(inc_o[1]):>18} "
-              f"{'':>18} {_fmt(0.0):>18}")
+        for line in table:
+            print(" ".join([f"{line[0]:>12}"] + [f"{cell:>18}" for cell in line[1:]]))
     return 0
 
 
@@ -278,7 +224,7 @@ def _verify_trial(tri, n, tol_point_rel, tol_value):
     problems = []
     diam = tri.diameter()
 
-    report = compare(tri, n, _CLI_ORACLE_CFG, tol_point_rel * diam, tol_value)
+    report = compare(tri, n, None, tol_point_rel * diam, tol_value)
     if not report.passed:
         problems.append(
             f"oracle agreement: point_gap={report.point_gap:.3e} "
@@ -359,19 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_triangle_flags(p):
+    def add_shared_flags(p):
         p.add_argument(
             "--vertices",
             help="three vertices as 'x1,y1 x2,y2 x3,y3' (quoted)",
         )
         p.add_argument("--canonical", help="apex-frame parameters 'a,b,c'")
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p_solve = sub.add_parser("solve", help="minimizer for one exponent")
-    add_triangle_flags(p_solve)
+    add_shared_flags(p_solve)
     p_solve.add_argument("--n", type=float, required=True, help="exponent, real >= 1")
-    p_solve.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text"
-    )
     p_solve.add_argument(
         "--verify",
         action="store_true",
@@ -392,13 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_seq = sub.add_parser("sequence", help="minimizers for a list of exponents")
-    add_triangle_flags(p_seq)
+    add_shared_flags(p_seq)
     p_seq.add_argument("--n-list", help="comma-separated exponents, each > 1")
     p_seq.add_argument(
         "--n-max", type=int, help="run integer exponents 2..N inclusive"
-    )
-    p_seq.add_argument(
-        "--format", choices=("json", "csv", "text"), default="text"
     )
     p_seq.set_defaults(func=cmd_sequence)
 
@@ -435,6 +376,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_CliInputError, DegenerateTriangle, InvalidExponent, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: outside the double range: {exc}", file=sys.stderr)
         return 2
     except DidNotConverge as exc:
         print(f"verification error: {exc}", file=sys.stderr)

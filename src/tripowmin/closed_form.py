@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,13 +84,18 @@ def minimize_closed_form(
     The value is evaluated as (a(b+c)/lam)^n * (lam/q), which keeps the base
     of the large power at the scale of the balanced distance; for enormous n
     the true value can leave double range, in which case the field holds an
-    honest 0.0 or inf while the point stays accurate.
+    honest 0.0 or inf while the point stays accurate. A point that itself
+    leaves double range raises OverflowError instead of coming back as NaN.
     """
     k = derived_constants(tri, n)
     n = float(n)
     a, b, c = tri.a, tri.b, tri.c
     x = -(b * k.q - c * k.p * k.t) / k.lam
     y = a * (b + c) * k.r / k.lam
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise OverflowError(
+            f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
+        )
     value = _pow_or_inf(a * (b + c) / k.lam, n) * (k.lam / k.q)
     point = np.array([x, y])
     original = point.copy() if isometry is None else isometry.to_original((x, y))
@@ -117,11 +122,3 @@ def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:
         if alts[i] < alts[best]:
             best = i
     return VertexMinimum("ABC"[best], verts[best].copy(), float(alts[best]))
-
-
-def critical_point_sequence(
-    tri: CanonicalTriangle, n_values: Iterable, isometry: Optional[Isometry] = None
-) -> list[MinimizerResult]:
-    """Closed-form minimizers for each exponent, in input order."""
-    ns = [_check_exponent(n) for n in n_values]
-    return [minimize_closed_form(tri, n, isometry) for n in ns]

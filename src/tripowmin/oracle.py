@@ -34,7 +34,7 @@ class OracleConfig:
     zoom_factor: float = 4.0
     pg_step: Optional[float] = None
     pg_tolerance: float = 1e-10
-    pg_max_iters: int = 10000
+    pg_max_iters: int = 200_000  # room for thin triangles to converge
 
     def __post_init__(self):
         if self.grid_resolution < 1:

@@ -8,46 +8,24 @@ import numpy as np
 
 from .geometry import CanonicalTriangle, GeneralTriangle
 
-
-def random_general_triangle(
-    rng: np.random.Generator,
-    low: float = -10.0,
-    high: float = 10.0,
-    min_edge: float = 0.0,
-    max_edge: float = math.inf,
-    min_thinness: float = 1e-3,
-    max_tries: int = 10000,
-) -> GeneralTriangle:
-    """Vertices uniform in [low, high]^2, rejecting degenerate draws.
-
-    A draw is rejected when an edge leaves [min_edge, max_edge] or when
-    min-altitude / longest-edge falls below ``min_thinness`` (numerically
-    degenerate slivers).
-    """
-    for _ in range(max_tries):
-        v = rng.uniform(low, high, size=(3, 2))
+def random_general_triangle(rng: np.random.Generator) -> GeneralTriangle:
+    """Vertices uniform in [-10, 10]^2, rejecting numerically degenerate
+    slivers: draws whose doubled area is at most 1e-3 * longest edge^2."""
+    for _ in range(10000):
+        v = rng.uniform(-10.0, 10.0, size=(3, 2))
         e = [v[1] - v[0], v[2] - v[1], v[0] - v[2]]
-        lengths = [math.hypot(d[0], d[1]) for d in e]
-        if min(lengths) < min_edge or max(lengths) > max_edge:
-            continue
+        longest = max(math.hypot(d[0], d[1]) for d in e)
         doubled_area = abs(
             (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1])
             - (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
         )
-        longest = max(lengths)
-        if doubled_area <= min_thinness * longest * longest:
-            continue
-        return GeneralTriangle(v[0], v[1], v[2])
+        if doubled_area > 1e-3 * longest * longest:
+            return GeneralTriangle(v[0], v[1], v[2])
     raise RuntimeError("rejection sampling failed to produce a triangle")
 
 
-def random_canonical_triangle(
-    rng: np.random.Generator,
-    a_range: tuple[float, float] = (0.2, 5.0),
-    b_range: tuple[float, float] = (0.1, 4.0),
-    c_range: tuple[float, float] = (0.1, 4.0),
-) -> CanonicalTriangle:
-    """Apex-frame triangle with parameters uniform in the given ranges."""
+def random_canonical_triangle(rng: np.random.Generator) -> CanonicalTriangle:
+    """Apex-frame triangle with a in [0.2, 5] and b, c in [0.1, 4], uniform."""
     return CanonicalTriangle(
-        rng.uniform(*a_range), rng.uniform(*b_range), rng.uniform(*c_range)
+        rng.uniform(0.2, 5.0), rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
     )

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 WORKED_ARGS = ["--vertices", "0,3 -1,0 2,0"]
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args):
@@ -163,6 +166,50 @@ def test_invalid_input_exits_2(args):
     assert out.stdout == "" or "passed" not in out.stdout
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # OverflowError in the gradient of the KKT certificate
+        ["solve", "--canonical", "3e10,1e10,2e10", "--n", "40", "--verify"],
+        # OverflowError in (p/q)^(1/(n-1))
+        ["solve", "--canonical", "1,0.1,40", "--n", "1.000001"],
+        # ZeroDivisionError in the Hessian
+        ["solve", "--canonical", "1e-160,1e-160,1e-160", "--n", "2", "--verify"],
+    ],
+)
+def test_arithmetic_error_exits_2_without_traceback(args):
+    out = run_cli(*args)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: outside the double range:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "triangle",
+    [["--vertices", "1e200,0 0,1e200 0,0"], ["--canonical", "3e160,1e160,2e160"]],
+)
+def test_minimizer_outside_double_range_exits_2_not_nan(triangle, fmt):
+    out = run_cli("solve", *triangle, "--n", "2", "--format", fmt)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
+def test_overflowed_value_at_finite_point_stays_infinity():
+    doc = run_json(
+        "solve", "--canonical", "300,100,200", "--n", "200", "--format", "json"
+    )
+    assert doc["value"] == math.inf
+    assert math.isfinite(doc["minimizer"]["x"]) and math.isfinite(doc["minimizer"]["y"])
+
+
+def test_sequence_checks_every_exponent_before_printing():
+    out = run_cli("sequence", *WORKED_ARGS, "--n-list", "2,1,3")
+    assert out.returncode == 2
+    assert out.stdout == ""
+
+
 # sequence -------------------------------------------------------------------
 
 def test_sequence_csv_shape_and_limit_row():
@@ -230,6 +277,29 @@ def test_verify_impossible_tolerance_exits_3():
     assert out.returncode == 3
     assert "0/1 passed" in out.stdout
     assert "FAIL" in out.stderr
+
+
+# README examples ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "command, newline",
+    [
+        ('solve --vertices "0,3 -1,0 2,0" --n 2 --format text', "\n"),
+        # csv rows end in CRLF (RFC 4180); the README shows them with LF
+        ('sequence --vertices "0,3 -1,0 2,0" --n-list 2,4,8,16 --format csv', "\r\n"),
+    ],
+)
+def test_readme_example_output_byte_for_byte(command, newline):
+    prompt = f"$ tripowmin {command}\n"
+    text = README.read_text()
+    start = text.index(prompt) + len(prompt)
+    expected = text[start:text.index("```", start)].replace("\n", newline)
+    out = subprocess.run(
+        [sys.executable, "-m", "tripowmin", *shlex.split(command)],
+        capture_output=True,
+    )
+    assert out.returncode == 0
+    assert out.stdout == expected.encode()
 
 
 # plumbing -------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tripowmin.closed_form import (
-    critical_point_sequence,
     derived_constants,
     minimize_closed_form,
     minimize_n1,
@@ -225,18 +224,6 @@ def test_vertex_values_rejects_subunit_exponent():
         vertex_values(WORKED, 0.9)
 
 
-def test_sequence_matches_individual_solves_and_validates_upfront():
-    ns = [2.0, 3.0, 5.5, 10.0]
-    seq = critical_point_sequence(WORKED, ns)
-    assert [r.exponent for r in seq] == ns
-    for r, n in zip(seq, ns):
-        single = minimize_closed_form(WORKED, n)
-        assert np.array_equal(r.point_canonical, single.point_canonical)
-        assert r.value == single.value
-    with pytest.raises(InvalidExponent):
-        critical_point_sequence(WORKED, [2.0, 1.0, 3.0])
-
-
 def test_minimizers_approach_incenter_as_n_grows():
     rng = np.random.default_rng(20)
     for _ in range(10):
@@ -257,3 +244,13 @@ def test_value_overflow_reports_infinity_with_finite_point():
     assert math.isinf(res.value)
     assert np.all(np.isfinite(res.point_canonical))
     assert contains(big, res.point_canonical)
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [CanonicalTriangle(3e160, 1e160, 2e160), CanonicalTriangle(3e300, 1e300, 2e300)],
+)
+def test_minimizer_outside_double_range_raises_instead_of_nan(tri):
+    # p = sqrt(a^2 + b^2) overflows, so the formula's point is NaN
+    with pytest.raises(OverflowError, match="not finite"):
+        minimize_closed_form(tri, 2.0)

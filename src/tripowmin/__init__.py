@@ -14,7 +14,6 @@ from .closed_form import (
     MinimizerResult,
     VertexMinimum,
     VertexValues,
-    derived_constants,
     minimize_closed_form,
     minimize_n1,
     vertex_values,
@@ -86,7 +85,6 @@ __all__ = [
     "canonicalize",
     "compare",
     "contains",
-    "derived_constants",
     "evaluate_F",
     "gradient",
     "grid_search",

@@ -11,15 +11,41 @@ import math
 import numpy as np
 
 
+def side_lengths(a, b, c):
+    """Lengths of the sides AB, AC and BC, A = (0, a), B = (-b, 0),
+    C = (c, 0). hypot neither overflows nor underflows where a*a + b*b
+    would, and scaling a, b, c by a power of two scales it exactly."""
+    return math.hypot(a, b), math.hypot(a, c), b + c
+
+
+def trilinear_point(a, b, c, lengths, root):
+    """The point at distances h * w_i from the sides AB, AC, BC, with
+    w_i = rho_i^root and rho_i = L_i / L_max for the side ``lengths``:
+    the incenter for root 0, the powered-sum minimizer for root 1/(n-1).
+    Returns (x, y, h, tot), tot = sum rho_i * w_i. Each rho_i and w_i is
+    at most 1, and h solves sum L_i * d_i = 2 * area = a * (b + c) in the
+    ratios, so no term leaves the triangle's scale."""
+    l1, l2, l3 = lengths
+    longest = max(lengths)
+    r1, r2, r3 = l1 / longest, l2 / longest, l3 / longest
+    w1, w2, w3 = r1 ** root, r2 ** root, r3 ** root
+    tot = r1 * w1 + r2 * w2 + r3 * w3
+    h = a * r3 / tot
+    return (c * r1 * w1 - b * r2 * w2) / tot, h * w3, h, tot
+
+
+def _slacks(a, b, c, p, q, x, y):
+    return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
+
+
 def side_slacks(a, b, c, x, y):
     """Signed distances from (x, y) to the three side lines, positive inside.
 
     The first line runs through (0, a) and (-b, 0), the second through
     (0, a) and (c, 0), the third is the base y = 0.
     """
-    p = math.sqrt(a * a + b * b)
-    q = math.sqrt(a * a + c * c)
-    return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
+    p, q, _ = side_lengths(a, b, c)
+    return _slacks(a, b, c, p, q, x, y)
 
 
 def eval_f(a, b, c, n, x, y):
@@ -35,18 +61,11 @@ def grad_f(a, b, c, n, x, y):
     boundary point lands an ulp outside; the clamped value is exactly the
     one-sided derivative there.
     """
-    p = math.sqrt(a * a + b * b)
-    q = math.sqrt(a * a + c * c)
-    u, v, w = side_slacks(a, b, c, x, y)
-    if u < 0.0:
-        u = 0.0
-    if v < 0.0:
-        v = 0.0
-    if w < 0.0:
-        w = 0.0
-    du = u ** (n - 1.0)
-    dv = v ** (n - 1.0)
-    dw = w ** (n - 1.0)
+    p, q, _ = side_lengths(a, b, c)
+    u, v, w = _slacks(a, b, c, p, q, x, y)
+    du = u ** (n - 1.0) if u > 0.0 else 0.0
+    dv = v ** (n - 1.0) if v > 0.0 else 0.0
+    dw = w ** (n - 1.0) if w > 0.0 else 0.0
     gx = n * (a / p) * du - n * (a / q) * dv
     gy = -n * (b / p) * du - n * (c / q) * dv + n * dw
     return gx, gy

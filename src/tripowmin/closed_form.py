@@ -1,10 +1,10 @@
 """Closed-form minimizers of the powered-distance sum over a triangle.
 
 For exponent n > 1 the minimum of d1^n + d2^n + d3^n over the closed
-triangle sits strictly inside, at a point expressed through two ratio
-constants and their weighted sum. n = 1 degenerates to a vertex (the one
-with the smallest altitude) and n -> infinity drives the minimizer to the
-incenter.
+triangle sits strictly inside, at the trilinear point d_i ~ L_i^(1/(n-1)),
+L_i the length of side i: the symmedian (Lemoine) point at n = 2, tending
+to the incenter as n -> infinity. n = 1 degenerates to a vertex (the one
+with the smallest altitude).
 """
 
 from __future__ import annotations
@@ -15,14 +15,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _kernels
 from .errors import _check_exponent
-from .geometry import Altitudes, CanonicalTriangle, Isometry, altitudes
+from .geometry import CanonicalTriangle, Isometry, altitudes
 
 
 class DerivedConstants(NamedTuple):
-    """Frame constants for exponent n: side lengths p, q, ratio constants
-    t = (p/q)^(1/(n-1)) and r = ((b+c)/q)^(1/(n-1)), and their weighted sum
-    lam = q + (b+c)r + pt. They satisfy t^n + r^n + 1 = lam/q."""
+    """The paper's constants for exponent n: side lengths p, q, distance
+    ratios t = d1/d2 = (p/q)^(1/(n-1)) and r = d3/d2 = ((b+c)/q)^(1/(n-1)),
+    and lam = q + (b+c)r + pt = a(b+c)/d2, so t^n + r^n + 1 = lam/q. A
+    constant that leaves the double range reads inf."""
 
     p: float
     q: float
@@ -61,45 +63,34 @@ def _pow_or_inf(base: float, n: float) -> float:
         return math.inf
 
 
-def derived_constants(tri: CanonicalTriangle, n) -> DerivedConstants:
-    """Ratio constants for exponent n > 1.
-
-    pow keeps the 1/(n-1) roots exact at n = 2 (unit exponent) and stays
-    accurate for the very large n used when chasing the incenter limit.
-    """
-    n = _check_exponent(n)
-    p, q = tri.p, tri.q
-    inv = 1.0 / (n - 1.0)
-    t = (p / q) ** inv
-    r = ((tri.b + tri.c) / q) ** inv
-    lam = q + (tri.b + tri.c) * r + p * t
-    return DerivedConstants(p, q, t, r, lam)
-
-
 def minimize_closed_form(
     tri: CanonicalTriangle, n, isometry: Optional[Isometry] = None
 ) -> MinimizerResult:
     """Interior minimizer of the powered-distance sum for n > 1.
 
-    The value is evaluated as (a(b+c)/lam)^n * (lam/q), which keeps the base
-    of the large power at the scale of the balanced distance; for enormous n
-    the true value can leave double range, in which case the field holds an
-    honest 0.0 or inf while the point stays accurate. A point that itself
-    leaves double range raises OverflowError instead of coming back as NaN.
+    Stationarity n * d_i^(n-1) = mu * L_i makes the side distances
+    proportional to L_i^(1/(n-1)): a trilinear point, computed in ratios
+    to the longest side so that nothing overflows for any n > 1. With
+    d_i = h * w_i and w_i^(n-1) = L_i / L_max the value is
+    h^n * sum_i (L_i / L_max) * w_i, one power, which reads an honest 0.0
+    or inf when it leaves the double range. A point that itself leaves the
+    range (a side length overflows) raises OverflowError, not NaN.
     """
-    k = derived_constants(tri, n)
-    n = float(n)
+    n = _check_exponent(n)
     a, b, c = tri.a, tri.b, tri.c
-    x = -(b * k.q - c * k.p * k.t) / k.lam
-    y = a * (b + c) * k.r / k.lam
+    inv = 1.0 / (n - 1.0)
+    p, q, base = lengths = _kernels.side_lengths(a, b, c)
+    x, y, h, tot = _kernels.trilinear_point(a, b, c, lengths, inv)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OverflowError(
             f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
         )
-    value = _pow_or_inf(a * (b + c) / k.lam, n) * (k.lam / k.q)
+    t = _pow_or_inf(p / q, inv)
+    r = _pow_or_inf(base / q, inv)
+    constants = DerivedConstants(p, q, t, r, q + base * r + p * t)
     point = np.array([x, y])
     original = point.copy() if isometry is None else isometry.to_original((x, y))
-    return MinimizerResult(point, original, value, k, n)
+    return MinimizerResult(point, original, _pow_or_inf(h, n) * tot, constants, n)
 
 
 def vertex_values(tri: CanonicalTriangle, n) -> VertexValues:
@@ -115,10 +106,6 @@ def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:
     The plain distance sum is minimized at a vertex and its value there is
     that vertex's altitude; ties resolve in the order apex, left, right.
     """
-    alts: Altitudes = altitudes(tri)
-    verts = tri.vertices()
-    best = 0
-    for i in (1, 2):
-        if alts[i] < alts[best]:
-            best = i
-    return VertexMinimum("ABC"[best], verts[best].copy(), float(alts[best]))
+    alts = altitudes(tri)
+    best = min(range(3), key=alts.__getitem__)  # the first of equal minima
+    return VertexMinimum("ABC"[best], tri.vertices()[best].copy(), float(alts[best]))

@@ -41,18 +41,18 @@ class CanonicalTriangle:
     @property
     def p(self) -> float:
         """Length of the side from (0, a) to (-b, 0)."""
-        return math.sqrt(self.a * self.a + self.b * self.b)
+        return _kernels.side_lengths(self.a, self.b, self.c)[0]
 
     @property
     def q(self) -> float:
         """Length of the side from (0, a) to (c, 0)."""
-        return math.sqrt(self.a * self.a + self.c * self.c)
+        return _kernels.side_lengths(self.a, self.b, self.c)[1]
 
     def vertices(self) -> np.ndarray:
         return np.array([[0.0, self.a], [-self.b, 0.0], [self.c, 0.0]])
 
     def diameter(self) -> float:
-        return max(self.b + self.c, self.p, self.q)
+        return max(_kernels.side_lengths(self.a, self.b, self.c))
 
 
 @dataclass(frozen=True)
@@ -229,9 +229,10 @@ def project_to_triangle(tri: CanonicalTriangle, point) -> np.ndarray:
 
 
 def incenter(tri: CanonicalTriangle) -> np.ndarray:
+    """The point at equal distance from all three sides: trilinears 1:1:1."""
     a, b, c = tri.a, tri.b, tri.c
-    perim = tri.p + tri.q + b + c
-    return np.array([-(b * tri.q - c * tri.p) / perim, a * (b + c) / perim])
+    x, y, _, _ = _kernels.trilinear_point(a, b, c, _kernels.side_lengths(a, b, c), 0.0)
+    return np.array([x, y])
 
 
 def altitudes(tri: CanonicalTriangle) -> Altitudes:

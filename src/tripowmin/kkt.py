@@ -79,14 +79,14 @@ def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
     slacks = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
     if min(slacks) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return _hessian(tri, n, *slacks)
+    return _hessian(tri, n, _kernels.side_lengths(tri.a, tri.b, tri.c), *slacks)
 
 
-def _hessian(tri: CanonicalTriangle, n: float, s1, s2, s3) -> HessianInfo:
-    """``hessian`` from the three (positive) side slacks."""
+def _hessian(tri: CanonicalTriangle, n: float, lengths, s1, s2, s3) -> HessianInfo:
+    """``hessian`` from the side lengths and the three (positive) slacks."""
     a, b, c = tri.a, tri.b, tri.c
-    p2 = tri.p * tri.p
-    q2 = tri.q * tri.q
+    p2 = lengths[0] * lengths[0]
+    q2 = lengths[1] * lengths[1]
     g = s1 ** (n - 2.0)
     h = s2 ** (n - 2.0)
     w = s3 ** (n - 2.0)
@@ -126,19 +126,24 @@ def _multipliers(normals, active, gx, gy) -> list[float]:
 def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     """First-order certificate at a feasible point.
 
-    Slack is measured as perpendicular distance to each side, a constraint
-    counts as active when its slack is at most ``tolerance`` (default
-    1e-9 * a), and the active multipliers solve the stationarity equations:
-    exactly for one or two active constraints, least-squares for three.
-    Multiplier signs are judged before stationarity, so an edge point with
-    a descent direction into the interior reports MULTIPLIER_NEGATIVE even
-    though its Lagrangian is stationary.
+    A constraint is active when its slack, the distance to its side, is at
+    most ``tolerance`` (default 1e-9 * a, also the feasibility margin); the
+    active multipliers solve the stationarity equations, exactly for one or
+    two, least-squares for three. Against the gradient scale
+    G = n * max_i d_i^(n-1), so that no verdict depends on the unit of
+    length, the stationarity residual and each multiplier times its
+    normal's length must be within 1e-9 * G, and complementary slackness
+    over G (a length) within ``tolerance``. Signs are judged first: an edge
+    point with a descent direction into the interior reports
+    MULTIPLIER_NEGATIVE even though its Lagrangian is stationary.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a if tolerance is None else float(tolerance)
     a, b, c = tri.a, tri.b, tri.c
     slacks = _kernels.side_slacks(a, b, c, x, y)
+    if not math.isfinite(sum(slacks)):  # an infinite scale would pass anything
+        raise OverflowError(f"side slacks {slacks} are not finite")
     if min(slacks) < -tol:
         raise PointNotFeasible(
             f"point {(x, y)} violates a side constraint by more than {tol}"
@@ -154,21 +159,22 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
         rx -= m[i] * normals[i][0]
         ry -= m[i] * normals[i][1]
     stationarity = math.hypot(rx, ry)
-    raw_slacks = (slacks[0] * tri.p, slacks[1] * tri.q, slacks[2])
-    comp_slack = max(abs(mi * si) for mi, si in zip(m, raw_slacks))
+    # the multipliers in gradient units: times the length of their normal
+    lengths = _kernels.side_lengths(a, b, c)
+    g = (m[0] * lengths[0], m[1] * lengths[1], m[2])
+    comp_slack = max(abs(gi * si) for gi, si in zip(g, slacks))
 
-    if any(mi < -tol for mi in m):
+    scale = n * max(slacks) ** (n - 1.0)
+    if min(g) < -1e-9 * scale:
         verdict = Verdict.MULTIPLIER_NEGATIVE
-    elif stationarity > tol or comp_slack > tol:
+    elif stationarity > 1e-9 * scale or comp_slack > tol * scale:
         verdict = Verdict.STATIONARITY_FAILED
     else:
         verdict = Verdict.SATISFIED
 
+    h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
     if min(slacks) > 0.0:
-        hess = _hessian(tri, n, *slacks)
-        h_fxx, h_det = hess.fxx, hess.det
-    else:
-        h_fxx, h_det = math.nan, math.nan
+        h_fxx, _, _, h_det = _hessian(tri, n, lengths, *slacks)
 
     return KktReport(
         active_set=tuple(_SIDE_LABELS[i] for i in active),

@@ -19,21 +19,20 @@ from .errors import DidNotConverge, _check_exponent
 from .geometry import CanonicalTriangle
 
 
+ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
+PG_TOLERANCE = 1e-10  # descent stops once step * |grad| <= PG_TOLERANCE * a
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Knobs for both oracles.
 
-    ``pg_step`` is the initial descent step; None means 0.1 * triangle
-    diameter, and the step then adapts freely in both directions.
     ``zoom_iterations`` counts the window-shrink steps after the initial
     full-triangle scan.
     """
 
     grid_resolution: int = 128
     zoom_iterations: int = 10
-    zoom_factor: float = 4.0
-    pg_step: Optional[float] = None
-    pg_tolerance: float = 1e-10
     pg_max_iters: int = 200_000  # room for thin triangles to converge
 
     def __post_init__(self):
@@ -41,12 +40,6 @@ class OracleConfig:
             raise ValueError("grid_resolution must be >= 1")
         if self.zoom_iterations < 0:
             raise ValueError("zoom_iterations must be >= 0")
-        if not self.zoom_factor > 1.0:
-            raise ValueError("zoom_factor must be > 1")
-        if self.pg_step is not None and not self.pg_step > 0.0:
-            raise ValueError("pg_step must be positive")
-        if not self.pg_tolerance > 0.0:
-            raise ValueError("pg_tolerance must be positive")
         if self.pg_max_iters < 1:
             raise ValueError("pg_max_iters must be >= 1")
 
@@ -71,7 +64,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
 
     The first pass scans a barycentric lattice over the whole triangle.
     Every later pass scans an equilateral window centered on the best
-    point seen so far, with the window radius shrinking by zoom_factor
+    point seen so far, with the window radius shrinking by ZOOM_FACTOR
     per pass; the running best only ever improves, so the returned value
     is monotone in zoom_iterations. Equilateral windows keep the margin
     around the running best isotropic, which matters on thin triangles:
@@ -93,7 +86,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
         lx, ly, lf = _kernels.lattice_best(a, b, c, n, cfg.grid_resolution, window)
         if lf < best_f:
             best_x, best_y, best_f = lx, ly, lf
-        radius /= cfg.zoom_factor
+        radius /= ZOOM_FACTOR
         for k, (ox, oy) in enumerate(
             ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
         ):
@@ -108,21 +101,21 @@ def projected_gradient(
 ) -> PgResult:
     """Projected descent from ``start`` (default: centroid), n > 1.
 
-    Stops once step * |grad| <= pg_tolerance * a. Raises DidNotConverge
-    only when the iteration cap is hit with that residual still above 100x
-    the threshold; a capped run that is merely slow to polish returns
-    normally and the caller sees its iteration count.
+    The first step is 0.1 * diameter; the step then adapts freely in both
+    directions. Stops once step * |grad| <= PG_TOLERANCE * a. Raises
+    DidNotConverge only when the iteration cap is hit with that residual
+    still above 100x the threshold; a capped run that is merely slow to
+    polish returns normally and the caller sees its iteration count.
     """
     n = _check_exponent(n)
     cfg = config if config is not None else OracleConfig()
     if start is None:
         start = tri.vertices().mean(axis=0)
-    step0 = cfg.pg_step if cfg.pg_step is not None else 0.1 * tri.diameter()
-    tol = cfg.pg_tolerance * tri.a
+    tol = PG_TOLERANCE * tri.a
     x, y, f, iters, residual = _kernels.pg_minimize(
         tri.a, tri.b, tri.c, n,
         float(start[0]), float(start[1]),
-        float(step0), float(tol), int(cfg.pg_max_iters),
+        0.1 * tri.diameter(), tol, int(cfg.pg_max_iters),
     )
     if iters >= cfg.pg_max_iters and residual > 100.0 * tol:
         raise DidNotConverge(

@@ -171,10 +171,12 @@ def test_invalid_input_exits_2(args):
     [
         # OverflowError in the gradient of the KKT certificate
         ["solve", "--canonical", "3e10,1e10,2e10", "--n", "40", "--verify"],
-        # OverflowError in (p/q)^(1/(n-1))
-        ["solve", "--canonical", "1,0.1,40", "--n", "1.000001"],
+        # OverflowError: the base b + c overflows, so the point is NaN
+        ["solve", "--canonical", "1,1e308,1e308", "--n", "2"],
         # ZeroDivisionError in the Hessian
         ["solve", "--canonical", "1e-160,1e-160,1e-160", "--n", "2", "--verify"],
+        # a * b overflows in the side slacks of the KKT certificate
+        ["solve", "--canonical", "3e160,1e160,2e160", "--n", "2", "--verify"],
     ],
 )
 def test_arithmetic_error_exits_2_without_traceback(args):
@@ -187,13 +189,52 @@ def test_arithmetic_error_exits_2_without_traceback(args):
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize(
     "triangle",
-    [["--vertices", "1e200,0 0,1e200 0,0"], ["--canonical", "3e160,1e160,2e160"]],
+    # the base length overflows
+    [["--vertices", "-1e308,0 1e308,0 0,1e308"], ["--canonical", "1,1e308,1e308"]],
 )
 def test_minimizer_outside_double_range_exits_2_not_nan(triangle, fmt):
     out = run_cli("solve", *triangle, "--n", "2", "--format", fmt)
     assert out.returncode == 2
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "triangle, n, point, rel",
+    [
+        # every weight but the base's underflows: the apex, to double precision
+        (["--canonical", "1,0.1,40"], "1.000001", (0.0, 1.0), 0.0),
+        (["--canonical", "1e-160,1e-160,1e-160"], "2", (0.0, 5e-161), 0.0),
+        (["--canonical", "3e160,1e160,2e160"], "2", (2.1875e159, 8.4375e159), 1e-14),
+        # right isosceles: the midpoint of the altitude to the hypotenuse
+        (["--vertices", "1e200,0 0,1e200 0,0"], "2", (2.5e199, 2.5e199), 1e-14),
+        (["--vertices", "1e-200,0 0,1e-200 0,0"], "2", (2.5e-201, 2.5e-201), 1e-14),
+    ],
+)
+def test_extreme_but_valid_input_gets_its_answer(triangle, n, point, rel):
+    doc = run_json("solve", *triangle, "--n", n, "--format", "json")
+    got = doc["minimizer_original"]
+    assert got["x"] == pytest.approx(point[0], rel=rel, abs=rel * point[1])
+    assert got["y"] == pytest.approx(point[1], rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("canonical", ["3,1,2", "0.003,0.001,0.002", "3000,1000,2000"])
+def test_solve_verify_verdicts_do_not_depend_on_the_unit(canonical):
+    doc = run_json(
+        "solve", "--canonical", canonical, "--n", "5", "--format", "json", "--verify"
+    )
+    assert doc["kkt"]["verdict"] == "satisfied"
+    assert doc["oracle"]["passed"] is True
+
+
+def test_solve_n1_verify_accepts_any_point_of_a_minimizing_side():
+    # altitudes from B and C tie, so the whole base minimizes; the grid
+    # oracle lands near C while the vertex rule picks B
+    doc = run_json("solve", "--canonical", "2,1,1", "--n", "1", "--format", "json",
+                   "--verify")
+    assert doc["minimizer"] == {"x": -1.0, "y": 0.0}
+    assert doc["oracle"]["point_gap"] > 1.0
+    assert doc["oracle"]["passed"] is True
 
 
 def test_overflowed_value_at_finite_point_stays_infinity():

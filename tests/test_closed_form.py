@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tripowmin.closed_form import (
-    derived_constants,
     minimize_closed_form,
     minimize_n1,
     vertex_values,
@@ -19,7 +18,7 @@ from tripowmin.geometry import (
     side_distances,
 )
 from tripowmin.kkt import evaluate_F
-from tripowmin.sampling import random_canonical_triangle
+from tripowmin.sampling import random_canonical_triangle, random_general_triangle
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -54,7 +53,7 @@ def test_isosceles_n2_exact_fractions():
 
 def test_derived_constants_structure_at_half_power():
     # at n = 1.5 the 1/(n-1) power is a plain square
-    k = derived_constants(WORKED, 1.5)
+    k = minimize_closed_form(WORKED, 1.5).constants
     assert k.t == pytest.approx(10.0 / 13.0, rel=1e-15)
     assert k.r == pytest.approx(9.0 / 13.0, rel=1e-15)
     assert k.p == pytest.approx(math.sqrt(10.0), rel=1e-15)
@@ -68,7 +67,7 @@ def test_constants_satisfy_power_sum_identity():
     for _ in range(30):
         tri = random_canonical_triangle(rng)
         for n in ns:
-            k = derived_constants(tri, n)
+            k = minimize_closed_form(tri, n).constants
             assert k.t**n + k.r**n + 1.0 == pytest.approx(k.lam / k.q, rel=1e-13)
 
 
@@ -215,8 +214,6 @@ def test_minimize_n1_agrees_with_dense_evaluation():
 def test_invalid_exponents_raise(bad):
     with pytest.raises(InvalidExponent):
         minimize_closed_form(WORKED, bad)
-    with pytest.raises(InvalidExponent):
-        derived_constants(WORKED, bad)
 
 
 def test_vertex_values_rejects_subunit_exponent():
@@ -248,9 +245,57 @@ def test_value_overflow_reports_infinity_with_finite_point():
 
 @pytest.mark.parametrize(
     "tri",
-    [CanonicalTriangle(3e160, 1e160, 2e160), CanonicalTriangle(3e300, 1e300, 2e300)],
+    [CanonicalTriangle(1.0, 1e308, 1e308), CanonicalTriangle(1e308, 1e308, 1e308)],
 )
 def test_minimizer_outside_double_range_raises_instead_of_nan(tri):
-    # p = sqrt(a^2 + b^2) overflows, so the formula's point is NaN
+    # the base b + c overflows, so the side ratios and the point are NaN
     with pytest.raises(OverflowError, match="not finite"):
         minimize_closed_form(tri, 2.0)
+
+
+# the trilinear form over the whole double range ------------------------------
+
+def draw_exponent(rng):
+    """n with n - 1 log-uniform in [1e-12, 1e6]."""
+    return 1.0 + 10.0 ** rng.uniform(-12.0, 6.0)
+
+
+def barycentric_minimizer(verts, n):
+    """Minimizer from the vertices alone: the barycentric weight of the
+    vertex opposite side i is proportional to L_i^(n/(n-1)), taken relative
+    to the longest side so no power overflows."""
+    lengths = [math.dist(verts[(i + 1) % 3], verts[(i + 2) % 3]) for i in range(3)]
+    rel = [length / max(lengths) for length in lengths]
+    weights = [r * r ** (1.0 / (n - 1.0)) for r in rel]
+    total = sum(weights)
+    return [sum(w * v[k] for w, v in zip(weights, verts)) / total for k in (0, 1)]
+
+
+def test_minimizer_matches_barycentric_reference_at_any_scale():
+    rng = np.random.default_rng(30)
+    for _ in range(200):
+        s = 10.0 ** rng.uniform(-150.0, 150.0)
+        g = random_general_triangle(rng)
+        verts = [tuple(s * v) for v in g.vertex_array()]
+        tri, iso = canonicalize(GeneralTriangle(*verts))
+        n = draw_exponent(rng)
+        res = minimize_closed_form(tri, n, isometry=iso)
+        gap = math.dist(res.point_original, barycentric_minimizer(verts, n))
+        assert gap <= 1e-12 * tri.diameter(), (s, n)
+
+
+def test_minimizer_is_exactly_equivariant_under_power_of_two_scaling():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        s = 10.0 ** rng.uniform(-150.0, 150.0)
+        tri = random_canonical_triangle(rng)
+        tri = CanonicalTriangle(s * tri.a, s * tri.b, s * tri.c)
+        k = int(rng.integers(-100, 101))
+        scaled = CanonicalTriangle(*(math.ldexp(v, k) for v in (tri.a, tri.b, tri.c)))
+        n = draw_exponent(rng)
+        res = minimize_closed_form(tri, n)
+        big = minimize_closed_form(scaled, n)
+        assert big.point_canonical.tolist() == [
+            math.ldexp(v, k) for v in res.point_canonical.tolist()
+        ], (s, k, n)
+

@@ -202,6 +202,33 @@ def test_interior_non_minimizer_fails_stationarity():
     assert rep.stationarity_residual > 1e-3
 
 
+def trilinear_point(tri, root):
+    """The point whose distances to the sides are proportional to
+    L_i^root: the minimizer for root = 1/(n-1)."""
+    a, b, c = tri.a, tri.b, tri.c
+    lengths = np.array([math.hypot(a, b), math.hypot(a, c), b + c])
+    w = (lengths / lengths.max()) ** root
+    d = a * (b + c) * w / np.dot(lengths, w)
+    # barycentric weight L_i * d_i / (2 * area) on the vertex opposite side i
+    return np.array([(c * lengths[0] * d[0] - b * lengths[1] * d[1]) / (a * (b + c)), d[2]])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [1.5, 2.0, 5.0, 10.0])
+def test_verdicts_do_not_depend_on_the_unit(scale, n):
+    tri = CanonicalTriangle(3.0 * scale, 1.0 * scale, 2.0 * scale)
+    assert kkt_residual(tri, n, trilinear_point(tri, 1.0 / (n - 1.0))).verdict is (
+        Verdict.SATISFIED
+    )
+    mirrored = CanonicalTriangle(tri.a, tri.c, tri.b)
+    mutants = {
+        "root 1/n": trilinear_point(tri, 1.0 / n),
+        "b and c swapped": trilinear_point(mirrored, 1.0 / (n - 1.0)),
+    }
+    for name, pt in mutants.items():
+        assert kkt_residual(tri, n, pt).verdict is not Verdict.SATISFIED, name
+
+
 def test_tolerance_controls_active_set():
     pt = np.array([0.5, 0.05])
     assert kkt_residual(WORKED, 2.0, pt).active_set == ()
@@ -220,7 +247,10 @@ def test_infeasible_point_raises():
 def kkt_reference(tri, n, point, tol):
     """Active set, multipliers, stationarity and complementary-slackness
     residuals as kkt_residual computed them with numpy's solve and lstsq,
-    kept as the reference for its closed forms."""
+    kept as the reference for its closed forms. Each is judged in its own
+    units: multipliers (times their normal's length) and stationarity
+    against 1e-9 of the gradient scale n * max d_i^(n-1), complementary
+    slackness over that scale against the slack tolerance."""
     x, y = float(point[0]), float(point[1])
     a, b, c = tri.a, tri.b, tri.c
     slacks = _kernels.side_slacks(a, b, c, x, y)
@@ -240,9 +270,11 @@ def kkt_reference(tri, n, point, tol):
     residual_vec = grad_obj - constraint_grads.T @ multipliers
     stationarity = float(np.hypot(residual_vec[0], residual_vec[1]))
     comp_slack = float(np.max(np.abs(multipliers * raw_slacks)))
-    if np.any(multipliers < -tol):
+    scale = n * max(slacks) ** (n - 1.0)
+    normal_lengths = np.hypot(constraint_grads[:, 0], constraint_grads[:, 1])
+    if np.any(multipliers * normal_lengths < -1e-9 * scale):
         verdict = Verdict.MULTIPLIER_NEGATIVE
-    elif stationarity > tol or comp_slack > tol:
+    elif stationarity > 1e-9 * scale or comp_slack > tol * scale:
         verdict = Verdict.STATIONARITY_FAILED
     else:
         verdict = Verdict.SATISFIED

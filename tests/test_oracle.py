@@ -277,6 +277,9 @@ def test_in_process_results_match_subprocess():
         {"zoom_iterations": -1},
         {"pg_max_iters": 0},
     ],
+    # Pinned ids: cases 3-5 (zoom_factor, pg_step, pg_tolerance) went with
+    # their fields, and the remaining cases keep the names they had.
+    ids=["kwargs0", "kwargs1", "kwargs2", "kwargs6"],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

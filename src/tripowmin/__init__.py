@@ -31,6 +31,7 @@ from .geometry import (
     CanonicalTriangle,
     GeneralTriangle,
     Isometry,
+    Point,
     SideDistances,
     altitudes,
     canonicalize,
@@ -74,6 +75,7 @@ __all__ = [
     "MinimizerResult",
     "OracleConfig",
     "PgResult",
+    "Point",
     "PointNotFeasible",
     "PointNotInterior",
     "SideDistances",

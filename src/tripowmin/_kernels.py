@@ -2,13 +2,12 @@
 (-b, 0), (c, 0), all of a, b, c positive.
 
 ``side_slacks`` and ``eval_f`` work elementwise on numpy arrays as well as
-on floats; the lattice scan uses them that way.
+on floats; the lattice scan uses them that way. numpy is imported by the
+lattice scan alone, so the float path runs without it.
 """
 
 import functools
 import math
-
-import numpy as np
 
 
 def side_lengths(a, b, c):
@@ -109,6 +108,8 @@ def project_point(a, b, c, x, y):
 
 @functools.lru_cache(maxsize=None)
 def _bary_weights(m):
+    import numpy as np
+
     counts = np.arange(m + 1, 0, -1)
     ii = np.repeat(np.arange(m + 1), counts).astype(np.float64)
     jj = np.concatenate([np.arange(k) for k in counts]).astype(np.float64)
@@ -119,8 +120,10 @@ def _bary_weights(m):
 
 def lattice_best(a, b, c, n, m, window):
     """Best point of the barycentric lattice of resolution m over the window
-    triangle whose vertices are the rows of ``window``; returns (x, y, f),
-    lowest lattice index on ties."""
+    triangle whose vertices are the three (x, y) pairs of ``window``;
+    returns (x, y, f), lowest lattice index on ties."""
+    import numpy as np
+
     wa, wb, wc = _bary_weights(m)
     (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
     x = wa * w1x + wb * w2x + wc * w3x

@@ -9,8 +9,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .closed_form import minimize_closed_form, minimize_n1
 from .errors import (
@@ -52,8 +50,10 @@ def _kv(fields: dict) -> str:
 
 
 def _json_default(obj):
-    # the two non-JSON fields of a KktReport: its verdict and multiplier array
-    return obj.value if isinstance(obj, Verdict) else obj.tolist()
+    # the one non-JSON field of a KktReport: its verdict
+    if isinstance(obj, Verdict):
+        return obj.value
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _parse_pair(token: str) -> tuple[float, float]:
@@ -67,7 +67,8 @@ def _parse_pair(token: str) -> tuple[float, float]:
 
 
 def _triangle_from_args(args):
-    """Returns (canonical triangle, isometry, original vertices 3x2)."""
+    """Returns (canonical triangle, isometry, original vertices as three
+    [x, y] lists)."""
     if (args.vertices is None) == (args.canonical is None):
         raise _CliInputError("exactly one of --vertices or --canonical is required")
     if args.vertices is not None:
@@ -75,8 +76,8 @@ def _triangle_from_args(args):
         if len(tokens) != 3:
             raise _CliInputError("--vertices wants three 'x,y' pairs")
         pts = [_parse_pair(t) for t in tokens]
-        tri, iso = canonicalize(GeneralTriangle(*[np.array(p) for p in pts]))
-        return tri, iso, np.array(pts)
+        tri, iso = canonicalize(GeneralTriangle(*pts))
+        return tri, iso, [list(p) for p in pts]
     parts = args.canonical.split(",")
     if len(parts) != 3:
         raise _CliInputError("--canonical wants 'a,b,c'")
@@ -85,8 +86,8 @@ def _triangle_from_args(args):
     except ValueError as exc:
         raise _CliInputError(f"bad --canonical value in {args.canonical!r}") from exc
     tri = CanonicalTriangle(a, b, c)
-    iso = Isometry(0.0, np.zeros(2), 0)
-    return tri, iso, tri.vertices()
+    iso = Isometry(0.0, (0.0, 0.0), 0)
+    return tri, iso, [list(v) for v in tri.vertices()]
 
 
 def _point_dict(pt) -> dict:
@@ -119,7 +120,7 @@ def cmd_solve(args) -> int:
             )
 
     doc = {
-        "triangle": verts.tolist(),
+        "triangle": verts,
         "canonical": dataclasses.asdict(tri),
         "n": n,
         "minimizer": _point_dict(point_c),
@@ -189,14 +190,13 @@ def cmd_sequence(args) -> int:
     rows = []
     for n in ns:
         res = minimize_closed_form(tri, n, isometry=iso)
-        d = res.point_canonical - inc_c
         rows.append(
             {
                 "n": n,
                 "x": float(res.point_original[0]),
                 "y": float(res.point_original[1]),
                 "value": res.value,
-                "dist_to_incenter": float(np.hypot(d[0], d[1])),
+                "dist_to_incenter": math.dist(res.point_canonical, inc_c),
             }
         )
     inc_o = iso.to_original(inc_c)
@@ -247,7 +247,7 @@ def _verify_trial(tri, n, tol_point_rel, tol_value):
             CanonicalTriangle(s * tri.a, s * tri.b, s * tri.c), n
         )
         if (
-            np.max(np.abs(scaled.point_canonical - s * res.point_canonical))
+            max(map(abs, scaled.point_canonical - s * res.point_canonical))
             > 1e-11 * s * diam
             or abs(scaled.value - s ** n * res.value) > 1e-11 * s ** n * res.value
         ):
@@ -257,7 +257,7 @@ def _verify_trial(tri, n, tol_point_rel, tol_value):
     dists = []
     for k in range(6, 15):
         pt = minimize_closed_form(tri, float(2 ** k)).point_canonical
-        dists.append(float(np.hypot(*(pt - inc))))
+        dists.append(math.dist(pt, inc))
     for prev, nxt in zip(dists, dists[1:]):
         if prev > 0.0 and nxt > 0.7 * prev:
             problems.append("incenter convergence rate")
@@ -272,6 +272,8 @@ def cmd_verify(args) -> int:
         raise _CliInputError("--trials must be a positive integer")
     if args.tol_point < 0.0 or args.tol_value < 0.0:
         raise _CliInputError("tolerances must be non-negative")
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     n_choices = [2.0, 3.0, 4.0, 5.0, 7.0, 10.0]
     passed = 0

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from . import _kernels
 from .errors import _check_exponent
-from .geometry import CanonicalTriangle, Isometry, altitudes
+from .geometry import CanonicalTriangle, Isometry, Point, altitudes
 
 
 class DerivedConstants(NamedTuple):
@@ -35,8 +33,8 @@ class DerivedConstants(NamedTuple):
 
 @dataclass(frozen=True)
 class MinimizerResult:
-    point_canonical: np.ndarray
-    point_original: np.ndarray
+    point_canonical: Point
+    point_original: Point
     value: float
     constants: DerivedConstants
     exponent: float
@@ -50,7 +48,7 @@ class VertexValues(NamedTuple):
 
 class VertexMinimum(NamedTuple):
     label: str  # 'A' = apex, 'B' = (-b, 0), 'C' = (c, 0)
-    point: np.ndarray
+    point: Point
     value: float
 
 
@@ -88,8 +86,8 @@ def minimize_closed_form(
     t = _pow_or_inf(p / q, inv)
     r = _pow_or_inf(base / q, inv)
     constants = DerivedConstants(p, q, t, r, q + base * r + p * t)
-    point = np.array([x, y])
-    original = point.copy() if isometry is None else isometry.to_original((x, y))
+    point = Point(x, y)
+    original = point if isometry is None else isometry.to_original(point)
     return MinimizerResult(point, original, _pow_or_inf(h, n) * tot, constants, n)
 
 
@@ -108,4 +106,4 @@ def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:
     """
     alts = altitudes(tri)
     best = min(range(3), key=alts.__getitem__)  # the first of equal minima
-    return VertexMinimum("ABC"[best], tri.vertices()[best].copy(), float(alts[best]))
+    return VertexMinimum("ABC"[best], tri.vertices()[best], float(alts[best]))

@@ -14,13 +14,54 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _kernels
 from .errors import DegenerateTriangle
 
 # doubled area below this fraction of the squared longest side is collinear
 DEGENERACY_REL_TOL = 1e-12
+
+# Veltkamp's splitter for doubles: 2^27 + 1
+_SPLIT = 134217729.0
+
+
+class Point(NamedTuple):
+    """A planar point. It adds and subtracts elementwise with any pair of
+    numbers, scales by a number and negates; ``numpy.asarray(point)`` gives
+    the 2-vector."""
+
+    x: float
+    y: float
+
+    def __add__(self, other):
+        ox, oy = other
+        return Point(self.x + ox, self.y + oy)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        ox, oy = other
+        return Point(self.x - ox, self.y - oy)
+
+    def __rsub__(self, other):
+        ox, oy = other
+        return Point(ox - self.x, oy - self.y)
+
+    def __mul__(self, k):
+        return Point(self.x * k, self.y * k)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Point(-self.x, -self.y)
+
+
+def _as_point(value, name: str) -> Point:
+    """Any pair of numbers as a Point of floats, or ValueError naming it."""
+    try:
+        x, y = value
+        return Point(float(x), float(y))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be two numbers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,8 +89,8 @@ class CanonicalTriangle:
         """Length of the side from (0, a) to (c, 0)."""
         return _kernels.side_lengths(self.a, self.b, self.c)[1]
 
-    def vertices(self) -> np.ndarray:
-        return np.array([[0.0, self.a], [-self.b, 0.0], [self.c, 0.0]])
+    def vertices(self) -> tuple[Point, Point, Point]:
+        return Point(0.0, self.a), Point(-self.b, 0.0), Point(self.c, 0.0)
 
     def diameter(self) -> float:
         return max(_kernels.side_lengths(self.a, self.b, self.c))
@@ -59,20 +100,19 @@ class CanonicalTriangle:
 class GeneralTriangle:
     """Three vertices in arbitrary position, kept in input order."""
 
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
+    v1: Point
+    v2: Point
+    v3: Point
 
     def __post_init__(self):
         for name in ("v1", "v2", "v3"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(2)
-            x, y = v.tolist()
+            x, y = point = _as_point(getattr(self, name), f"vertex {name}")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"vertex {name} must be finite, got {(x, y)!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, point)
 
-    def vertex_array(self) -> np.ndarray:
-        return np.array([self.v1, self.v2, self.v3])
+    def vertex_array(self) -> tuple[Point, Point, Point]:
+        return self.v1, self.v2, self.v3
 
 
 @dataclass(frozen=True)
@@ -85,26 +125,26 @@ class Isometry:
     """
 
     angle: float
-    translation: np.ndarray
+    translation: Point
     apex_index: int
 
     def __post_init__(self):
         object.__setattr__(
-            self, "translation", np.asarray(self.translation, dtype=float).reshape(2)
+            self, "translation", _as_point(self.translation, "translation")
         )
 
-    def to_canonical(self, point) -> np.ndarray:
+    def to_canonical(self, point) -> Point:
         x, y = float(point[0]), float(point[1])
-        tx, ty = self.translation.tolist()
+        tx, ty = self.translation
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return np.array((ca * x - sa * y + tx, sa * x + ca * y + ty))
+        return Point(ca * x - sa * y + tx, sa * x + ca * y + ty)
 
-    def to_original(self, point) -> np.ndarray:
-        tx, ty = self.translation.tolist()
+    def to_original(self, point) -> Point:
+        tx, ty = self.translation
         x = float(point[0]) - tx
         y = float(point[1]) - ty
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return np.array((ca * x + sa * y, -sa * x + ca * y))
+        return Point(ca * x + sa * y, -sa * x + ca * y)
 
 
 class SideDistances(NamedTuple):
@@ -119,24 +159,43 @@ class Altitudes(NamedTuple):
     h_c: float
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """Dekker's TwoProduct: ``p = fl(a*b)`` and ``e`` with ``p + e == a*b``
+    exactly, barring overflow and underflow (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _dot(u, v) -> float:
-    """numpy's dot of two 2-vectors, not ``u0*v0 + u1*v1``: the BLAS kernel
-    behind it may fuse the multiply-add, and the frame's projections keep
-    the bits they have always had (see tests/test_geometry.py)."""
-    return float(np.array(u).dot(v))
+    """``fma(u1, v1, u0*v0)``, rounded once: the bits of the fused
+    multiply-add that OpenBLAS's 2-vector dot computes, which the frame's
+    projections have always had (see tests/test_geometry.py). Not the
+    correctly rounded dot: verdicts at n near 1 hinge on these last bits.
+    The arguments must be scaled so that no product leaves the normal
+    range, as ``canonicalize`` scales them."""
+    (u0, u1), (v0, v1) = u, v
+    p, e = _two_product(u1, v1)
+    return math.fsum((u0 * v0, p, e))
 
 
 def _obtuse_or_right(ux, uy, wx, wy) -> bool:
-    """Sign test ``u . w <= 0`` as numpy's dot decides it.
+    """Sign test ``u . w <= 0`` as the fused ``_dot`` decides it.
 
     The float dot has the same sign whenever it is clear of roundoff; at a
     right angle the sign is roundoff, and the float and the fused result can
-    disagree, so that case asks numpy.
+    disagree, so that case takes ``_dot``.
     """
     uw = ux * wx + uy * wy
     if abs(uw) > 1e-15 * (abs(ux * wx) + abs(uy * wy)):
         return uw < 0.0
-    return _dot((ux, uy), np.array((wx, wy))) <= 0.0
+    return _dot((ux, uy), (wx, wy)) <= 0.0
 
 
 def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry]:
@@ -148,13 +207,15 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     input vertex is kept, so an already-canonical triangle maps to itself
     under the identity.
     """
-    verts = (triangle.v1.tolist(), triangle.v2.tolist(), triangle.v3.tolist())
-    (x1, y1), (x2, y2), (x3, y3) = verts
-    # The sign tests (collinearity, apex, orientation) run on the vertices
-    # scaled by a power of two, which is exact: their verdicts do not depend
-    # on the unit of length, and no square overflows or underflows.
+    (x1, y1), (x2, y2), (x3, y3) = triangle.v1, triangle.v2, triangle.v3
+    # Everything below runs on the vertices scaled by a power of two, which
+    # is exact: the sign tests (collinearity, apex, orientation) do not
+    # depend on the unit of length, no square overflows or underflows, and
+    # neither do the split products of ``_dot``. a, b, c and the translation
+    # are scaled back at the end, exactly again.
     shift = -math.frexp(max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3)))[1]
     x1, y1, x2, y2, x3, y3 = (math.ldexp(u, shift) for u in (x1, y1, x2, y2, x3, y3))
+    verts = ((x1, y1), (x2, y2), (x3, y3))
     # edge i runs from vertex i to vertex i + 1
     edges = ((x2 - x1, y2 - y1), (x3 - x2, y3 - y2), (x1 - x3, y1 - y3))
     longest_sq = max(ux * ux + uy * uy for ux, uy in edges)
@@ -183,7 +244,7 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     (px, py), (lx, ly), (rx, ry) = verts[apex], verts[i_left], verts[i_right]
     h = math.hypot(rx - lx, ry - ly)
     ex0, ex1 = (rx - lx) / h, (ry - ly) / h
-    ex, ey = np.array((ex0, ex1)), np.array((-ex1, ex0))
+    ex, ey = (ex0, ex1), (-ex1, ex0)
     t = _dot((px - lx, py - ly), ex)
     fx, fy = lx + t * ex0, ly + t * ex1
     a = _dot((px - fx, py - fy), ey)
@@ -195,8 +256,11 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
         raise DegenerateTriangle("altitude foot falls outside the base segment")
 
     angle = math.atan2(-ex1, ex0)
-    translation = (-_dot((fx, fy), ex), -_dot((fx, fy), ey))
-    return CanonicalTriangle(a, b, c), Isometry(angle, translation, apex)
+    a, b, c, tx, ty = (
+        math.ldexp(u, -shift)
+        for u in (a, b, c, -_dot((fx, fy), ex), -_dot((fx, fy), ey))
+    )
+    return CanonicalTriangle(a, b, c), Isometry(angle, (tx, ty), apex)
 
 
 def side_distances(tri: CanonicalTriangle, point) -> SideDistances:
@@ -220,19 +284,18 @@ def contains(tri: CanonicalTriangle, point) -> bool:
     return s1 >= -eps and s2 >= -eps and s3 >= -eps
 
 
-def project_to_triangle(tri: CanonicalTriangle, point) -> np.ndarray:
+def project_to_triangle(tri: CanonicalTriangle, point) -> Point:
     """Nearest point of the closed triangle (idempotent)."""
-    px, py = _kernels.project_point(
-        tri.a, tri.b, tri.c, float(point[0]), float(point[1])
+    return Point(
+        *_kernels.project_point(tri.a, tri.b, tri.c, float(point[0]), float(point[1]))
     )
-    return np.array([px, py])
 
 
-def incenter(tri: CanonicalTriangle) -> np.ndarray:
+def incenter(tri: CanonicalTriangle) -> Point:
     """The point at equal distance from all three sides: trilinears 1:1:1."""
     a, b, c = tri.a, tri.b, tri.c
     x, y, _, _ = _kernels.trilinear_point(a, b, c, _kernels.side_lengths(a, b, c), 0.0)
-    return np.array([x, y])
+    return Point(x, y)
 
 
 def altitudes(tri: CanonicalTriangle) -> Altitudes:

@@ -16,11 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _kernels
 from .errors import PointNotFeasible, PointNotInterior, _check_exponent
-from .geometry import CanonicalTriangle
+from .geometry import CanonicalTriangle, Point
 
 _SIDE_LABELS = ("AB", "AC", "BC")
 
@@ -43,7 +41,7 @@ class HessianInfo(NamedTuple):
 @dataclass(frozen=True)
 class KktReport:
     active_set: tuple[str, ...]
-    multipliers: np.ndarray
+    multipliers: tuple[float, float, float]
     stationarity_residual: float
     complementary_slackness_residual: float
     hessian_fxx: float
@@ -57,14 +55,13 @@ def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     return _kernels.eval_f(tri.a, tri.b, tri.c, n, float(point[0]), float(point[1]))
 
 
-def gradient(tri: CanonicalTriangle, n, point) -> np.ndarray:
+def gradient(tri: CanonicalTriangle, n, point) -> Point:
     """Gradient of F at a strictly interior point, n > 1."""
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     if min(_kernels.side_slacks(tri.a, tri.b, tri.c, x, y)) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    gx, gy = _kernels.grad_f(tri.a, tri.b, tri.c, n, x, y)
-    return np.array([gx, gy])
+    return Point(*_kernels.grad_f(tri.a, tri.b, tri.c, n, x, y))
 
 
 def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
@@ -104,7 +101,8 @@ def _multipliers(normals, active, gx, gy) -> list[float]:
     One active side: the projection of the gradient on its normal. Two: the
     2x2 system, solved by Cramer's rule (the normals of two sides are never
     parallel). Three, which only a needle's sharp tip reaches within
-    tolerance: least squares.
+    tolerance: the minimum-norm solution m = N^T (N N^T)^-1 g, N the 2x3
+    matrix of the normals, with the 2x2 system N N^T z = g by Cramer's rule.
     """
     m = [0.0, 0.0, 0.0]
     if len(active) == 1:
@@ -118,8 +116,13 @@ def _multipliers(normals, active, gx, gy) -> list[float]:
         m[i] = (gx * vy - gy * vx) / det
         m[j] = (ux * gy - uy * gx) / det
     elif len(active) == 3:
-        sol, *_ = np.linalg.lstsq(np.array(normals).T, (gx, gy), rcond=None)
-        m = sol.tolist()
+        sxx = sum(ux * ux for ux, _ in normals)
+        sxy = sum(ux * uy for ux, uy in normals)
+        syy = sum(uy * uy for _, uy in normals)
+        det = sxx * syy - sxy * sxy
+        zx = (gx * syy - gy * sxy) / det
+        zy = (sxx * gy - sxy * gx) / det
+        m = [ux * zx + uy * zy for ux, uy in normals]
     return m
 
 
@@ -129,7 +132,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     A constraint is active when its slack, the distance to its side, is at
     most ``tolerance`` (default 1e-9 * a, also the feasibility margin); the
     active multipliers solve the stationarity equations, exactly for one or
-    two, least-squares for three. Against the gradient scale
+    two, minimum-norm for three. Against the gradient scale
     G = n * max_i d_i^(n-1), so that no verdict depends on the unit of
     length, the stationarity residual and each multiplier times its
     normal's length must be within 1e-9 * G, and complementary slackness
@@ -178,7 +181,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
 
     return KktReport(
         active_set=tuple(_SIDE_LABELS[i] for i in active),
-        multipliers=np.array(m),
+        multipliers=tuple(m),
         stationarity_residual=stationarity,
         complementary_slackness_residual=comp_slack,
         hessian_fxx=h_fxx,

@@ -11,12 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from . import _kernels
 from .closed_form import minimize_closed_form
 from .errors import DidNotConverge, _check_exponent
-from .geometry import CanonicalTriangle
+from .geometry import CanonicalTriangle, Point
 
 
 ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
@@ -45,7 +43,7 @@ class OracleConfig:
 
 
 class PgResult(NamedTuple):
-    point: np.ndarray
+    point: Point
     value: float
     iterations: int
 
@@ -78,7 +76,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     cfg = config if config is not None else OracleConfig()
     n = float(n)
     a, b, c = tri.a, tri.b, tri.c
-    window = tri.vertices().astype(float)
+    window = list(tri.vertices())
     radius = tri.diameter()
     half_rt3 = 0.5 * math.sqrt(3.0)
     best_x, best_y, best_f = 0.0, 0.0, math.inf
@@ -90,10 +88,10 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
         for k, (ox, oy) in enumerate(
             ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
         ):
-            window[k, 0], window[k, 1] = _kernels.project_point(
+            window[k] = _kernels.project_point(
                 a, b, c, best_x + radius * ox, best_y + radius * oy
             )
-    return np.array([best_x, best_y]), float(best_f)
+    return Point(best_x, best_y), float(best_f)
 
 
 def projected_gradient(
@@ -109,8 +107,8 @@ def projected_gradient(
     """
     n = _check_exponent(n)
     cfg = config if config is not None else OracleConfig()
-    if start is None:
-        start = tri.vertices().mean(axis=0)
+    if start is None:  # the centroid
+        start = ((-tri.b + tri.c) / 3.0, tri.a / 3.0)
     tol = PG_TOLERANCE * tri.a
     x, y, f, iters, residual = _kernels.pg_minimize(
         tri.a, tri.b, tri.c, n,
@@ -122,7 +120,7 @@ def projected_gradient(
             f"projected gradient hit {cfg.pg_max_iters} iterations with "
             f"step*|grad| = {residual:.3e} > {100.0 * tol:.3e}"
         )
-    return PgResult(np.array([x, y]), float(f), int(iters))
+    return PgResult(Point(x, y), float(f), int(iters))
 
 
 def compare(
@@ -152,8 +150,7 @@ def _discrepancy(
     """Gaps between a formula's (point, value) and an oracle's, and whether
     both are within tolerance: point_gap is absolute, the value gap is
     relative to the larger magnitude of the two values."""
-    gap = point - oracle_point
-    point_gap = float(np.hypot(gap[0], gap[1]))
+    point_gap = math.hypot(point[0] - oracle_point[0], point[1] - oracle_point[1])
     denom = max(abs(oracle_value), abs(value), 1e-300)
     value_gap_rel = float(abs(value - oracle_value) / denom)
     return DiscrepancyReport(

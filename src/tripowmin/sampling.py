@@ -1,14 +1,16 @@
-"""Seeded random triangle generators for randomized checks."""
+"""Seeded random triangle generators for randomized checks.
+
+Each takes a ``numpy.random.Generator`` and calls only its ``uniform``.
+"""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .geometry import CanonicalTriangle, GeneralTriangle
 
-def random_general_triangle(rng: np.random.Generator) -> GeneralTriangle:
+
+def random_general_triangle(rng) -> GeneralTriangle:
     """Vertices uniform in [-10, 10]^2, rejecting numerically degenerate
     slivers: draws whose doubled area is at most 1e-3 * longest edge^2."""
     for _ in range(10000):
@@ -24,7 +26,7 @@ def random_general_triangle(rng: np.random.Generator) -> GeneralTriangle:
     raise RuntimeError("rejection sampling failed to produce a triangle")
 
 
-def random_canonical_triangle(rng: np.random.Generator) -> CanonicalTriangle:
+def random_canonical_triangle(rng) -> CanonicalTriangle:
     """Apex-frame triangle with a in [0.2, 5] and b, c in [0.1, 4], uniform."""
     return CanonicalTriangle(
         rng.uniform(0.2, 5.0), rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)

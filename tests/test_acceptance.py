@@ -283,7 +283,7 @@ def test_criterion_10_projection_never_increases_F():
             triangles.append(tri)
     violations = 0
     for tri in triangles:
-        verts = tri.vertices()
+        verts = np.asarray(tri.vertices())
         lo = verts.min(axis=0)
         hi = verts.max(axis=0)
         mid = 0.5 * (lo + hi)
@@ -324,7 +324,7 @@ def test_projection_dominance_validity_boundary():
         t = _random_triangles(rng, 1)[0]
         if t.a**2 >= t.b * t.c:
             continue
-        verts = t.vertices()
+        verts = np.asarray(t.vertices())
         lo = verts.min(axis=0)
         hi = verts.max(axis=0)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

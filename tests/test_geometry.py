@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from tripowmin.geometry import (
     CanonicalTriangle,
     GeneralTriangle,
     Isometry,
+    Point,
+    _dot,
     altitudes,
     canonicalize,
     contains,
@@ -134,7 +138,7 @@ def test_canonicalize_rejects_degenerate_input(v1, v2, v3):
 def canonicalize_reference(triangle):
     """canonicalize as it was written on numpy 2-vectors, kept as the
     reference for the float version: same frame, same bits."""
-    verts = triangle.vertex_array()
+    verts = np.asarray(triangle.vertex_array())
 
     def cross(u, v):
         return float(u[0] * v[1] - u[1] * v[0])
@@ -198,12 +202,12 @@ def canonical_outcome(fn, verts):
         tri, iso = fn(GeneralTriangle(*verts))
     except DegenerateTriangle as exc:
         return str(exc)
-    return (tri.a, tri.b, tri.c, iso.angle, iso.apex_index, *iso.translation.tolist())
+    return (tri.a, tri.b, tri.c, iso.angle, iso.apex_index, *list(iso.translation))
 
 
 def test_canonicalize_matches_array_reference_bit_for_bit():
-    # both sides call numpy's dot for the projections, so this holds
-    # whether or not the BLAS fuses multiply-add
+    # the reference projects with numpy's dot, canonicalize with the
+    # BLAS-free _dot: equal bits where the BLAS fuses the multiply-add
     rng = np.random.default_rng(2024)
     checked = 0
     for verts in reference_triangles(rng, 1800):
@@ -214,7 +218,33 @@ def test_canonicalize_matches_array_reference_bit_for_bit():
     assert checked >= 10_000
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def dot_pairs(rng, count):
+    """Random 2-vector pairs, half of them at a right angle up to a few
+    ulps, where the fused and the unfused dot disagree in sign."""
+    for k in range(count):
+        ux, uy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        if k % 2:
+            vx = -uy * (1.0 + rng.randint(-4, 4) * 2.0**-52)
+            vy = ux * (1.0 + rng.randint(-4, 4) * 2.0**-52)
+        else:
+            vx, vy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        yield (ux, uy), (vx, vy)
+
+
+@pytest.mark.parametrize("k", [0, 990, -990])
+def test_dot_is_the_fused_multiply_add_exactly(k):
+    # fma(u1, v1, u0*v0), from exact rationals; no BLAS involved. The
+    # factors sit at 2^(+-990) while their products stay near 1, which is
+    # as far as canonicalize's scaled coordinates take them.
+    rng = random.Random(7)
+    for (ux, uy), (vx, vy) in dot_pairs(rng, 20_000):
+        u = (math.ldexp(ux, k), math.ldexp(uy, k))
+        v = (math.ldexp(vx, -k), math.ldexp(vy, -k))
+        want = float(Fraction(u[1]) * Fraction(v[1]) + Fraction(u[0] * v[0]))
+        assert _dot(u, v) == want, (u, v)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e305, 1e-305])
 def test_canonicalize_is_scale_free(scale):
     # squares of these coordinates overflow (underflow) a double
     tri, iso = canonicalize(GeneralTriangle((scale, 0.0), (0.0, scale), (0.0, 0.0)))
@@ -233,6 +263,40 @@ def test_general_triangle_rejects_non_finite_vertex(bad, position):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"vertex v{position + 1} must be finite"):
             GeneralTriangle(*verts)
+
+
+@pytest.mark.parametrize(
+    "vertex",
+    [(0.0, 1.0), [0, 1], np.array([0.0, 1.0]), (np.float64(0.0), np.int64(1))],
+)
+def test_points_are_built_from_any_pair_of_numbers(vertex):
+    tri = GeneralTriangle((1.0, 0.0), vertex, (0.0, 0.0))
+    iso = Isometry(0.0, vertex, 0)
+    for point in (tri.v2, iso.translation):
+        assert type(point) is Point
+        assert type(point.x) is float and type(point.y) is float
+        assert point == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "bad", [(1, 2, 3), (1,), np.array([[0.0, 1.0], [2.0, 3.0]]), "ab", 5.0]
+)
+def test_vertex_that_is_not_two_numbers_is_rejected_by_name(bad):
+    with pytest.raises(ValueError, match="vertex v2 must be two numbers"):
+        GeneralTriangle((1.0, 0.0), bad, (0.0, 0.0))
+    with pytest.raises(ValueError, match="translation must be two numbers"):
+        Isometry(0.0, bad, 0)
+
+
+def test_point_arithmetic_is_elementwise():
+    p = Point(1.0, 2.0)
+    assert p + [0.5, 0.0] == Point(1.5, 2.0)
+    assert [0.5, 0.0] + p == Point(1.5, 2.0)
+    assert p - (1.0, 1.0) == Point(0.0, 1.0)
+    assert (1.0, 1.0) - p == Point(0.0, -1.0)
+    assert 2.0 * p == p * 2.0 == Point(2.0, 4.0)
+    assert -p == Point(-1.0, -2.0)
+    assert np.array_equal(np.asarray(p), [1.0, 2.0])
 
 
 def test_canonical_triangle_validates_parameters():

@@ -136,7 +136,7 @@ def test_report_at_closed_form_minimizer_is_clean():
             rep = kkt_residual(tri, n, res.point_canonical)
             assert rep.verdict is Verdict.SATISFIED
             assert rep.active_set == ()
-            assert np.all(rep.multipliers == 0.0)
+            assert np.all(np.asarray(rep.multipliers) == 0.0)
             assert rep.stationarity_residual < 1e-9
             assert rep.complementary_slackness_residual < 1e-9
             assert rep.hessian_fxx > 0.0 and rep.hessian_det > 0.0

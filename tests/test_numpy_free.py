@@ -1,0 +1,58 @@
+"""The certify path and `solve` without `--verify` run on the standard
+library: a child interpreter in which importing numpy raises must give the
+same output as one with numpy available."""
+
+import subprocess
+import sys
+
+import pytest
+
+BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+
+# the README quickstart's steps, then the other numpy-free entry points
+LIBRARY = """
+import tripowmin as tp
+
+tri, motion = tp.canonicalize(tp.GeneralTriangle((0, 3), (-1, 0), (2, 0)))
+res = tp.minimize_closed_form(tri, 2.0, isometry=motion)
+print(res)
+print(motion.to_original(res.point_canonical))
+print(tp.kkt_residual(tri, 2.0, res.point_canonical))
+print(tp.incenter(tri))
+print(tp.vertex_values(tri, 3.0))
+print(tp.minimize_n1(tri))
+print(tp.projected_gradient(tri, 2.0))
+"""
+
+CLI = """
+import runpy
+runpy.run_module("tripowmin", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_child(code, *args, numpy_blocked):
+    prefix = BLOCK_NUMPY if numpy_blocked else ""
+    return subprocess.run(
+        [sys.executable, "-c", prefix + code, *args], capture_output=True, text=True
+    )
+
+
+def assert_same_without_numpy(code, *args):
+    without = run_child(code, *args, numpy_blocked=True)
+    assert without.returncode == 0, without.stderr
+    with_numpy = run_child(code, *args, numpy_blocked=False)
+    assert with_numpy.returncode == 0, with_numpy.stderr
+    assert without.stdout == with_numpy.stdout
+    assert without.stdout
+
+
+def test_library_certify_path_runs_without_numpy():
+    assert_same_without_numpy(LIBRARY)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("n", ["2", "1"])
+def test_solve_runs_without_numpy(n, fmt):
+    assert_same_without_numpy(
+        CLI, "solve", "--vertices", "0,3 -1,0 2,0", "--n", n, "--format", fmt
+    )

@@ -169,7 +169,7 @@ def test_descent_never_returns_worse_than_start():
     rng = np.random.default_rng(23)
     for _ in range(15):
         tri, _ = canonicalize(random_general_triangle(rng))
-        start = tri.vertices().mean(axis=0) + rng.uniform(-0.1, 0.1, 2) * tri.a
+        start = np.mean(tri.vertices(), axis=0) + rng.uniform(-0.1, 0.1, 2) * tri.a
         f0 = evaluate_F(tri, 4.0, start)
         res = projected_gradient(tri, 4.0, start=start)
         assert res.value <= f0 * (1 + 1e-12)

@@ -1,9 +1,11 @@
 """Numeric kernels on the apex frame: triangle with vertices (0, a),
 (-b, 0), (c, 0), all of a, b, c positive.
 
-``side_slacks`` and ``eval_f`` work elementwise on numpy arrays as well as
-on floats; the lattice scan uses them that way. numpy is imported by the
-lattice scan alone, so the float path runs without it.
+The kernels work on Python floats, except the lattice scan of the grid
+oracle. That scan does not call ``side_slacks`` or ``eval_f`` on arrays:
+it combines the window corners' slacks over the whole lattice in numpy
+buffers it is handed. It alone imports numpy, so the float path runs
+without it.
 """
 
 import functools
@@ -118,19 +120,54 @@ def _bary_weights(m):
     return ii * inv, jj * inv, kk * inv
 
 
-def lattice_best(a, b, c, n, m, window):
+def lattice_scratch(m):
+    """Work arrays for ``lattice_best`` at resolution m: the caller owns
+    them, so concurrent scans never share one."""
+    import numpy as np
+
+    size = (m + 1) * (m + 2) // 2
+    return np.empty(size), np.empty(size), np.empty(size)
+
+
+def lattice_best(a, b, c, n, m, window, scratch):
     """Best point of the barycentric lattice of resolution m over the window
     triangle whose vertices are the three (x, y) pairs of ``window``;
-    returns (x, y, f), lowest lattice index on ties."""
+    returns (x, y, f), lowest lattice index on ties. ``scratch`` comes from
+    ``lattice_scratch(m)`` and is overwritten.
+
+    A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
+    the point's slack is the same combination of the corners' slacks: three
+    scalars per side, and no coordinates until the winner is known.
+    """
     import numpy as np
 
     wa, wb, wc = _bary_weights(m)
+    f, acc, tmp = scratch
+    p, q, _ = side_lengths(a, b, c)
     (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
-    x = wa * w1x + wb * w2x + wc * w3x
-    y = wa * w1y + wb * w2y + wc * w3y
-    f = eval_f(a, b, c, n, x, y)
+    corners = zip(
+        _slacks(a, b, c, p, q, w1x, w1y),
+        _slacks(a, b, c, p, q, w2x, w2y),
+        _slacks(a, b, c, p, q, w3x, w3y),
+    )
+    for side, (s1, s2, s3) in enumerate(corners):
+        out = f if side == 0 else acc
+        np.multiply(wa, s1, out=out)
+        np.multiply(wb, s2, out=tmp)
+        out += tmp
+        np.multiply(wc, s3, out=tmp)
+        out += tmp
+        np.abs(out, out=out)
+        out **= n
+        if side:
+            f += acc
     k = int(np.argmin(f))
-    return float(x[k]), float(y[k]), float(f[k])
+    ka, kb, kc = float(wa[k]), float(wb[k]), float(wc[k])
+    return (
+        ka * w1x + kb * w2x + kc * w3x,
+        ka * w1y + kb * w2y + kc * w3y,
+        float(f[k]),
+    )
 
 
 def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
@@ -149,9 +186,18 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
     raw scale step * |grad| can sit below any fixed threshold before a
     single move is taken.  Normalization leaves the minimizer untouched
     and makes the stopping rule read as a displacement-length threshold:
-    stop once step * |grad| <= tol, or at the iteration cap.  Returns
-    (x, y, f, iterations, step * |grad| at exit) for the best point seen,
-    with f back on the raw scale.
+    stop once step * |grad| <= tol, or at the iteration cap.
+
+    The iteration is deterministic, and the non-monotone test can lock it
+    into an exact roundoff cycle that would spin until the cap. A
+    checkpoint of the state (point, step and the ten-value history),
+    moved at power-of-two iteration counts (Brent's cycle finding), spots
+    an exact repeat; the run then stops at the phase of the cycle where
+    the cap would have stopped it, with the same best point and residual.
+
+    Returns (x, y, f, iterations, step * |grad| at exit, capped) for the
+    best point seen, with f back on the raw scale; ``capped`` says the run
+    hit the cap or entered a cycle that would have run to it.
     """
     x, y = project_point(a, b, c, x0, y0)
     f0 = eval_f(a, b, c, n, x, y)
@@ -165,6 +211,8 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
     hist = [f] * 10
     s = step0
     it = 0
+    mark, span, period = 0, 1, 0
+    kx, ky, ks, khist = x, y, s, list(hist)
     while it < max_iters and s * gn > tol:
         fmax = max(hist)
         while s * gn > tol:
@@ -199,5 +247,16 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
             bx, by, bf = x, y, f
         hist[it % 10] = f
         it += 1
-    return bx, by, bf / inv0, it, s * gn
+        if x == kx and y == ky and s == ks and not period:
+            oldest = it % 10
+            if hist[oldest:] + hist[:oldest] == khist:
+                # the whole state repeats, so it would cycle up to the cap:
+                # stop at the iteration of this cycle that the cap lands on
+                period = it - mark
+                max_iters = it + (max_iters - it) % period
+        if it - mark == span:
+            oldest = it % 10
+            mark, span = it, 2 * span
+            kx, ky, ks, khist = x, y, s, hist[oldest:] + hist[:oldest]
+    return bx, by, bf / inv0, it, s * gn, it >= max_iters
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -87,15 +88,53 @@ def test_grid_is_bit_deterministic():
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
+def test_grid_search_is_reentrant():
+    # numpy releases the GIL inside its ufuncs, and a short switch interval
+    # interleaves the threads between them, so two scans that shared work
+    # arrays would overwrite each other's values
+    jobs = ((WORKED, 3.0), (CanonicalTriangle(1.0, 0.3, 2.5), 5.0))
+
+    def bits(result):
+        (x, y), f = result
+        return x.hex(), y.hex(), f.hex()
+
+    serial = [bits(grid_search(tri, n)) for tri, n in jobs]
+    results = [[], []]
+
+    def run(k):
+        tri, n = jobs[k]
+        for _ in range(20):
+            results[k].append(bits(grid_search(tri, n)))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial[0]] * 20, [serial[1]] * 20]
+
+
 # lattice scan ---------------------------------------------------------------
 
 def _lattice_best_loop(a, b, c, n, m, window):
     # Scalar reference for _kernels.lattice_best: the same barycentric
-    # enumeration one point at a time; strict < keeps the lowest lattice
-    # index on exact ties.
+    # enumeration one point at a time. Each slack is the lattice point's
+    # combination of the window corners' slacks, added in the kernel's
+    # order; strict < keeps the lowest lattice index on exact ties.
     (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
     p = math.hypot(a, b)
     q = math.hypot(a, c)
+
+    def slacks(x, y):
+        return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
+
+    corners = list(zip(slacks(w1x, w1y), slacks(w2x, w2y), slacks(w3x, w3y)))
     inv = 1.0 / m
     best_x, best_y, best_f = w1x, w1y, math.inf
     for i in range(m + 1):
@@ -103,23 +142,30 @@ def _lattice_best_loop(a, b, c, n, m, window):
         for j in range(m + 1 - i):
             wb = j * inv
             wc = (m - i - j) * inv
-            x = wa * w1x + wb * w2x + wc * w3x
-            y = wa * w1y + wb * w2y + wc * w3y
-            d1 = abs(a * x - b * y + a * b) / p
-            d2 = abs(-a * x - c * y + a * c) / q
-            f = d1 ** n + d2 ** n + abs(y) ** n
+            d1, d2, d3 = (abs(wa * s1 + wb * s2 + wc * s3) for s1, s2, s3 in corners)
+            f = d1 ** n + d2 ** n + d3 ** n
             if f < best_f:
-                best_x, best_y, best_f = x, y, f
+                best_x = wa * w1x + wb * w2x + wc * w3x
+                best_y = wa * w1y + wb * w2y + wc * w3y
+                best_f = f
     return best_x, best_y, best_f
 
 
 def assert_lattice_matches_loop(args):
     # numpy's vectorized pow may round differently from libm's scalar pow,
     # so the value may differ in the last bits; the chosen point may not
+    a, b, c, n, m, window = args
     lx, ly, lf = _lattice_best_loop(*args)
-    vx, vy, vf = _kernels.lattice_best(*args)
+    vx, vy, vf = _kernels.lattice_best(*args, _kernels.lattice_scratch(m))
     assert (vx, vy) == (lx, ly)
     assert abs(vf - lf) <= 2.0 * np.spacing(lf)
+    # The interpolated slacks differ from those of the returned point by
+    # roundoff on the scale of the window's corner slacks; to first order
+    # F moves by n * sum d_i^(n-1) times that.
+    d = [abs(s) for s in _kernels.side_slacks(a, b, c, vx, vy)]
+    scale = max(abs(s) for corner in window for s in _kernels.side_slacks(a, b, c, *corner))
+    bound = 8.0 * np.finfo(float).eps * scale * n * sum(di ** (n - 1.0) for di in d)
+    assert abs(vf - _kernels.eval_f(a, b, c, n, vx, vy)) <= bound + 4.0 * np.spacing(vf)
 
 
 def test_lattice_twins_agree():
@@ -187,6 +233,33 @@ def test_descent_converged_result_stable_under_longer_budget():
     long = projected_gradient(WORKED, 3.0, config=OracleConfig(pg_max_iters=50))
     assert np.array_equal(short.point, long.point)
     assert short.value == long.value
+
+
+# A sliver at n = 1.01 (perfbench seed 204, case 668) on which the
+# non-monotone search locks into a period-2 roundoff cycle. Run to the cap,
+# it spins there for 200 000 iterations and returns these same bits.
+CYCLING = CanonicalTriangle(36.29203748228868, 7.013765963112165, 277.6955932065455)
+
+
+def test_descent_stops_on_an_exact_cycle():
+    res = projected_gradient(CYCLING, 1.01, config=OracleConfig(pg_max_iters=200_000))
+    assert res.point == (-1.116746991587859, 30.513540753128346)
+    assert res.value == 37.554006473399156
+    assert res.iterations < 1000
+
+
+@pytest.mark.parametrize(
+    "cap, residual", [(200_000, 2.538608576712332e-07), (200_001, 1.269304288356166e-07)]
+)
+def test_descent_cycle_exit_reports_the_capped_residual(cap, residual):
+    # the two phases of the cycle have different step * |grad|; a cycle exit
+    # reports the one the capped run ends on, so DidNotConverge decides alike
+    a, b, c = CYCLING.a, CYCLING.b, CYCLING.c
+    *_, iters, got, capped = _kernels.pg_minimize(
+        a, b, c, 1.01, (c - b) / 3.0, a / 3.0, 0.1 * CYCLING.diameter(), 1e-10 * a, cap
+    )
+    assert capped and iters < 1000
+    assert got == residual
 
 
 def test_descent_rejects_subunit_exponent():

@@ -1,6 +1,12 @@
 """Numeric kernels on the apex frame: triangle with vertices (0, a),
 (-b, 0), (c, 0), all of a, b, c positive.
 
+``side_normals`` is the one source of the sides' unit inward normals: the
+objective's gradient, the KKT multipliers and the Hessian are all written
+in them. The objective and its gradient are functions of the normals, a
+point's three slacks and n, so a caller that forms the slacks once reuses
+them for both.
+
 The kernels work on Python floats, except the lattice scan of the grid
 oracle. That scan does not call ``side_slacks`` or ``eval_f`` on arrays:
 it combines the window corners' slacks over the whole lattice in numpy
@@ -39,6 +45,10 @@ def _slacks(a, b, c, p, q, x, y):
     return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
 
 
+def _normals(a, b, c, p, q):
+    return (a / p, -b / p), (-a / q, -c / q), (0.0, 1.0)
+
+
 def side_slacks(a, b, c, x, y):
     """Signed distances from (x, y) to the three side lines, positive inside.
 
@@ -49,27 +59,45 @@ def side_slacks(a, b, c, x, y):
     return _slacks(a, b, c, p, q, x, y)
 
 
-def eval_f(a, b, c, n, x, y):
-    """Sum of n-th powered distances from (x, y) to the three side lines."""
-    s1, s2, s3 = side_slacks(a, b, c, x, y)
+def side_normals(a, b, c):
+    """Unit inward normals of the sides AB, AC and BC: the gradients of
+    the three slacks of ``side_slacks``."""
+    p, q, _ = side_lengths(a, b, c)
+    return _normals(a, b, c, p, q)
+
+
+def power_sum(slacks, n):
+    """Sum of the n-th powers of the absolute slacks."""
+    s1, s2, s3 = slacks
     return abs(s1) ** n + abs(s2) ** n + abs(s3) ** n
 
 
-def grad_f(a, b, c, n, x, y):
-    """Gradient of the powered-distance sum, n > 1.
+def power_sum_grad(normals, slacks, n):
+    """Gradient of ``power_sum`` for n > 1: sum_i n * s_i^(n-1) * u_i.
 
     Slacks are clamped at zero so fractional powers stay real when a
     boundary point lands an ulp outside; the clamped value is exactly the
     one-sided derivative there.
     """
-    p, q, _ = side_lengths(a, b, c)
-    u, v, w = _slacks(a, b, c, p, q, x, y)
-    du = u ** (n - 1.0) if u > 0.0 else 0.0
-    dv = v ** (n - 1.0) if v > 0.0 else 0.0
-    dw = w ** (n - 1.0) if w > 0.0 else 0.0
-    gx = n * (a / p) * du - n * (a / q) * dv
-    gy = -n * (b / p) * du - n * (c / q) * dv + n * dw
+    (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
+    s1, s2, s3 = slacks
+    d1 = s1 ** (n - 1.0) if s1 > 0.0 else 0.0
+    d2 = s2 ** (n - 1.0) if s2 > 0.0 else 0.0
+    d3 = s3 ** (n - 1.0) if s3 > 0.0 else 0.0
+    gx = n * u1x * d1 + n * u2x * d2 + n * u3x * d3
+    gy = n * u1y * d1 + n * u2y * d2 + n * u3y * d3
     return gx, gy
+
+
+def eval_f(a, b, c, n, x, y):
+    """Sum of n-th powered distances from (x, y) to the three side lines."""
+    return power_sum(side_slacks(a, b, c, x, y), n)
+
+
+def grad_f(a, b, c, n, x, y):
+    """Gradient of the powered-distance sum at (x, y), n > 1."""
+    p, q, _ = side_lengths(a, b, c)
+    return power_sum_grad(_normals(a, b, c, p, q), _slacks(a, b, c, p, q, x, y), n)
 
 
 def _seg_closest(px, py, ax, ay, bx, by):
@@ -197,13 +225,19 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
 
     Returns (x, y, f, iterations, step * |grad| at exit, capped) for the
     best point seen, with f back on the raw scale; ``capped`` says the run
-    hit the cap or entered a cycle that would have run to it.
+    hit the cap or entered a cycle that would have run to it. Raises
+    OverflowError when 1 / f at the start point is not a double.
     """
+    p, q, _ = side_lengths(a, b, c)
+    normals = _normals(a, b, c, p, q)
     x, y = project_point(a, b, c, x0, y0)
-    f0 = eval_f(a, b, c, n, x, y)
+    sl = _slacks(a, b, c, p, q, x, y)
+    f0 = power_sum(sl, n)
     inv0 = 1.0 / f0 if f0 > 0.0 else 1.0
+    if not math.isfinite(inv0):
+        raise OverflowError(f"1 / F = 1 / {f0!r} at the start point overflows")
     f = f0 * inv0
-    gx, gy = grad_f(a, b, c, n, x, y)
+    gx, gy = power_sum_grad(normals, sl, n)
     gx *= inv0
     gy *= inv0
     gn = math.hypot(gx, gy)
@@ -220,14 +254,16 @@ def pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
             dx = cx - x
             dy = cy - y
             if dx != 0.0 or dy != 0.0:
-                cf = eval_f(a, b, c, n, cx, cy) * inv0
+                sl = _slacks(a, b, c, p, q, cx, cy)
+                cf = power_sum(sl, n) * inv0
                 if cf <= fmax + 1e-4 * (gx * dx + gy * dy):
                     break
             s *= 0.5
         else:
             # the step fell to the stopping threshold without a move
             break
-        ngx, ngy = grad_f(a, b, c, n, cx, cy)
+        # the accepted point's slacks are still in sl
+        ngx, ngy = power_sum_grad(normals, sl, n)
         ngx *= inv0
         ngy *= inv0
         den = dx * (ngx - gx) + dy * (ngy - gy)

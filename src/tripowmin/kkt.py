@@ -1,18 +1,20 @@
 """First- and second-order certification of candidate minimizers.
 
 The objective F is the powered-distance sum; the feasible set is the closed
-triangle written as three linear inequalities g1 = ax - by + ab >= 0,
-g2 = -ax - cy + ac >= 0, g3 = y >= 0. ``kkt_residual`` checks the
-Karush-Kuhn-Tucker system at a point: multipliers for the active
-constraints, stationarity of the Lagrangian, complementary slackness and
-multiplier signs. ``hessian`` certifies strict convexity at interior
-points.
+triangle, where the three side slacks (signed distances to the sides AB,
+AC and BC, positive inside) are >= 0. Each slack's gradient is its side's
+unit inward normal. ``kkt_residual`` checks the Karush-Kuhn-Tucker system
+at a point: multipliers for the active constraints, stationarity of the
+Lagrangian, complementary slackness and multiplier signs. ``hessian``
+gives the second derivatives at interior points, where they are positive
+definite for n > 1.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +42,9 @@ class HessianInfo(NamedTuple):
 
 @dataclass(frozen=True)
 class KktReport:
+    """``multipliers`` are per side (AB, AC, BC) and per unit normal, so in
+    the gradient's units; the Hessian fields are NaN on the boundary."""
+
     active_set: tuple[str, ...]
     multipliers: tuple[float, float, float]
     stationarity_residual: float
@@ -67,36 +72,57 @@ def gradient(tri: CanonicalTriangle, n, point) -> Point:
 def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
     """Hessian entries and determinant of F at a strictly interior point.
 
-    The determinant field comes from the expanded product form in the two
-    side-distance powers rather than fxx*fyy - fxy^2; both agree to
-    roundoff and the tests cross-check them.
+    The determinant field comes from the pairwise cross products of the
+    side normals rather than fxx*fyy - fxy^2; both agree to roundoff and
+    the tests cross-check them. Raises like ``kkt_residual`` where the
+    slacks leave the double range.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
-    slacks = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
+    slacks = _side_slacks(tri, x, y)
     if min(slacks) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return _hessian(tri, n, _kernels.side_lengths(tri.a, tri.b, tri.c), *slacks)
+    return _hessian(_kernels.side_normals(tri.a, tri.b, tri.c), slacks, n)
 
 
-def _hessian(tri: CanonicalTriangle, n: float, lengths, s1, s2, s3) -> HessianInfo:
-    """``hessian`` from the side lengths and the three (positive) slacks."""
+def _side_slacks(tri: CanonicalTriangle, x, y):
+    """``_kernels.side_slacks``, refused where the doubles cannot carry
+    them: FloatingPointError when a * min(b, c) is subnormal, which leaves
+    the slacks' products wrong in the fifth digit, and OverflowError when a
+    slack is not finite, which would make any residual pass."""
     a, b, c = tri.a, tri.b, tri.c
-    p2 = lengths[0] * lengths[0]
-    q2 = lengths[1] * lengths[1]
-    g = s1 ** (n - 2.0)
-    h = s2 ** (n - 2.0)
-    w = s3 ** (n - 2.0)
+    if a * min(b, c) < sys.float_info.min:
+        raise FloatingPointError(
+            f"a * min(b, c) = {a * min(b, c)!r} is below the normal doubles"
+        )
+    slacks = _kernels.side_slacks(a, b, c, x, y)
+    if not math.isfinite(sum(slacks)):
+        raise OverflowError(f"side slacks {slacks} are not finite")
+    return slacks
+
+
+def _hessian(normals, slacks, n: float) -> HessianInfo:
+    """n(n-1) * sum_i s_i^(n-2) * u_i u_i^T over the unit normals u_i and
+    the (positive) slacks s_i. Its determinant is the sum over side pairs
+    of n^2(n-1)^2 * s_i^(n-2) * s_j^(n-2) * (u_i x u_j)^2, positive for
+    n > 1 because any two sides' normals are independent."""
+    (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
+    s1, s2, s3 = slacks
+    w1, w2, w3 = s1 ** (n - 2.0), s2 ** (n - 2.0), s3 ** (n - 2.0)
     nn = n * (n - 1.0)
-    fxx = nn * a * a * (g / p2 + h / q2)
-    fxy = nn * a * (-b * g / p2 + c * h / q2)
-    fyy = nn * (b * b * g / p2 + c * c * h / q2) + nn * w
-    det = nn * nn * a * a * (g * h * (b + c) ** 2 / (p2 * q2) + (g / p2 + h / q2) * w)
+    fxx = nn * (w1 * u1x * u1x + w2 * u2x * u2x + w3 * u3x * u3x)
+    fxy = nn * (w1 * u1x * u1y + w2 * u2x * u2y + w3 * u3x * u3y)
+    fyy = nn * (w1 * u1y * u1y + w2 * u2y * u2y + w3 * u3y * u3y)
+    c12 = u1x * u2y - u1y * u2x
+    c13 = u1x * u3y - u1y * u3x
+    c23 = u2x * u3y - u2y * u3x
+    det = nn * nn * (w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23)
     return HessianInfo(fxx, fxy, fyy, det)
 
 
 def _multipliers(normals, active, gx, gy) -> list[float]:
-    """Multipliers of the active constraints in grad F = sum_i m_i * normal_i.
+    """Multipliers of the active sides in grad F = sum_i m_i * u_i, u_i the
+    unit normals.
 
     One active side: the projection of the gradient on its normal. Two: the
     2x2 system, solved by Cramer's rule (the normals of two sides are never
@@ -108,7 +134,7 @@ def _multipliers(normals, active, gx, gy) -> list[float]:
     if len(active) == 1:
         i = active[0]
         ux, uy = normals[i]
-        m[i] = (ux * gx + uy * gy) / (ux * ux + uy * uy)
+        m[i] = ux * gx + uy * gy
     elif len(active) == 2:
         i, j = active
         (ux, uy), (vx, vy) = normals[i], normals[j]
@@ -131,30 +157,31 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
 
     A constraint is active when its slack, the distance to its side, is at
     most ``tolerance`` (default 1e-9 * a, also the feasibility margin); the
-    active multipliers solve the stationarity equations, exactly for one or
-    two, minimum-norm for three. Against the gradient scale
-    G = n * max_i d_i^(n-1), so that no verdict depends on the unit of
-    length, the stationarity residual and each multiplier times its
-    normal's length must be within 1e-9 * G, and complementary slackness
-    over G (a length) within ``tolerance``. Signs are judged first: an edge
-    point with a descent direction into the interior reports
-    MULTIPLIER_NEGATIVE even though its Lagrangian is stationary.
+    active multipliers solve the stationarity equations over the sides'
+    unit normals, exactly for one or two, minimum-norm for three. Against
+    the gradient scale G = n * max_i d_i^(n-1), so that no verdict depends
+    on the unit of length, the stationarity residual and each multiplier
+    must be within 1e-9 * G, and complementary slackness over G (a length)
+    within ``tolerance``. Signs are judged first: an edge point with a
+    descent direction into the interior reports MULTIPLIER_NEGATIVE even
+    though its Lagrangian is stationary.
+
+    The slacks are formed once; the gradient, the multipliers and the
+    Hessian fields all come from them and the unit normals. Raises
+    FloatingPointError or OverflowError where the slacks leave the double
+    range.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a if tolerance is None else float(tolerance)
-    a, b, c = tri.a, tri.b, tri.c
-    slacks = _kernels.side_slacks(a, b, c, x, y)
-    if not math.isfinite(sum(slacks)):  # an infinite scale would pass anything
-        raise OverflowError(f"side slacks {slacks} are not finite")
+    slacks = _side_slacks(tri, x, y)
     if min(slacks) < -tol:
         raise PointNotFeasible(
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    gx, gy = _kernels.grad_f(a, b, c, n, x, y)
-    # gradients of the raw constraint functions g1, g2, g3
-    normals = ((a, -b), (-a, -c), (0.0, 1.0))
+    normals = _kernels.side_normals(tri.a, tri.b, tri.c)
+    gx, gy = _kernels.power_sum_grad(normals, slacks, n)
     active = [i for i in range(3) if slacks[i] <= tol]
     m = _multipliers(normals, active, gx, gy)
     rx, ry = gx, gy
@@ -162,13 +189,10 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
         rx -= m[i] * normals[i][0]
         ry -= m[i] * normals[i][1]
     stationarity = math.hypot(rx, ry)
-    # the multipliers in gradient units: times the length of their normal
-    lengths = _kernels.side_lengths(a, b, c)
-    g = (m[0] * lengths[0], m[1] * lengths[1], m[2])
-    comp_slack = max(abs(gi * si) for gi, si in zip(g, slacks))
+    comp_slack = max(abs(mi * si) for mi, si in zip(m, slacks))
 
     scale = n * max(slacks) ** (n - 1.0)
-    if min(g) < -1e-9 * scale:
+    if min(m) < -1e-9 * scale:
         verdict = Verdict.MULTIPLIER_NEGATIVE
     elif stationarity > 1e-9 * scale or comp_slack > tol * scale:
         verdict = Verdict.STATIONARITY_FAILED
@@ -177,7 +201,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
 
     h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
     if min(slacks) > 0.0:
-        h_fxx, _, _, h_det = _hessian(tri, n, lengths, *slacks)
+        h_fxx, _, _, h_det = _hessian(normals, slacks, n)
 
     return KktReport(
         active_set=tuple(_SIDE_LABELS[i] for i in active),

@@ -173,7 +173,7 @@ def test_invalid_input_exits_2(args):
         ["solve", "--canonical", "3e10,1e10,2e10", "--n", "40", "--verify"],
         # OverflowError: the base b + c overflows, so the point is NaN
         ["solve", "--canonical", "1,1e308,1e308", "--n", "2"],
-        # ZeroDivisionError in the Hessian
+        # FloatingPointError: a * b is subnormal in the KKT certificate's slacks
         ["solve", "--canonical", "1e-160,1e-160,1e-160", "--n", "2", "--verify"],
         # a * b overflows in the side slacks of the KKT certificate
         ["solve", "--canonical", "3e160,1e160,2e160", "--n", "2", "--verify"],

@@ -127,19 +127,30 @@ def test_hessian_positive_definite_at_minimizers():
 
 # kkt_residual ---------------------------------------------------------------
 
+# so flat that the squared side lengths overflow
+FLAT = CanonicalTriangle(1.0, 1e160, 1e160)
+
+
 def test_report_at_closed_form_minimizer_is_clean():
     rng = np.random.default_rng(9)
-    for _ in range(20):
-        tri = random_canonical_triangle(rng)
-        for n in (1.5, 2.0, 5.0, 10.0):
-            res = minimize_closed_form(tri, n)
-            rep = kkt_residual(tri, n, res.point_canonical)
-            assert rep.verdict is Verdict.SATISFIED
-            assert rep.active_set == ()
-            assert np.all(np.asarray(rep.multipliers) == 0.0)
-            assert rep.stationarity_residual < 1e-9
-            assert rep.complementary_slackness_residual < 1e-9
-            assert rep.hessian_fxx > 0.0 and rep.hessian_det > 0.0
+    cases = [
+        (random_canonical_triangle(rng), n)
+        for _ in range(20)
+        for n in (1.5, 2.0, 5.0, 10.0)
+    ]
+    cases += [(FLAT, 2.0), (FLAT, 5.0)]
+    for tri, n in cases:
+        res = minimize_closed_form(tri, n)
+        rep = kkt_residual(tri, n, res.point_canonical)
+        assert rep.verdict is Verdict.SATISFIED
+        assert rep.active_set == ()
+        assert np.all(np.asarray(rep.multipliers) == 0.0)
+        assert rep.stationarity_residual < 1e-9
+        assert rep.complementary_slackness_residual < 1e-9
+        assert rep.hessian_fxx > 0.0 and rep.hessian_det > 0.0
+        assert math.isfinite(rep.hessian_det)
+        h = hessian(tri, n, res.point_canonical)
+        assert (rep.hessian_fxx, rep.hessian_det) == (h.fxx, h.det)
 
 
 def test_base_point_flags_negative_multiplier():
@@ -154,7 +165,8 @@ def test_base_point_flags_negative_multiplier():
 def test_edge_midpoint_flags_negative_multiplier():
     rep = kkt_residual(WORKED, 2.0, np.array([1.0, 1.5]))
     assert rep.active_set == ("AC",)
-    assert rep.multipliers[1] == pytest.approx(-123.0 / 130.0, rel=1e-13)
+    # per unit normal: the raw constraint's multiplier times |AC| = sqrt(13)
+    assert rep.multipliers[1] == pytest.approx(-123.0 / 130.0 * math.sqrt(13.0), rel=1e-13)
     assert rep.multipliers[0] == 0.0 and rep.multipliers[2] == 0.0
     assert rep.verdict is Verdict.MULTIPLIER_NEGATIVE
 
@@ -310,6 +322,9 @@ def test_kkt_residual_matches_numpy_reference(n):
         counts[len(active)] += 1
         assert rep.verdict is verdict
         assert rep.active_set == tuple(("AB", "AC", "BC")[i] for i in active)
+        # kkt_residual reports multipliers per unit normal: the reference's
+        # raw-constraint multipliers times the length of their normal
+        mult = mult * np.array([tri.p, tri.q, 1.0])
         # multipliers relative to the largest; residuals relative to the
         # gradient, whose terms cancel in them
         assert np.allclose(rep.multipliers, mult, rtol=0.0,

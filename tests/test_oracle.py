@@ -278,6 +278,18 @@ def test_descent_reports_exhausted_budget():
         )
 
 
+# F at the centroid is subnormal, so 1 / F overflows
+TINY = CanonicalTriangle(1e-160, 1e-160, 1e-160)
+
+
+def test_descent_refuses_a_start_value_it_cannot_normalize():
+    # compare used to take the NaN this returned as its reference value
+    with pytest.raises(ArithmeticError):
+        projected_gradient(TINY, 2.0)
+    with pytest.raises(ArithmeticError):
+        compare(TINY, 2.0)
+
+
 # compare --------------------------------------------------------------------
 
 def test_compare_confirms_worked_examples():

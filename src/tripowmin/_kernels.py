@@ -1,11 +1,13 @@
 """Numeric kernels on the apex frame: triangle with vertices (0, a),
 (-b, 0), (c, 0), all of a, b, c positive.
 
-``side_normals`` is the one source of the sides' unit inward normals: the
-objective's gradient, the KKT multipliers and the Hessian are all written
-in them. The objective and its gradient are functions of the normals, a
-point's three slacks and n, so a caller that forms the slacks once reuses
-them for both.
+``_normals`` is the one source of the sides' unit inward normals, the
+gradients of the three slacks of ``side_slacks``: the objective's
+gradient, the KKT multipliers and the Hessian are all written in them.
+The objective and its gradient are functions of the normals, a point's
+three slacks and n, so a caller that forms the slacks once reuses them
+for both. ``_slacks`` and ``_normals`` take the side lengths p and q, so
+a caller that needs both forms them once.
 
 The kernels work on Python floats, except the lattice scan of the grid
 oracle. That scan does not call ``side_slacks`` or ``eval_f`` on arrays:
@@ -57,13 +59,6 @@ def side_slacks(a, b, c, x, y):
     """
     p, q, _ = side_lengths(a, b, c)
     return _slacks(a, b, c, p, q, x, y)
-
-
-def side_normals(a, b, c):
-    """Unit inward normals of the sides AB, AC and BC: the gradients of
-    the three slacks of ``side_slacks``."""
-    p, q, _ = side_lengths(a, b, c)
-    return _normals(a, b, c, p, q)
 
 
 def power_sum(slacks, n):

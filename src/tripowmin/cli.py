@@ -270,8 +270,6 @@ def _verify_trial(tri, n, tol_point_rel, tol_value):
 def cmd_verify(args) -> int:
     if args.trials <= 0:
         raise _CliInputError("--trials must be a positive integer")
-    if args.tol_point < 0.0 or args.tol_value < 0.0:
-        raise _CliInputError("tolerances must be non-negative")
     import numpy as np
 
     rng = np.random.default_rng(args.seed)
@@ -300,6 +298,18 @@ def cmd_verify(args) -> int:
     return 0 if passed == args.trials else 3
 
 
+def _tolerance(text: str) -> float:
+    """A tolerance flag's value: a non-negative number, not NaN; argparse
+    turns the refusal into a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripowmin",
@@ -319,12 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tolerance_flags(p, tol_point, tol_value):
         p.add_argument(
-            "--tol-point", type=float, default=tol_point,
+            "--tol-point", type=_tolerance, default=tol_point,
             help="oracle point tolerance relative to triangle diameter "
             "(default %(default)g)",
         )
         p.add_argument(
-            "--tol-value", type=float, default=tol_value,
+            "--tol-value", type=_tolerance, default=tol_value,
             help="oracle relative value tolerance (default %(default)g)",
         )
 

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from . import _kernels
 from .errors import _check_exponent
-from .geometry import CanonicalTriangle, Isometry, Point, altitudes
+from .geometry import CanonicalTriangle, Isometry, Point, _point, altitudes
 
 
 class DerivedConstants(NamedTuple):
@@ -31,13 +31,22 @@ class DerivedConstants(NamedTuple):
     lam: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MinimizerResult:
     point_canonical: Point
     point_original: Point
     value: float
     constants: DerivedConstants
     exponent: float
+
+    def __init__(self, point_canonical, point_original, value, constants, exponent):
+        # each field stored once, as in geometry's constructors
+        fields = self.__dict__
+        fields["point_canonical"] = point_canonical
+        fields["point_original"] = point_original
+        fields["value"] = value
+        fields["constants"] = constants
+        fields["exponent"] = exponent
 
 
 class VertexValues(NamedTuple):
@@ -85,8 +94,8 @@ def minimize_closed_form(
         )
     t = _pow_or_inf(p / q, inv)
     r = _pow_or_inf(base / q, inv)
-    constants = DerivedConstants(p, q, t, r, q + base * r + p * t)
-    point = Point(x, y)
+    constants = tuple.__new__(DerivedConstants, (p, q, t, r, q + base * r + p * t))
+    point = _point((x, y))
     original = point if isometry is None else isometry.to_original(point)
     return MinimizerResult(point, original, _pow_or_inf(h, n) * tot, constants, n)
 

@@ -31,7 +31,7 @@ def _check_exponent(n, allow_one: bool = False) -> float:
     """``float(n)``, or InvalidExponent unless it is finite and > 1
     (>= 1 with ``allow_one``)."""
     n = float(n)
-    if not math.isfinite(n) or n < 1.0 or (n == 1.0 and not allow_one):
-        bound = ">= 1" if allow_one else "> 1"
-        raise InvalidExponent(f"exponent must be a finite real {bound}, got {n!r}")
-    return n
+    if 1.0 < n < math.inf or (allow_one and n == 1.0):
+        return n
+    bound = ">= 1" if allow_one else "> 1"
+    raise InvalidExponent(f"exponent must be a finite real {bound}, got {n!r}")

@@ -10,6 +10,7 @@ rotation plus translation (never a reflection).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +24,8 @@ DEGENERACY_REL_TOL = 1e-12
 # Veltkamp's splitter for doubles: 2^27 + 1
 _SPLIT = 134217729.0
 
+_INF = math.inf
+
 
 class Point(NamedTuple):
     """A planar point. It adds and subtracts elementwise with any pair of
@@ -34,37 +37,74 @@ class Point(NamedTuple):
 
     def __add__(self, other):
         ox, oy = other
-        return Point(self.x + ox, self.y + oy)
+        return _point((self.x + ox, self.y + oy))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         ox, oy = other
-        return Point(self.x - ox, self.y - oy)
+        return _point((self.x - ox, self.y - oy))
 
     def __rsub__(self, other):
         ox, oy = other
-        return Point(ox - self.x, oy - self.y)
+        return _point((ox - self.x, oy - self.y))
 
     def __mul__(self, k):
-        return Point(self.x * k, self.y * k)
+        return _point((self.x * k, self.y * k))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Point(-self.x, -self.y)
+        return _point((-self.x, -self.y))
+
+
+# ``_point((x, y))`` is ``Point(x, y)`` built by one C-level tuple
+# construction, without the NamedTuple's Python-level ``__new__``
+_point = functools.partial(tuple.__new__, Point)
 
 
 def _as_point(value, name: str) -> Point:
-    """Any pair of numbers as a Point of floats, or ValueError naming it."""
+    """Any pair of numbers as a Point of floats, or ValueError naming it
+    (also for an int beyond the doubles, where ``float`` overflows)."""
     try:
         x, y = value
-        return Point(float(x), float(y))
+        return _point((float(x), float(y)))
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be two numbers, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be finite, got a coordinate beyond the doubles"
+        ) from None
 
 
-@dataclass(frozen=True)
+def _finite_point(value, name: str) -> Point:
+    """``_as_point``, refused unless both coordinates are finite."""
+    x, y = point = _as_point(value, name)
+    if not -_INF < x < _INF > y > -_INF:  # both finite, neither NaN
+        raise ValueError(f"{name} must be finite, got {(x, y)!r}")
+    return point
+
+
+def _positive(value, name: str) -> float:
+    """``float(value)``, or ValueError naming it unless finite and > 0."""
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond the doubles
+        raise ValueError(
+            f"{name} must be finite and positive, got a number beyond the doubles"
+        ) from None
+    if not 0.0 < v < _INF:
+        raise ValueError(f"{name} must be finite and positive, got {v!r}")
+    return v
+
+
+# The frozen dataclasses below write their own __init__, which checks and
+# stores each field once, in the instance dict. A generated __init__ would
+# store each field through object.__setattr__, and a __post_init__ coerce
+# and store it again.
+
+
+@dataclass(frozen=True, init=False)
 class CanonicalTriangle:
     """Triangle with vertices (0, a), (-b, 0), (c, 0)."""
 
@@ -72,12 +112,11 @@ class CanonicalTriangle:
     b: float
     c: float
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-            object.__setattr__(self, name, v)
+    def __init__(self, a, b, c):
+        fields = self.__dict__
+        fields["a"] = _positive(a, "a")
+        fields["b"] = _positive(b, "b")
+        fields["c"] = _positive(c, "c")
 
     @property
     def p(self) -> float:
@@ -90,13 +129,13 @@ class CanonicalTriangle:
         return _kernels.side_lengths(self.a, self.b, self.c)[1]
 
     def vertices(self) -> tuple[Point, Point, Point]:
-        return Point(0.0, self.a), Point(-self.b, 0.0), Point(self.c, 0.0)
+        return _point((0.0, self.a)), _point((-self.b, 0.0)), _point((self.c, 0.0))
 
     def diameter(self) -> float:
         return max(_kernels.side_lengths(self.a, self.b, self.c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GeneralTriangle:
     """Three vertices in arbitrary position, kept in input order."""
 
@@ -104,18 +143,17 @@ class GeneralTriangle:
     v2: Point
     v3: Point
 
-    def __post_init__(self):
-        for name in ("v1", "v2", "v3"):
-            x, y = point = _as_point(getattr(self, name), f"vertex {name}")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"vertex {name} must be finite, got {(x, y)!r}")
-            object.__setattr__(self, name, point)
+    def __init__(self, v1, v2, v3):
+        fields = self.__dict__
+        fields["v1"] = _finite_point(v1, "vertex v1")
+        fields["v2"] = _finite_point(v2, "vertex v2")
+        fields["v3"] = _finite_point(v3, "vertex v3")
 
     def vertex_array(self) -> tuple[Point, Point, Point]:
         return self.v1, self.v2, self.v3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Isometry:
     """Rigid motion (rotation by ``angle`` then translation), det = +1.
 
@@ -128,23 +166,27 @@ class Isometry:
     translation: Point
     apex_index: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "translation", _as_point(self.translation, "translation")
-        )
+    def __init__(self, angle, translation, apex_index):
+        t = translation
+        if type(t) is not Point or not (type(t[0]) is type(t[1]) is float):
+            t = _as_point(t, "translation")  # a Point of floats is kept as is
+        fields = self.__dict__
+        fields["angle"] = angle
+        fields["translation"] = t
+        fields["apex_index"] = apex_index
 
     def to_canonical(self, point) -> Point:
         x, y = float(point[0]), float(point[1])
         tx, ty = self.translation
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return Point(ca * x - sa * y + tx, sa * x + ca * y + ty)
+        return _point((ca * x - sa * y + tx, sa * x + ca * y + ty))
 
     def to_original(self, point) -> Point:
         tx, ty = self.translation
         x = float(point[0]) - tx
         y = float(point[1]) - ty
         ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return Point(ca * x + sa * y, -sa * x + ca * y)
+        return _point((ca * x + sa * y, -sa * x + ca * y))
 
 
 class SideDistances(NamedTuple):
@@ -159,30 +201,26 @@ class Altitudes(NamedTuple):
     h_c: float
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """Dekker's TwoProduct: ``p = fl(a*b)`` and ``e`` with ``p + e == a*b``
-    exactly, barring overflow and underflow (Ogita, Rump and Oishi,
-    "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dot(u, v) -> float:
+def _dot(u0, u1, v0, v1) -> float:
     """``fma(u1, v1, u0*v0)``, rounded once: the bits of the fused
     multiply-add that OpenBLAS's 2-vector dot computes, which the frame's
     projections have always had (see tests/test_geometry.py). Not the
     correctly rounded dot: verdicts at n near 1 hinge on these last bits.
     The arguments must be scaled so that no product leaves the normal
-    range, as ``canonicalize`` scales them."""
-    (u0, u1), (v0, v1) = u, v
-    p, e = _two_product(u1, v1)
-    return math.fsum((u0 * v0, p, e))
+    range, as ``canonicalize`` scales them.
+
+    ``p + e == u1*v1`` exactly, by Dekker's TwoProduct (Ogita, Rump and
+    Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005),
+    and ``fsum`` rounds ``u0*v0 + p + e`` once.
+    """
+    p = u1 * v1
+    t = _SPLIT * u1
+    uh = t - (t - u1)
+    ul = u1 - uh
+    t = _SPLIT * v1
+    vh = t - (t - v1)
+    vl = v1 - vh
+    return math.fsum((u0 * v0, p, ((uh * vh - p) + uh * vl + ul * vh) + ul * vl))
 
 
 def _obtuse_or_right(ux, uy, wx, wy) -> bool:
@@ -195,7 +233,7 @@ def _obtuse_or_right(ux, uy, wx, wy) -> bool:
     uw = ux * wx + uy * wy
     if abs(uw) > 1e-15 * (abs(ux * wx) + abs(uy * wy)):
         return uw < 0.0
-    return _dot((ux, uy), (wx, wy)) <= 0.0
+    return _dot(ux, uy, wx, wy) <= 0.0
 
 
 def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry]:
@@ -207,6 +245,7 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     input vertex is kept, so an already-canonical triangle maps to itself
     under the identity.
     """
+    ldexp = math.ldexp
     (x1, y1), (x2, y2), (x3, y3) = triangle.v1, triangle.v2, triangle.v3
     # Everything below runs on the vertices scaled by a power of two, which
     # is exact: the sign tests (collinearity, apex, orientation) do not
@@ -214,23 +253,29 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     # neither do the split products of ``_dot``. a, b, c and the translation
     # are scaled back at the end, exactly again.
     shift = -math.frexp(max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3)))[1]
-    x1, y1, x2, y2, x3, y3 = (math.ldexp(u, shift) for u in (x1, y1, x2, y2, x3, y3))
-    verts = ((x1, y1), (x2, y2), (x3, y3))
+    x1, y1 = ldexp(x1, shift), ldexp(y1, shift)
+    x2, y2 = ldexp(x2, shift), ldexp(y2, shift)
+    x3, y3 = ldexp(x3, shift), ldexp(y3, shift)
     # edge i runs from vertex i to vertex i + 1
-    edges = ((x2 - x1, y2 - y1), (x3 - x2, y3 - y2), (x1 - x3, y1 - y3))
-    longest_sq = max(ux * ux + uy * uy for ux, uy in edges)
-    doubled_area = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    e1x, e1y = x2 - x1, y2 - y1
+    e2x, e2y = x3 - x2, y3 - y2
+    e3x, e3y = x1 - x3, y1 - y3
+    longest_sq = max(e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y, e3x * e3x + e3y * e3y)
+    doubled_area = e1x * (y3 - y1) - e1y * (x3 - x1)
     if longest_sq == 0.0 or abs(doubled_area) <= DEGENERACY_REL_TOL * longest_sq:
         raise DegenerateTriangle("vertices are collinear within tolerance")
 
-    apex = 0
-    for i in range(3):
-        # the angle at vertex i lies between edge i and edge i - 1 reversed
-        (ux, uy), (wx, wy) = edges[i], edges[i - 1]
-        if _obtuse_or_right(ux, uy, -wx, -wy):
-            apex = i
-            break
+    # the angle at vertex i lies between edge i and edge i - 1 reversed
+    if _obtuse_or_right(e1x, e1y, -e3x, -e3y):
+        apex = 0
+    elif _obtuse_or_right(e2x, e2y, -e1x, -e1y):
+        apex = 1
+    elif _obtuse_or_right(e3x, e3y, -e2x, -e2y):
+        apex = 2
+    else:
+        apex = 0
 
+    verts = ((x1, y1), (x2, y2), (x3, y3))
     i2, i3 = (apex + 1) % 3, (apex + 2) % 3
     # (apex, left, right) must wind counterclockwise for the frame to come
     # out with a > 0 without reflecting. It winds as (v1, v2, v3) do, and the
@@ -243,24 +288,27 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
 
     (px, py), (lx, ly), (rx, ry) = verts[apex], verts[i_left], verts[i_right]
     h = math.hypot(rx - lx, ry - ly)
+    # the frame's unit axes are (ex0, ex1) and (-ex1, ex0)
     ex0, ex1 = (rx - lx) / h, (ry - ly) / h
-    ex, ey = (ex0, ex1), (-ex1, ex0)
-    t = _dot((px - lx, py - ly), ex)
+    t = _dot(px - lx, py - ly, ex0, ex1)
     fx, fy = lx + t * ex0, ly + t * ex1
-    a = _dot((px - fx, py - fy), ey)
-    b = _dot((fx - lx, fy - ly), ex)
-    c = _dot((rx - fx, ry - fy), ex)
+    a = _dot(px - fx, py - fy, -ex1, ex0)
+    b = _dot(fx - lx, fy - ly, ex0, ex1)
+    c = _dot(rx - fx, ry - fy, ex0, ex1)
     if a <= 0.0 or b <= 0.0 or c <= 0.0:
         # can only happen when a base angle is right/obtuse at float
         # precision, i.e. the triangle is degenerate for this frame
         raise DegenerateTriangle("altitude foot falls outside the base segment")
 
-    angle = math.atan2(-ex1, ex0)
-    a, b, c, tx, ty = (
-        math.ldexp(u, -shift)
-        for u in (a, b, c, -_dot((fx, fy), ex), -_dot((fx, fy), ey))
+    a, b, c = ldexp(a, -shift), ldexp(b, -shift), ldexp(c, -shift)
+    translation = _point((
+        ldexp(-_dot(fx, fy, ex0, ex1), -shift),
+        ldexp(-_dot(fx, fy, -ex1, ex0), -shift),
+    ))
+    return (
+        CanonicalTriangle(a, b, c),
+        Isometry(math.atan2(-ex1, ex0), translation, apex),
     )
-    return CanonicalTriangle(a, b, c), Isometry(angle, (tx, ty), apex)
 
 
 def side_distances(tri: CanonicalTriangle, point) -> SideDistances:
@@ -286,8 +334,8 @@ def contains(tri: CanonicalTriangle, point) -> bool:
 
 def project_to_triangle(tri: CanonicalTriangle, point) -> Point:
     """Nearest point of the closed triangle (idempotent)."""
-    return Point(
-        *_kernels.project_point(tri.a, tri.b, tri.c, float(point[0]), float(point[1]))
+    return _point(
+        _kernels.project_point(tri.a, tri.b, tri.c, float(point[0]), float(point[1]))
     )
 
 
@@ -295,7 +343,7 @@ def incenter(tri: CanonicalTriangle) -> Point:
     """The point at equal distance from all three sides: trilinears 1:1:1."""
     a, b, c = tri.a, tri.b, tri.c
     x, y, _, _ = _kernels.trilinear_point(a, b, c, _kernels.side_lengths(a, b, c), 0.0)
-    return Point(x, y)
+    return _point((x, y))
 
 
 def altitudes(tri: CanonicalTriangle) -> Altitudes:

@@ -20,9 +20,21 @@ from typing import NamedTuple
 
 from . import _kernels
 from .errors import PointNotFeasible, PointNotInterior, _check_exponent
-from .geometry import CanonicalTriangle, Point
+from .geometry import CanonicalTriangle, Point, _point
 
 _SIDE_LABELS = ("AB", "AC", "BC")
+
+# the active sides and their labels, indexed by the bit mask
+# (side 1 active) + 2 * (side 2 active) + 4 * (side 3 active)
+_ACTIVE = tuple(
+    (
+        tuple(i for i in range(3) if mask >> i & 1),
+        tuple(_SIDE_LABELS[i] for i in range(3) if mask >> i & 1),
+    )
+    for mask in range(8)
+)
+
+_TINY = sys.float_info.min
 
 
 class Verdict(enum.Enum):
@@ -40,7 +52,7 @@ class HessianInfo(NamedTuple):
     det: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KktReport:
     """``multipliers`` are per side (AB, AC, BC) and per unit normal, so in
     the gradient's units; the Hessian fields are NaN on the boundary."""
@@ -52,6 +64,26 @@ class KktReport:
     hessian_fxx: float
     hessian_det: float
     verdict: Verdict
+
+    def __init__(
+        self,
+        active_set,
+        multipliers,
+        stationarity_residual,
+        complementary_slackness_residual,
+        hessian_fxx,
+        hessian_det,
+        verdict,
+    ):
+        # each field stored once, as in geometry's constructors
+        fields = self.__dict__
+        fields["active_set"] = active_set
+        fields["multipliers"] = multipliers
+        fields["stationarity_residual"] = stationarity_residual
+        fields["complementary_slackness_residual"] = complementary_slackness_residual
+        fields["hessian_fxx"] = hessian_fxx
+        fields["hessian_det"] = hessian_det
+        fields["verdict"] = verdict
 
 
 def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
@@ -66,7 +98,7 @@ def gradient(tri: CanonicalTriangle, n, point) -> Point:
     x, y = float(point[0]), float(point[1])
     if min(_kernels.side_slacks(tri.a, tri.b, tri.c, x, y)) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return Point(*_kernels.grad_f(tri.a, tri.b, tri.c, n, x, y))
+    return _point(_kernels.grad_f(tri.a, tri.b, tri.c, n, x, y))
 
 
 def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
@@ -79,33 +111,36 @@ def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
-    slacks = _side_slacks(tri, x, y)
+    slacks, normals = _slacks_and_normals(tri, x, y)
     if min(slacks) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return _hessian(_kernels.side_normals(tri.a, tri.b, tri.c), slacks, n)
+    return HessianInfo(*_hessian(normals, slacks, n))
 
 
-def _side_slacks(tri: CanonicalTriangle, x, y):
-    """``_kernels.side_slacks``, refused where the doubles cannot carry
-    them: FloatingPointError when a * min(b, c) is subnormal, which leaves
-    the slacks' products wrong in the fifth digit, and OverflowError when a
+def _slacks_and_normals(tri: CanonicalTriangle, x, y):
+    """The point's side slacks and the sides' unit normals, from one pair
+    of side lengths; refused where the doubles cannot carry the slacks:
+    FloatingPointError when a * min(b, c) is subnormal, which leaves the
+    slacks' products wrong in the fifth digit, and OverflowError when a
     slack is not finite, which would make any residual pass."""
     a, b, c = tri.a, tri.b, tri.c
-    if a * min(b, c) < sys.float_info.min:
+    if a * min(b, c) < _TINY:
         raise FloatingPointError(
             f"a * min(b, c) = {a * min(b, c)!r} is below the normal doubles"
         )
-    slacks = _kernels.side_slacks(a, b, c, x, y)
-    if not math.isfinite(sum(slacks)):
+    p, q, _ = _kernels.side_lengths(a, b, c)
+    slacks = s1, s2, s3 = _kernels._slacks(a, b, c, p, q, x, y)
+    if not math.isfinite(s1 + s2 + s3):
         raise OverflowError(f"side slacks {slacks} are not finite")
-    return slacks
+    return slacks, _kernels._normals(a, b, c, p, q)
 
 
-def _hessian(normals, slacks, n: float) -> HessianInfo:
+def _hessian(normals, slacks, n: float):
     """n(n-1) * sum_i s_i^(n-2) * u_i u_i^T over the unit normals u_i and
-    the (positive) slacks s_i. Its determinant is the sum over side pairs
-    of n^2(n-1)^2 * s_i^(n-2) * s_j^(n-2) * (u_i x u_j)^2, positive for
-    n > 1 because any two sides' normals are independent."""
+    the (positive) slacks s_i, as (fxx, fxy, fyy, det). Its determinant is
+    the sum over side pairs of n^2(n-1)^2 * s_i^(n-2) * s_j^(n-2) *
+    (u_i x u_j)^2, positive for n > 1 because any two sides' normals are
+    independent."""
     (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
     s1, s2, s3 = slacks
     w1, w2, w3 = s1 ** (n - 2.0), s2 ** (n - 2.0), s3 ** (n - 2.0)
@@ -117,7 +152,7 @@ def _hessian(normals, slacks, n: float) -> HessianInfo:
     c13 = u1x * u3y - u1y * u3x
     c23 = u2x * u3y - u2y * u3x
     det = nn * nn * (w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23)
-    return HessianInfo(fxx, fxy, fyy, det)
+    return fxx, fxy, fyy, det
 
 
 def _multipliers(normals, active, gx, gy) -> list[float]:
@@ -174,22 +209,24 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a if tolerance is None else float(tolerance)
-    slacks = _side_slacks(tri, x, y)
-    if min(slacks) < -tol:
+    slacks, normals = _slacks_and_normals(tri, x, y)
+    s1, s2, s3 = slacks
+    lowest = min(slacks)
+    if lowest < -tol:
         raise PointNotFeasible(
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    normals = _kernels.side_normals(tri.a, tri.b, tri.c)
     gx, gy = _kernels.power_sum_grad(normals, slacks, n)
-    active = [i for i in range(3) if slacks[i] <= tol]
+    active, labels = _ACTIVE[(s1 <= tol) + 2 * (s2 <= tol) + 4 * (s3 <= tol)]
     m = _multipliers(normals, active, gx, gy)
     rx, ry = gx, gy
     for i in active:
         rx -= m[i] * normals[i][0]
         ry -= m[i] * normals[i][1]
     stationarity = math.hypot(rx, ry)
-    comp_slack = max(abs(mi * si) for mi, si in zip(m, slacks))
+    m1, m2, m3 = m
+    comp_slack = max(abs(m1 * s1), abs(m2 * s2), abs(m3 * s3))
 
     scale = n * max(slacks) ** (n - 1.0)
     if min(m) < -1e-9 * scale:
@@ -200,11 +237,11 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
         verdict = Verdict.SATISFIED
 
     h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
-    if min(slacks) > 0.0:
+    if lowest > 0.0:
         h_fxx, _, _, h_det = _hessian(normals, slacks, n)
 
     return KktReport(
-        active_set=tuple(_SIDE_LABELS[i] for i in active),
+        active_set=labels,
         multipliers=tuple(m),
         stationarity_residual=stationarity,
         complementary_slackness_residual=comp_slack,

@@ -167,6 +167,23 @@ def test_invalid_input_exits_2(args):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [("--tol-point", "-1"), ("--tol-value", "nan"), ("--tol-point", "nan"),
+     ("--tol-value", "-0.5"), ("--tol-point", "zebra")],
+)
+@pytest.mark.parametrize(
+    "command", [["solve", *WORKED_ARGS, "--n", "2", "--verify"], ["verify", "--trials", "1"]]
+)
+def test_tolerance_must_be_a_non_negative_number(command, flag, value):
+    # a negative or NaN tolerance fails every comparison, which would read
+    # as "verification failed" (exit 3) rather than as bad input
+    out = run_cli(*command, flag, value)
+    assert out.returncode == 2
+    assert f"argument {flag}: must be a non-negative number" in out.stderr
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
     "args",
     [
         # OverflowError in the gradient of the KKT certificate

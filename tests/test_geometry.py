@@ -241,7 +241,7 @@ def test_dot_is_the_fused_multiply_add_exactly(k):
         u = (math.ldexp(ux, k), math.ldexp(uy, k))
         v = (math.ldexp(vx, -k), math.ldexp(vy, -k))
         want = float(Fraction(u[1]) * Fraction(v[1]) + Fraction(u[0] * v[0]))
-        assert _dot(u, v) == want, (u, v)
+        assert _dot(*u, *v) == want, (u, v)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e305, 1e-305])
@@ -300,12 +300,61 @@ def test_point_arithmetic_is_elementwise():
 
 
 def test_canonical_triangle_validates_parameters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a must be finite and positive"):
         CanonicalTriangle(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="b must be finite and positive"):
         CanonicalTriangle(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="c must be finite and positive"):
         CanonicalTriangle(1.0, 1.0, float("nan"))
+
+
+@pytest.mark.parametrize(
+    "big", [10**400, -(10**400), 10**5000], ids=["1e400", "-1e400", "1e5000"]
+)
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_int_beyond_the_doubles_is_rejected_by_name(big, position):
+    # float(10**400) raises OverflowError; the constructors name the field,
+    # and do not print the int (repr refuses one of 5000 digits)
+    abc = [1.0, 1.0, 1.0]
+    abc[position] = big
+    name = "abc"[position]
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        CanonicalTriangle(*abc)
+    verts = [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]
+    verts[position] = (big, 0.0) if position != 1 else (0.0, big)
+    with pytest.raises(ValueError, match=f"^vertex v{position + 1} must be finite"):
+        GeneralTriangle(*verts)
+    with pytest.raises(ValueError, match="^translation must be finite"):
+        Isometry(0.0, (0.0, big) if position else (big, 0.0), 0)
+
+
+def test_isometry_keeps_a_point_of_floats_and_coerces_the_rest():
+    iso = Isometry(0.0, Point(1, 2), 0)
+    assert type(iso.translation) is Point
+    assert type(iso.translation.x) is float and type(iso.translation.y) is float
+    assert iso.translation == (1.0, 2.0)
+    exact = Point(1.0, 2.0)
+    assert Isometry(0.0, exact, 0).translation is exact
+    assert Isometry(0.0, (1, 2), 0) == Isometry(0.0, exact, 0)
+
+
+def test_points_from_every_constructor_behave_as_point_x_y():
+    # canonicalize, the closed form and Point arithmetic build their points
+    # without Point.__new__; they must equal, hash and print as Point(x, y)
+    tri, iso = canonicalize(GeneralTriangle((0, 3), (-1, 0), (2, 0)))
+    built = [
+        iso.translation,
+        iso.to_original((0.5, 0.25)),
+        Point(1.0, 2.0) + (0.5, 0.0),
+        incenter(tri),
+        GeneralTriangle((0.5, 0.25), (1, 0), (0, 1)).v1,
+    ]
+    for point in built:
+        plain = Point(point[0], point[1])
+        assert type(point) is Point
+        assert point == plain and hash(point) == hash(plain)
+        assert repr(point) == repr(plain) == f"Point(x={point.x!r}, y={point.y!r})"
+        assert point._asdict() == plain._asdict()
 
 
 # side distances -------------------------------------------------------------

@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from . import _kernels
 from .errors import _check_exponent
-from .geometry import CanonicalTriangle, Isometry, Point, _point, altitudes
+from .geometry import (
+    CanonicalTriangle, Isometry, Point, _point, _side_lengths, _trilinear_point,
+    altitudes,
+)
 
 
 class DerivedConstants(NamedTuple):
@@ -86,8 +88,8 @@ def minimize_closed_form(
     n = _check_exponent(n)
     a, b, c = tri.a, tri.b, tri.c
     inv = 1.0 / (n - 1.0)
-    p, q, base = lengths = _kernels.side_lengths(a, b, c)
-    x, y, h, tot = _kernels.trilinear_point(a, b, c, lengths, inv)
+    p, q, base = lengths = _side_lengths(a, b, c)
+    x, y, h, tot = _trilinear_point(a, b, c, lengths, inv)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OverflowError(
             f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"

@@ -6,6 +6,10 @@ all positive. In that frame each side line has a fixed linear equation, so
 point-to-side distances, containment and projection are all closed-form.
 ``canonicalize`` carries an arbitrary triangle into the frame with a
 rotation plus translation (never a reflection).
+
+``_normals`` is the one source of the sides' unit inward normals: the
+objective's gradient, the KKT multipliers and the Hessian are all written
+in them. It and ``_slacks`` take the side lengths, so callers form them once.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import _kernels
 from .errors import DegenerateTriangle
 
 # doubled area below this fraction of the squared longest side is collinear
@@ -85,6 +88,21 @@ def _finite_point(value, name: str) -> Point:
     return point
 
 
+def _finite(value, name: str) -> float:
+    """``float(value)``, or ValueError naming it unless a finite number."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a finite number, got {value!r}") from None
+    except OverflowError:  # an int beyond the doubles
+        raise ValueError(
+            f"{name} must be finite, got a number beyond the doubles"
+        ) from None
+    if not -_INF < v < _INF:
+        raise ValueError(f"{name} must be finite, got {v!r}")
+    return v
+
+
 def _positive(value, name: str) -> float:
     """``float(value)``, or ValueError naming it unless finite and > 0."""
     try:
@@ -121,18 +139,18 @@ class CanonicalTriangle:
     @property
     def p(self) -> float:
         """Length of the side from (0, a) to (-b, 0)."""
-        return _kernels.side_lengths(self.a, self.b, self.c)[0]
+        return _side_lengths(self.a, self.b, self.c)[0]
 
     @property
     def q(self) -> float:
         """Length of the side from (0, a) to (c, 0)."""
-        return _kernels.side_lengths(self.a, self.b, self.c)[1]
+        return _side_lengths(self.a, self.b, self.c)[1]
 
     def vertices(self) -> tuple[Point, Point, Point]:
         return _point((0.0, self.a)), _point((-self.b, 0.0)), _point((self.c, 0.0))
 
     def diameter(self) -> float:
-        return max(_kernels.side_lengths(self.a, self.b, self.c))
+        return max(_side_lengths(self.a, self.b, self.c))
 
 
 @dataclass(frozen=True, init=False)
@@ -168,8 +186,14 @@ class Isometry:
 
     def __init__(self, angle, translation, apex_index):
         t = translation
-        if type(t) is not Point or not (type(t[0]) is type(t[1]) is float):
-            t = _as_point(t, "translation")  # a Point of floats is kept as is
+        if type(t) is not Point or not (type(t[0]) is type(t[1]) is float) or not (
+            -_INF < t[0] < _INF > t[1] > -_INF
+        ):
+            t = _finite_point(t, "translation")  # a finite Point of floats is kept
+        if type(angle) is not float or not -_INF < angle < _INF:
+            angle = _finite(angle, "angle")
+        if type(apex_index) is not int or not 0 <= apex_index <= 2:
+            raise ValueError(f"apex_index must be 0, 1 or 2, got {apex_index!r}")
         fields = self.__dict__
         fields["angle"] = angle
         fields["translation"] = t
@@ -311,11 +335,86 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     )
 
 
+def _side_lengths(a, b, c):
+    """Lengths of the sides AB, AC and BC, A = (0, a), B = (-b, 0),
+    C = (c, 0). hypot neither overflows nor underflows where a*a + b*b
+    would, and scaling a, b, c by a power of two scales it exactly."""
+    return math.hypot(a, b), math.hypot(a, c), b + c
+
+
+def _trilinear_point(a, b, c, lengths, root):
+    """The point at distances h * w_i from the sides AB, AC, BC, with
+    w_i = rho_i^root and rho_i = L_i / L_max for the side ``lengths``:
+    the incenter for root 0, the powered-sum minimizer for root 1/(n-1).
+    Returns (x, y, h, tot), tot = sum rho_i * w_i. Each rho_i and w_i is
+    at most 1, and h solves sum L_i * d_i = 2 * area = a * (b + c) in the
+    ratios, so no term leaves the triangle's scale."""
+    l1, l2, l3 = lengths
+    longest = max(lengths)
+    r1, r2, r3 = l1 / longest, l2 / longest, l3 / longest
+    w1, w2, w3 = r1 ** root, r2 ** root, r3 ** root
+    tot = r1 * w1 + r2 * w2 + r3 * w3
+    h = a * r3 / tot
+    return (c * r1 * w1 - b * r2 * w2) / tot, h * w3, h, tot
+
+
+def _slacks(a, b, c, p, q, x, y):
+    return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
+
+
+def _normals(a, b, c, p, q):
+    return (a / p, -b / p), (-a / q, -c / q), (0.0, 1.0)
+
+
+def _side_slacks(a, b, c, x, y):
+    """Signed distances from (x, y) to the three side lines, positive inside.
+
+    The first line runs through (0, a) and (-b, 0), the second through
+    (0, a) and (c, 0), the third is the base y = 0.
+    """
+    p, q, _ = _side_lengths(a, b, c)
+    return _slacks(a, b, c, p, q, x, y)
+
+
+def _seg_closest(px, py, ax, ay, bx, by):
+    vx = bx - ax
+    vy = by - ay
+    t = ((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy)
+    if t < 0.0:
+        t = 0.0
+    elif t > 1.0:
+        t = 1.0
+    return ax + t * vx, ay + t * vy
+
+
+def _project_point(a, b, c, x, y):
+    """Nearest point of the closed triangle; ties go to the first edge tried.
+
+    Points inside by a roundoff-level margin are returned unchanged, which
+    makes repeated projection bit-stable.
+    """
+    g1 = a * x - b * y + a * b
+    g2 = -a * x - c * y + a * c
+    e1 = 1e-14 * (a * b + abs(a * x) + abs(b * y))
+    e2 = 1e-14 * (a * c + abs(a * x) + abs(c * y))
+    if g1 >= -e1 and g2 >= -e2 and y >= 0.0:
+        return x, y
+    bx, by = _seg_closest(x, y, 0.0, a, -b, 0.0)
+    bd = (bx - x) * (bx - x) + (by - y) * (by - y)
+    cx, cy = _seg_closest(x, y, 0.0, a, c, 0.0)
+    d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
+    if d < bd:
+        bx, by, bd = cx, cy, d
+    cx, cy = _seg_closest(x, y, -b, 0.0, c, 0.0)
+    d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
+    if d < bd:
+        bx, by, bd = cx, cy, d
+    return bx, by
+
+
 def side_distances(tri: CanonicalTriangle, point) -> SideDistances:
     """Unsigned distances from a point to the three side lines."""
-    s1, s2, s3 = _kernels.side_slacks(
-        tri.a, tri.b, tri.c, float(point[0]), float(point[1])
-    )
+    s1, s2, s3 = _side_slacks(tri.a, tri.b, tri.c, float(point[0]), float(point[1]))
     return SideDistances(abs(s1), abs(s2), abs(s3))
 
 
@@ -328,21 +427,19 @@ def contains(tri: CanonicalTriangle, point) -> bool:
     """
     x, y = float(point[0]), float(point[1])
     eps = 1e-12 * (tri.a + tri.b + tri.c + abs(x) + abs(y))
-    s1, s2, s3 = _kernels.side_slacks(tri.a, tri.b, tri.c, x, y)
+    s1, s2, s3 = _side_slacks(tri.a, tri.b, tri.c, x, y)
     return s1 >= -eps and s2 >= -eps and s3 >= -eps
 
 
 def project_to_triangle(tri: CanonicalTriangle, point) -> Point:
     """Nearest point of the closed triangle (idempotent)."""
-    return _point(
-        _kernels.project_point(tri.a, tri.b, tri.c, float(point[0]), float(point[1]))
-    )
+    return _point(_project_point(tri.a, tri.b, tri.c, float(point[0]), float(point[1])))
 
 
 def incenter(tri: CanonicalTriangle) -> Point:
     """The point at equal distance from all three sides: trilinears 1:1:1."""
     a, b, c = tri.a, tri.b, tri.c
-    x, y, _, _ = _kernels.trilinear_point(a, b, c, _kernels.side_lengths(a, b, c), 0.0)
+    x, y, _, _ = _trilinear_point(a, b, c, _side_lengths(a, b, c), 0.0)
     return _point((x, y))
 
 

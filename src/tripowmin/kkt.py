@@ -18,9 +18,10 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import _kernels
 from .errors import PointNotFeasible, PointNotInterior, _check_exponent
-from .geometry import CanonicalTriangle, Point, _point
+from .geometry import (
+    CanonicalTriangle, Point, _normals, _point, _side_lengths, _side_slacks, _slacks
+)
 
 _SIDE_LABELS = ("AB", "AC", "BC")
 
@@ -86,19 +87,44 @@ class KktReport:
         fields["verdict"] = verdict
 
 
+def _power_sum(slacks, n):
+    """Sum of the n-th powers of the absolute slacks."""
+    s1, s2, s3 = slacks
+    return abs(s1) ** n + abs(s2) ** n + abs(s3) ** n
+
+
+def _power_sum_grad(normals, slacks, n):
+    """Gradient of ``_power_sum`` for n > 1: sum_i n * s_i^(n-1) * u_i.
+
+    Slacks are clamped at zero so fractional powers stay real when a
+    boundary point lands an ulp outside; the clamped value is exactly the
+    one-sided derivative there.
+    """
+    (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
+    s1, s2, s3 = slacks
+    d1 = s1 ** (n - 1.0) if s1 > 0.0 else 0.0
+    d2 = s2 ** (n - 1.0) if s2 > 0.0 else 0.0
+    d3 = s3 ** (n - 1.0) if s3 > 0.0 else 0.0
+    gx = n * u1x * d1 + n * u2x * d2 + n * u3x * d3
+    gy = n * u1y * d1 + n * u2y * d2 + n * u3y * d3
+    return gx, gy
+
+
 def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     """Powered-distance sum at any planar point (n >= 1)."""
     n = _check_exponent(n, allow_one=True)
-    return _kernels.eval_f(tri.a, tri.b, tri.c, n, float(point[0]), float(point[1]))
+    x, y = float(point[0]), float(point[1])
+    return _power_sum(_side_slacks(tri.a, tri.b, tri.c, x, y), n)
 
 
 def gradient(tri: CanonicalTriangle, n, point) -> Point:
-    """Gradient of F at a strictly interior point, n > 1."""
+    """Gradient of F at a strictly interior point, n > 1; raises like ``hessian``."""
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
-    if min(_kernels.side_slacks(tri.a, tri.b, tri.c, x, y)) <= 0.0:
+    slacks, normals = _slacks_and_normals(tri, x, y)
+    if min(slacks) <= 0.0:
         raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return _point(_kernels.grad_f(tri.a, tri.b, tri.c, n, x, y))
+    return _point(_power_sum_grad(normals, slacks, n))
 
 
 def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
@@ -128,11 +154,11 @@ def _slacks_and_normals(tri: CanonicalTriangle, x, y):
         raise FloatingPointError(
             f"a * min(b, c) = {a * min(b, c)!r} is below the normal doubles"
         )
-    p, q, _ = _kernels.side_lengths(a, b, c)
-    slacks = s1, s2, s3 = _kernels._slacks(a, b, c, p, q, x, y)
+    p, q, _ = _side_lengths(a, b, c)
+    slacks = s1, s2, s3 = _slacks(a, b, c, p, q, x, y)
     if not math.isfinite(s1 + s2 + s3):
         raise OverflowError(f"side slacks {slacks} are not finite")
-    return slacks, _kernels._normals(a, b, c, p, q)
+    return slacks, _normals(a, b, c, p, q)
 
 
 def _hessian(normals, slacks, n: float):
@@ -217,7 +243,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    gx, gy = _kernels.power_sum_grad(normals, slacks, n)
+    gx, gy = _power_sum_grad(normals, slacks, n)
     active, labels = _ACTIVE[(s1 <= tol) + 2 * (s2 <= tol) + 4 * (s3 <= tol)]
     m = _multipliers(normals, active, gx, gy)
     rx, ry = gx, gy

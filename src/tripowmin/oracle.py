@@ -3,18 +3,24 @@
 Two independent numeric routes that never touch the closed-form formulas:
 a zooming barycentric grid scan and projected gradient descent. ``compare``
 runs both against the closed form and reports the gaps.
+
+Only the lattice scan uses numpy, imported inside the functions that need
+it, so ``import tripowmin`` and the descent run without it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from . import _kernels
 from .closed_form import minimize_closed_form
 from .errors import DidNotConverge, _check_exponent
-from .geometry import CanonicalTriangle, Point
+from .geometry import (
+    CanonicalTriangle, Point, _normals, _project_point, _side_lengths, _slacks
+)
+from .kkt import _power_sum, _power_sum_grad
 
 
 ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
@@ -57,8 +63,70 @@ class DiscrepancyReport:
     passed: bool
 
 
+@functools.lru_cache(maxsize=None)
+def _bary_weights(m):
+    import numpy as np
+
+    counts = np.arange(m + 1, 0, -1)
+    ii = np.repeat(np.arange(m + 1), counts).astype(np.float64)
+    jj = np.concatenate([np.arange(k) for k in counts]).astype(np.float64)
+    kk = m - ii - jj
+    inv = 1.0 / m
+    return ii * inv, jj * inv, kk * inv
+
+
+def _lattice_scratch(m):
+    """Work arrays for ``_lattice_best`` at resolution m: the caller owns
+    them, so concurrent scans never share one."""
+    import numpy as np
+
+    size = (m + 1) * (m + 2) // 2
+    return np.empty(size), np.empty(size), np.empty(size)
+
+
+def _lattice_best(a, b, c, n, m, window, scratch):
+    """Best point of the barycentric lattice of resolution m over the window
+    triangle whose vertices are the three (x, y) pairs of ``window``;
+    returns (x, y, f), lowest lattice index on ties. ``scratch`` comes from
+    ``_lattice_scratch(m)`` and is overwritten.
+
+    A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
+    the point's slack is the same combination of the corners' slacks: three
+    scalars per side, and no coordinates until the winner is known.
+    """
+    import numpy as np
+
+    wa, wb, wc = _bary_weights(m)
+    f, acc, tmp = scratch
+    p, q, _ = _side_lengths(a, b, c)
+    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
+    corners = zip(
+        _slacks(a, b, c, p, q, w1x, w1y),
+        _slacks(a, b, c, p, q, w2x, w2y),
+        _slacks(a, b, c, p, q, w3x, w3y),
+    )
+    for side, (s1, s2, s3) in enumerate(corners):
+        out = f if side == 0 else acc
+        np.multiply(wa, s1, out=out)
+        np.multiply(wb, s2, out=tmp)
+        out += tmp
+        np.multiply(wc, s3, out=tmp)
+        out += tmp
+        np.abs(out, out=out)
+        out **= n
+        if side:
+            f += acc
+    k = int(np.argmin(f))
+    ka, kb, kc = float(wa[k]), float(wb[k]), float(wc[k])
+    return (
+        ka * w1x + kb * w2x + kc * w3x,
+        ka * w1y + kb * w2y + kc * w3y,
+        float(f[k]),
+    )
+
+
 def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
-    """Deterministic zooming lattice scan; returns (point, value).
+    """Deterministic zooming lattice scan for n >= 1; returns (point, value).
 
     The first pass scans a barycentric lattice over the whole triangle.
     Every later pass scans an equilateral window centered on the best
@@ -80,28 +148,127 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     for the winner. The work arrays belong to this call, so concurrent
     scans share nothing.
     """
+    n = _check_exponent(n, allow_one=True)
     cfg = config if config is not None else OracleConfig()
-    n = float(n)
     a, b, c = tri.a, tri.b, tri.c
     window = list(tri.vertices())
     radius = tri.diameter()
     half_rt3 = 0.5 * math.sqrt(3.0)
-    scratch = _kernels.lattice_scratch(cfg.grid_resolution)
+    scratch = _lattice_scratch(cfg.grid_resolution)
     best_x, best_y, best_f = 0.0, 0.0, math.inf
     for _ in range(cfg.zoom_iterations + 1):
-        lx, ly, lf = _kernels.lattice_best(
-            a, b, c, n, cfg.grid_resolution, window, scratch
-        )
+        lx, ly, lf = _lattice_best(a, b, c, n, cfg.grid_resolution, window, scratch)
         if lf < best_f:
             best_x, best_y, best_f = lx, ly, lf
         radius /= ZOOM_FACTOR
         for k, (ox, oy) in enumerate(
             ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
         ):
-            window[k] = _kernels.project_point(
+            window[k] = _project_point(
                 a, b, c, best_x + radius * ox, best_y + radius * oy
             )
     return Point(best_x, best_y), float(best_f)
+
+
+def _pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
+    """Spectral projected gradient descent.
+
+    Each iteration seeds the step with the Barzilai-Borwein quotient from
+    the previous move and backtracks by halving until the value drops below
+    the worst of the last ten accepted values (plus a small slope margin).
+    The spectral step tracks the local curvature scale in the direction of
+    travel, which matters on thin triangles where the objective valley can
+    be worse than 1e5:1 anisotropic and a fixed-step method zigzags for
+    millions of iterations.
+
+    The objective is normalized by its value at the start point: a power
+    sum of sub-unit distances collapses exponentially with n, and on the
+    raw scale step * |grad| can sit below any fixed threshold before a
+    single move is taken.  Normalization leaves the minimizer untouched
+    and makes the stopping rule read as a displacement-length threshold:
+    stop once step * |grad| <= tol, or at the iteration cap.
+
+    The iteration is deterministic, and the non-monotone test can lock it
+    into an exact roundoff cycle that would spin until the cap. A
+    checkpoint of the state (point, step and the ten-value history),
+    moved at power-of-two iteration counts (Brent's cycle finding), spots
+    an exact repeat; the run then stops at the phase of the cycle where
+    the cap would have stopped it, with the same best point and residual.
+
+    Returns (x, y, f, iterations, step * |grad| at exit, capped) for the
+    best point seen, with f back on the raw scale; ``capped`` says the run
+    hit the cap or entered a cycle that would have run to it. Raises
+    OverflowError when 1 / f at the start point is not a double.
+    """
+    p, q, _ = _side_lengths(a, b, c)
+    normals = _normals(a, b, c, p, q)
+    x, y = _project_point(a, b, c, x0, y0)
+    sl = _slacks(a, b, c, p, q, x, y)
+    f0 = _power_sum(sl, n)
+    inv0 = 1.0 / f0 if f0 > 0.0 else 1.0
+    if not math.isfinite(inv0):
+        raise OverflowError(f"1 / F = 1 / {f0!r} at the start point overflows")
+    f = f0 * inv0
+    gx, gy = _power_sum_grad(normals, sl, n)
+    gx *= inv0
+    gy *= inv0
+    gn = math.hypot(gx, gy)
+    bx, by, bf = x, y, f
+    hist = [f] * 10
+    s = step0
+    it = 0
+    mark, span, period = 0, 1, 0
+    kx, ky, ks, khist = x, y, s, list(hist)
+    while it < max_iters and s * gn > tol:
+        fmax = max(hist)
+        while s * gn > tol:
+            cx, cy = _project_point(a, b, c, x - s * gx, y - s * gy)
+            dx = cx - x
+            dy = cy - y
+            if dx != 0.0 or dy != 0.0:
+                sl = _slacks(a, b, c, p, q, cx, cy)
+                cf = _power_sum(sl, n) * inv0
+                if cf <= fmax + 1e-4 * (gx * dx + gy * dy):
+                    break
+            s *= 0.5
+        else:
+            # the step fell to the stopping threshold without a move
+            break
+        # the accepted point's slacks are still in sl
+        ngx, ngy = _power_sum_grad(normals, sl, n)
+        ngx *= inv0
+        ngy *= inv0
+        den = dx * (ngx - gx) + dy * (ngy - gy)
+        if den > 0.0:
+            s = (dx * dx + dy * dy) / den
+        else:
+            # flat or concave sample: grow and let the search recover
+            s *= 2.0
+        if s > 1e30:
+            s = 1e30
+        elif s < 1e-30:
+            s = 1e-30
+        x, y, f = cx, cy, cf
+        gx, gy = ngx, ngy
+        gn = math.hypot(gx, gy)
+        if f < bf:
+            bx, by, bf = x, y, f
+        hist[it % 10] = f
+        it += 1
+        if x == kx and y == ky and s == ks and not period:
+            oldest = it % 10
+            if hist[oldest:] + hist[:oldest] == khist:
+                # the whole state repeats, so it would cycle up to the cap:
+                # stop at the iteration of this cycle that the cap lands on
+                period = it - mark
+                max_iters = it + (max_iters - it) % period
+        if it - mark == span:
+            oldest = it % 10
+            mark, span = it, 2 * span
+            kx, ky, ks, khist = x, y, s, hist[oldest:] + hist[:oldest]
+    return bx, by, bf / inv0, it, s * gn, it >= max_iters
+
+
 
 
 def projected_gradient(
@@ -122,7 +289,7 @@ def projected_gradient(
     if start is None:  # the centroid
         start = ((-tri.b + tri.c) / 3.0, tri.a / 3.0)
     tol = PG_TOLERANCE * tri.a
-    x, y, f, iters, residual, capped = _kernels.pg_minimize(
+    x, y, f, iters, residual, capped = _pg_minimize(
         tri.a, tri.b, tri.c, n,
         float(start[0]), float(start[1]),
         0.1 * tri.diameter(), tol, int(cfg.pg_max_iters),

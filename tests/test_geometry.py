@@ -338,6 +338,40 @@ def test_isometry_keeps_a_point_of_floats_and_coerces_the_rest():
     assert Isometry(0.0, (1, 2), 0) == Isometry(0.0, exact, 0)
 
 
+@pytest.mark.parametrize(
+    "angle, translation, apex_index, field",
+    [
+        ("x", (1, 1), 0, "^angle must be a finite number"),
+        (None, (1, 1), 0, "^angle must be a finite number"),
+        (math.nan, (1, 1), 0, "^angle must be finite"),
+        (math.inf, (1, 1), 0, "^angle must be finite"),
+        (10**400, (1, 1), 0, "^angle must be finite"),
+        (0.5, (math.nan, 0.0), 0, "^translation must be finite"),
+        (0.5, Point(0.0, math.inf), 0, "^translation must be finite"),
+        (0.5, (1, 1), None, "^apex_index must be 0, 1 or 2"),
+        (0.5, (1, 1), 3, "^apex_index must be 0, 1 or 2"),
+        (0.5, (1, 1), -1, "^apex_index must be 0, 1 or 2"),
+        (0.5, (1, 1), 1.0, "^apex_index must be 0, 1 or 2"),
+        (0.5, (1, 1), True, "^apex_index must be 0, 1 or 2"),
+    ],
+    ids=[
+        "angle-str", "angle-none", "angle-nan", "angle-inf", "angle-1e400",
+        "translation-nan", "translation-inf", "apex-none", "apex-3", "apex--1",
+        "apex-float", "apex-bool",
+    ],
+)
+def test_isometry_rejects_each_bad_field_by_name(angle, translation, apex_index, field):
+    with pytest.raises(ValueError, match=field):
+        Isometry(angle, translation, apex_index)
+
+
+def test_isometry_keeps_its_fields_as_floats_and_int():
+    iso = Isometry(1, (1, 2), 2)
+    assert type(iso.angle) is float and iso.angle == 1.0
+    assert iso.apex_index == 2
+    assert Isometry(1, (1, 2), 2) == Isometry(1.0, Point(1.0, 2.0), 2)
+
+
 def test_points_from_every_constructor_behave_as_point_x_y():
     # canonicalize, the closed form and Point arithmetic build their points
     # without Point.__new__; they must equal, hash and print as Point(x, y)

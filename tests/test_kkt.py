@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tripowmin import _kernels
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import InvalidExponent, PointNotFeasible, PointNotInterior
-from tripowmin.geometry import CanonicalTriangle, incenter
+from tripowmin.geometry import CanonicalTriangle, _side_slacks, incenter
 from tripowmin.kkt import (
     Verdict,
     evaluate_F,
@@ -89,6 +88,21 @@ def test_gradient_requires_strict_interior():
         gradient(WORKED, 2.0, np.array([0.0, 0.0]))
     with pytest.raises(PointNotInterior):
         gradient(WORKED, 2.0, np.array([0.0, 4.0]))
+
+
+@pytest.mark.parametrize(
+    "abc, error",
+    [((3e160, 1e160, 2e160), OverflowError), ((1e-160, 1e-160, 1e-160), FloatingPointError)],
+    ids=["slacks-overflow", "subnormal-products"],
+)
+def test_gradient_refuses_slacks_beyond_the_doubles_like_hessian(abc, error):
+    # at 3e160 the slanted sides' slacks are NaN, which the clamp s > 0
+    # would read as 0, and at 1e-160 their products are subnormal: the
+    # gradient refuses both, as hessian and kkt_residual do
+    tri = CanonicalTriangle(*abc)
+    for f in (gradient, hessian):
+        with pytest.raises(error):
+            f(tri, 2.0, incenter(tri))
 
 
 # hessian --------------------------------------------------------------------
@@ -265,10 +279,13 @@ def kkt_reference(tri, n, point, tol):
     slackness over that scale against the slack tolerance."""
     x, y = float(point[0]), float(point[1])
     a, b, c = tri.a, tri.b, tri.c
-    slacks = _kernels.side_slacks(a, b, c, x, y)
-    gx, gy = _kernels.grad_f(a, b, c, n, x, y)
-    grad_obj = np.array([gx, gy])
+    slacks = _side_slacks(a, b, c, x, y)
     constraint_grads = np.array([[a, -b], [-a, -c], [0.0, 1.0]])
+    normal_lengths = np.hypot(constraint_grads[:, 0], constraint_grads[:, 1])
+    # grad F = n * sum_i s_i^(n-1) * u_i over the unit normals u_i, a slack
+    # an ulp outside its side counting as 0
+    powers = np.array([max(s, 0.0) ** (n - 1.0) for s in slacks])
+    grad_obj = n * (powers / normal_lengths) @ constraint_grads
     raw_slacks = np.array([slacks[0] * tri.p, slacks[1] * tri.q, slacks[2]])
     active = [i for i in range(3) if slacks[i] <= tol]
     multipliers = np.zeros(3)
@@ -283,14 +300,13 @@ def kkt_reference(tri, n, point, tol):
     stationarity = float(np.hypot(residual_vec[0], residual_vec[1]))
     comp_slack = float(np.max(np.abs(multipliers * raw_slacks)))
     scale = n * max(slacks) ** (n - 1.0)
-    normal_lengths = np.hypot(constraint_grads[:, 0], constraint_grads[:, 1])
     if np.any(multipliers * normal_lengths < -1e-9 * scale):
         verdict = Verdict.MULTIPLIER_NEGATIVE
     elif stationarity > 1e-9 * scale or comp_slack > tol * scale:
         verdict = Verdict.STATIONARITY_FAILED
     else:
         verdict = Verdict.SATISFIED
-    return active, multipliers, stationarity, comp_slack, verdict, math.hypot(gx, gy)
+    return active, multipliers, stationarity, comp_slack, verdict, float(np.hypot(*grad_obj))
 
 
 def reference_points(tri, rng):

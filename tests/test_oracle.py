@@ -10,12 +10,14 @@ import threading
 import numpy as np
 import pytest
 
-from tripowmin import _kernels
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import DidNotConverge, InvalidExponent
 from tripowmin.geometry import CanonicalTriangle, GeneralTriangle, canonicalize, contains
 from tripowmin.kkt import evaluate_F
-from tripowmin.oracle import OracleConfig, compare, grid_search, projected_gradient
+from tripowmin.oracle import (
+    OracleConfig, _lattice_best, _lattice_scratch, _pg_minimize, compare, grid_search,
+    projected_gradient,
+)
 from tripowmin.sampling import random_general_triangle
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
@@ -36,6 +38,14 @@ def test_grid_handles_n1_vertex_minimum():
     pt, value = grid_search(WORKED, 1.0)
     assert pt[0] == -1.0 and pt[1] == 0.0
     assert value == pytest.approx(9.0 / math.sqrt(13.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 0.5, -1.0])
+def test_grid_rejects_exponents_outside_its_domain(n):
+    # unchecked, nan finds no point, inf gives a value of 0 or inf and -1
+    # divides by zero in numpy
+    with pytest.raises(InvalidExponent, match=">= 1"):
+        grid_search(WORKED, n, OracleConfig(grid_resolution=8, zoom_iterations=1))
 
 
 def test_grid_keeps_isosceles_symmetry():
@@ -122,19 +132,19 @@ def test_grid_search_is_reentrant():
 
 # lattice scan ---------------------------------------------------------------
 
+def _loop_slacks(a, b, c, x, y):
+    p = math.hypot(a, b)
+    q = math.hypot(a, c)
+    return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
+
+
 def _lattice_best_loop(a, b, c, n, m, window):
-    # Scalar reference for _kernels.lattice_best: the same barycentric
+    # Scalar reference for oracle._lattice_best: the same barycentric
     # enumeration one point at a time. Each slack is the lattice point's
     # combination of the window corners' slacks, added in the kernel's
     # order; strict < keeps the lowest lattice index on exact ties.
     (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
-    p = math.hypot(a, b)
-    q = math.hypot(a, c)
-
-    def slacks(x, y):
-        return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
-
-    corners = list(zip(slacks(w1x, w1y), slacks(w2x, w2y), slacks(w3x, w3y)))
+    corners = list(zip(*(_loop_slacks(a, b, c, x, y) for x, y in window)))
     inv = 1.0 / m
     best_x, best_y, best_f = w1x, w1y, math.inf
     for i in range(m + 1):
@@ -156,16 +166,16 @@ def assert_lattice_matches_loop(args):
     # so the value may differ in the last bits; the chosen point may not
     a, b, c, n, m, window = args
     lx, ly, lf = _lattice_best_loop(*args)
-    vx, vy, vf = _kernels.lattice_best(*args, _kernels.lattice_scratch(m))
+    vx, vy, vf = _lattice_best(*args, _lattice_scratch(m))
     assert (vx, vy) == (lx, ly)
     assert abs(vf - lf) <= 2.0 * np.spacing(lf)
     # The interpolated slacks differ from those of the returned point by
     # roundoff on the scale of the window's corner slacks; to first order
     # F moves by n * sum d_i^(n-1) times that.
-    d = [abs(s) for s in _kernels.side_slacks(a, b, c, vx, vy)]
-    scale = max(abs(s) for corner in window for s in _kernels.side_slacks(a, b, c, *corner))
+    d = [abs(s) for s in _loop_slacks(a, b, c, vx, vy)]
+    scale = max(abs(s) for corner in window for s in _loop_slacks(a, b, c, *corner))
     bound = 8.0 * np.finfo(float).eps * scale * n * sum(di ** (n - 1.0) for di in d)
-    assert abs(vf - _kernels.eval_f(a, b, c, n, vx, vy)) <= bound + 4.0 * np.spacing(vf)
+    assert abs(vf - sum(di ** n for di in d)) <= bound + 4.0 * np.spacing(vf)
 
 
 def test_lattice_twins_agree():
@@ -255,7 +265,7 @@ def test_descent_cycle_exit_reports_the_capped_residual(cap, residual):
     # the two phases of the cycle have different step * |grad|; a cycle exit
     # reports the one the capped run ends on, so DidNotConverge decides alike
     a, b, c = CYCLING.a, CYCLING.b, CYCLING.c
-    *_, iters, got, capped = _kernels.pg_minimize(
+    *_, iters, got, capped = _pg_minimize(
         a, b, c, 1.01, (c - b) / 3.0, a / 3.0, 0.1 * CYCLING.diameter(), 1e-10 * a, cap
     )
     assert capped and iters < 1000

@@ -391,14 +391,23 @@ def _project_point(a, b, c, x, y):
     """Nearest point of the closed triangle; ties go to the first edge tried.
 
     Points inside by a roundoff-level margin are returned unchanged, which
-    makes repeated projection bit-stable.
+    makes repeated projection bit-stable. The work runs on a, b, c, x, y
+    scaled by a power of two, as in ``canonicalize``, so that products
+    such as b * y neither overflow nor underflow. The scaling and the
+    scaling back are exact, but for a coordinate hundreds of orders of
+    magnitude below the triangle's size, which is 0 against it anyway.
     """
+    ldexp = math.ldexp
+    shift = -math.frexp(max(a, b, c))[1]
+    ox, oy = x, y
+    a, b, c = ldexp(a, shift), ldexp(b, shift), ldexp(c, shift)
+    x, y = ldexp(x, shift), ldexp(y, shift)
     g1 = a * x - b * y + a * b
     g2 = -a * x - c * y + a * c
     e1 = 1e-14 * (a * b + abs(a * x) + abs(b * y))
     e2 = 1e-14 * (a * c + abs(a * x) + abs(c * y))
     if g1 >= -e1 and g2 >= -e2 and y >= 0.0:
-        return x, y
+        return ox, oy
     bx, by = _seg_closest(x, y, 0.0, a, -b, 0.0)
     bd = (bx - x) * (bx - x) + (by - y) * (by - y)
     cx, cy = _seg_closest(x, y, 0.0, a, c, 0.0)
@@ -409,7 +418,7 @@ def _project_point(a, b, c, x, y):
     d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
     if d < bd:
         bx, by, bd = cx, cy, d
-    return bx, by
+    return ldexp(bx, -shift), ldexp(by, -shift)
 
 
 def side_distances(tri: CanonicalTriangle, point) -> SideDistances:

@@ -230,7 +230,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     The slacks are formed once; the gradient, the multipliers and the
     Hessian fields all come from them and the unit normals. Raises
     FloatingPointError or OverflowError where the slacks leave the double
-    range.
+    range, and FloatingPointError where G is below the normal doubles.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
@@ -255,6 +255,11 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     comp_slack = max(abs(m1 * s1), abs(m2 * s2), abs(m3 * s3))
 
     scale = n * max(slacks) ** (n - 1.0)
+    if scale < _TINY:
+        # a subnormal scale would judge roundoff-level residuals as failures
+        raise FloatingPointError(
+            f"gradient scale n * max d_i^(n-1) = {scale!r} is below the normal doubles"
+        )
     if min(m) < -1e-9 * scale:
         verdict = Verdict.MULTIPLIER_NEGATIVE
     elif stationarity > 1e-9 * scale or comp_slack > tol * scale:

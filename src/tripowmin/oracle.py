@@ -5,13 +5,16 @@ a zooming barycentric grid scan and projected gradient descent. ``compare``
 runs both against the closed form and reports the gaps.
 
 Only the lattice scan uses numpy, imported inside the functions that need
-it, so ``import tripowmin`` and the descent run without it.
+it, so ``import tripowmin`` and the descent run without it. The scan
+evaluates each lattice pass as whole-block array operations: one matrix
+product for the side slacks, one power and one sum.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -65,14 +68,17 @@ class DiscrepancyReport:
 
 @functools.lru_cache(maxsize=None)
 def _bary_weights(m):
+    """The (3, N) matrix of the lattice's barycentric weights, rows wa, wb,
+    wc, N = (m + 1)(m + 2)/2; shared between calls, so read-only."""
     import numpy as np
 
     counts = np.arange(m + 1, 0, -1)
-    ii = np.repeat(np.arange(m + 1), counts).astype(np.float64)
-    jj = np.concatenate([np.arange(k) for k in counts]).astype(np.float64)
-    kk = m - ii - jj
-    inv = 1.0 / m
-    return ii * inv, jj * inv, kk * inv
+    ii = np.repeat(np.arange(m + 1), counts)
+    jj = np.concatenate([np.arange(k) for k in counts])
+    weights = np.stack((ii, jj, m - ii - jj)).astype(np.float64)
+    weights *= 1.0 / m
+    weights.flags.writeable = False
+    return weights
 
 
 def _lattice_scratch(m):
@@ -81,7 +87,37 @@ def _lattice_scratch(m):
     import numpy as np
 
     size = (m + 1) * (m + 2) // 2
-    return np.empty(size), np.empty(size), np.empty(size)
+    return np.empty((3, size)), np.empty((3, size)), np.empty(size)
+
+
+def _pow(d, n):
+    """d ** n for d >= 0, inf where it overflows instead of raising."""
+    try:
+        return d ** n
+    except OverflowError:
+        return math.inf
+
+
+def _block_power(s, n, out):
+    """s ** n elementwise for s >= 0, in ``out`` unless n = 1 (then s).
+
+    Integral n up to 64 goes by repeated squaring, left to right over the
+    bits of n: n = 5 takes three multiplies and n = 10 four, each far
+    cheaper than a ``pow``, and the rounding error grows only linearly in
+    their number. Any other n takes one ``np.power``.
+    """
+    import numpy as np
+
+    k = int(n)
+    if k != n or not 1 <= k <= 64:
+        return np.power(s, n, out=out)
+    power = s
+    for bit in bin(k)[3:]:  # the bits after the leading one
+        np.multiply(power, power, out=out)
+        power = out
+        if bit == "1":
+            np.multiply(out, s, out=out)
+    return power
 
 
 def _lattice_best(a, b, c, n, m, window, scratch):
@@ -91,37 +127,36 @@ def _lattice_best(a, b, c, n, m, window, scratch):
     ``_lattice_scratch(m)`` and is overwritten.
 
     A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
-    the point's slack is the same combination of the corners' slacks: three
-    scalars per side, and no coordinates until the winner is known.
+    the point's slack is the same combination of the corners' slacks: one
+    3x3 by 3xN product gives every side's slack at every point, and no
+    coordinates are formed until the winner is known. One power over the
+    block (``_block_power``) and one sum over the sides give F at every
+    point. The winner's value is recomputed in plain floats from its own
+    slacks.
     """
     import numpy as np
 
-    wa, wb, wc = _bary_weights(m)
-    f, acc, tmp = scratch
+    weights = _bary_weights(m)
+    s, r, f = scratch
     p, q, _ = _side_lengths(a, b, c)
     (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
-    corners = zip(
+    corners = np.array((
         _slacks(a, b, c, p, q, w1x, w1y),
         _slacks(a, b, c, p, q, w2x, w2y),
         _slacks(a, b, c, p, q, w3x, w3y),
-    )
-    for side, (s1, s2, s3) in enumerate(corners):
-        out = f if side == 0 else acc
-        np.multiply(wa, s1, out=out)
-        np.multiply(wb, s2, out=tmp)
-        out += tmp
-        np.multiply(wc, s3, out=tmp)
-        out += tmp
-        np.abs(out, out=out)
-        out **= n
-        if side:
-            f += acc
-    k = int(np.argmin(f))
-    ka, kb, kc = float(wa[k]), float(wb[k]), float(wc[k])
+    ))
+    np.matmul(corners.T, weights, out=s)
+    np.abs(s, out=s)
+    np.add.reduce(_block_power(s, n, r), axis=0, out=f)
+    best = int(np.argmin(f))
+    ka, kb, kc = weights[:, best].tolist()
+    (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = corners.tolist()
     return (
         ka * w1x + kb * w2x + kc * w3x,
         ka * w1y + kb * w2y + kc * w3y,
-        float(f[k]),
+        _pow(abs(ka * s11 + kb * s21 + kc * s31), n)
+        + _pow(abs(ka * s12 + kb * s22 + kc * s32), n)
+        + _pow(abs(ka * s13 + kb * s23 + kc * s33), n),
     )
 
 
@@ -141,12 +176,15 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     n = 1. Ties go to the lowest lattice index and nothing depends on
     thread count, so reruns are bit-identical.
 
-    A pass costs three ``pow``s per lattice point (8385 points at the
-    default resolution), about 55% of its time except at n = 2, where
-    numpy squares instead; each point's slacks are interpolated from the
-    window corners' slacks in place, and its coordinates are formed only
-    for the winner. The work arrays belong to this call, so concurrent
-    scans share nothing.
+    A pass is a handful of numpy calls over one 3 x N block (N = 8385
+    points at the default resolution): one matrix product interpolates
+    every side's slack at every point from the window corners' slacks,
+    then one ``abs``, one power and one sum over the sides. For integral
+    n up to 64 the power is repeated squaring, a few multiplies over the
+    block; any other n, such as 1.01, takes one ``np.power``, which then
+    costs more than the rest of the pass together. Coordinates are formed
+    only for the winner. The work arrays belong to this call, so
+    concurrent scans share nothing.
     """
     n = _check_exponent(n, allow_one=True)
     cfg = config if config is not None else OracleConfig()
@@ -198,14 +236,21 @@ def _pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
     Returns (x, y, f, iterations, step * |grad| at exit, capped) for the
     best point seen, with f back on the raw scale; ``capped`` says the run
     hit the cap or entered a cycle that would have run to it. Raises
-    OverflowError when 1 / f at the start point is not a double.
+    OverflowError when 1 / f at the start point is not a double, f = 0
+    included. The step, a length squared, is clamped to 1e-30 and 1e30
+    times a * a, a the smallest altitude and the length of the stopping
+    rule, so the clamps bind alike at every scale.
     """
     p, q, _ = _side_lengths(a, b, c)
+    # products, not **, so the clamps may reach 0 but never raise; the cap
+    # stays finite so that halving can always shrink the step
+    s_min = 1e-30 * a * a
+    s_max = min(1e30 * a * a, sys.float_info.max)
     normals = _normals(a, b, c, p, q)
     x, y = _project_point(a, b, c, x0, y0)
     sl = _slacks(a, b, c, p, q, x, y)
     f0 = _power_sum(sl, n)
-    inv0 = 1.0 / f0 if f0 > 0.0 else 1.0
+    inv0 = 1.0 / f0 if f0 > 0.0 else math.inf
     if not math.isfinite(inv0):
         raise OverflowError(f"1 / F = 1 / {f0!r} at the start point overflows")
     f = f0 * inv0
@@ -244,10 +289,10 @@ def _pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
         else:
             # flat or concave sample: grow and let the search recover
             s *= 2.0
-        if s > 1e30:
-            s = 1e30
-        elif s < 1e-30:
-            s = 1e-30
+        if s > s_max:
+            s = s_max
+        elif s < s_min:
+            s = s_min
         x, y, f = cx, cy, cf
         gx, gy = ngx, ngy
         gn = math.hypot(gx, gy)

@@ -14,9 +14,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args):
+    # a descent that spins fails here rather than holding the whole run
     out = subprocess.run(
         [sys.executable, "-m", "tripowmin", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=120,
     )
     return out
 
@@ -194,6 +195,9 @@ def test_tolerance_must_be_a_non_negative_number(command, flag, value):
         ["solve", "--canonical", "1e-160,1e-160,1e-160", "--n", "2", "--verify"],
         # a * b overflows in the side slacks of the KKT certificate
         ["solve", "--canonical", "3e160,1e160,2e160", "--n", "2", "--verify"],
+        # FloatingPointError: the KKT gradient scale is subnormal (and F at
+        # the descent's start underflows to 0)
+        ["solve", "--canonical", "1e-80,2e-80,3e-80", "--n", "5", "--verify"],
     ],
 )
 def test_arithmetic_error_exits_2_without_traceback(args):
@@ -233,6 +237,27 @@ def test_extreme_but_valid_input_gets_its_answer(triangle, n, point, rel):
     got = doc["minimizer_original"]
     assert got["x"] == pytest.approx(point[0], rel=rel, abs=rel * point[1])
     assert got["y"] == pytest.approx(point[1], rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "canonical, n",
+    [
+        # the descent's step clamps were absolute: it cycled for 103 728
+        # iterations and exited 3 at 1e-20, and ran for minutes at 1e-150
+        ("1e-20,1e-20,1e-20", "2"),
+        ("1e-150,1e-150,1e-150", "2"),
+        # the grid's window projection overflowed (numpy warned on stderr)
+        ("1,1e160,1e160", "5"),
+    ],
+)
+def test_solve_verify_passes_at_the_ends_of_the_scale(canonical, n):
+    out = run_cli("solve", "--canonical", canonical, "--n", n, "--format", "json",
+                  "--verify")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    doc = json.loads(out.stdout)
+    assert doc["kkt"]["verdict"] == "satisfied"
+    assert doc["oracle"]["passed"] is True
 
 
 @pytest.mark.parametrize("canonical", ["3,1,2", "0.003,0.001,0.002", "3000,1000,2000"])

@@ -105,6 +105,15 @@ def test_gradient_refuses_slacks_beyond_the_doubles_like_hessian(abc, error):
             f(tri, 2.0, incenter(tri))
 
 
+def test_kkt_refuses_a_subnormal_gradient_scale():
+    # n * max d_i^(n-1) = 3.6e-321 here: judged against it, a residual of
+    # 1.5e-323 read as stationarity_failed at the exact minimizer
+    tri = CanonicalTriangle(1e-80, 2e-80, 3e-80)
+    point = minimize_closed_form(tri, 5.0).point_canonical
+    with pytest.raises(FloatingPointError, match="gradient scale"):
+        kkt_residual(tri, 5.0, point)
+
+
 # hessian --------------------------------------------------------------------
 
 def test_hessian_quadratic_case_is_constant():

@@ -3,20 +3,24 @@ and honest failure when an iteration budget is too small."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import DidNotConverge, InvalidExponent
-from tripowmin.geometry import CanonicalTriangle, GeneralTriangle, canonicalize, contains
+from tripowmin.geometry import (
+    CanonicalTriangle, GeneralTriangle, canonicalize, contains, project_to_triangle
+)
 from tripowmin.kkt import evaluate_F
 from tripowmin.oracle import (
-    OracleConfig, _lattice_best, _lattice_scratch, _pg_minimize, compare, grid_search,
-    projected_gradient,
+    OracleConfig, _block_power, _lattice_best, _lattice_scratch, _pg_minimize, compare,
+    grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
 
@@ -130,7 +134,81 @@ def test_grid_search_is_reentrant():
     assert results == [[serial[0]] * 20, [serial[1]] * 20]
 
 
+GRID_BITS = r"""
+import json, sys
+from tripowmin.geometry import CanonicalTriangle
+from tripowmin.oracle import OracleConfig, grid_search
+
+out = []
+for m in (128, 256):
+    for tri, n in ((CanonicalTriangle(3.0, 1.0, 2.0), 5.0),
+                   (CanonicalTriangle(0.02, 1.3, 40.0), 1.01)):
+        (x, y), f = grid_search(tri, n, OracleConfig(grid_resolution=m))
+        out.append([x.hex(), y.hex(), f.hex()])
+print(json.dumps(out))
+"""
+
+
+def test_grid_bits_do_not_depend_on_the_blas_thread_count():
+    # the lattice's side slacks come from one BLAS matrix product, which
+    # OpenBLAS may split across threads once it is large enough (at m = 256
+    # it is 3 x 3 x 33153 multiply-adds); the split must not change a bit
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-c", GRID_BITS], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]
+
+
+def test_grid_on_a_sliver_of_scale_1e160_stays_in_the_triangle():
+    # the window corners' projection used to form b * y, which overflows
+    # here: its inside test then accepted far corners, and the lattice
+    # multiplied inf by 0
+    tri = CanonicalTriangle(1.0, 1e160, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt, value = grid_search(tri, 5.0)
+    assert contains(tri, pt) and math.isfinite(value)
+    # a lattice over a 2e160-wide triangle resolves the height only coarsely
+    truth = minimize_closed_form(tri, 5.0).value
+    assert truth <= value < truth * (1.0 + 1e-3)
+
+
+def test_projection_of_a_far_point_beyond_the_products_range():
+    # b * y = 1e320 overflowed, the inside test's margin became inf and
+    # accepted the point unchanged
+    tri = CanonicalTriangle(1.0, 1e160, 1e160)
+    assert project_to_triangle(tri, (0.0, 1e160)) == (0.0, 1.0)
+    assert project_to_triangle(tri, (3e159, -5.0)) == (3e159, 0.0)
+
+
 # lattice scan ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [*range(1, 66), 1.01, 4.5])
+def test_block_power_matches_pow_to_the_squarings_roundoff(n):
+    # repeated squaring for integral n <= 64 errs by at most about
+    # (n - 1) roundings relative; np.power is off by up to one more
+    s = np.random.default_rng(7).uniform(0.0, 3.0, (3, 50))
+    s[0, 0] = 0.0
+    got = _block_power(s, float(n), np.empty_like(s))
+    want = np.power(s, float(n))
+    assert np.all(np.abs(got - want) <= (n + 1) * np.finfo(float).eps * want)
+    if n in (1, 2):
+        assert np.array_equal(got, want)
+
+
+def test_lattice_value_is_inf_where_the_winners_power_overflows():
+    # the winner's value is recomputed with Python's float power, which
+    # raises OverflowError bare; the scan must return inf instead
+    tri = CanonicalTriangle(3e100, 1e100, 2e100)
+    with np.errstate(over="ignore"):
+        x, y, f = _lattice_best(tri.a, tri.b, tri.c, 5.0, 8, tri.vertices(), _lattice_scratch(8))
+    assert f == math.inf and math.isfinite(x) and math.isfinite(y)
+
 
 def _loop_slacks(a, b, c, x, y):
     p = math.hypot(a, b)
@@ -298,6 +376,37 @@ def test_descent_refuses_a_start_value_it_cannot_normalize():
         projected_gradient(TINY, 2.0)
     with pytest.raises(ArithmeticError):
         compare(TINY, 2.0)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-150])
+def test_descent_step_clamps_follow_the_triangles_scale(scale):
+    # the step, a length squared, was clamped to [1e-30, 1e30] absolute:
+    # at 1e-20 the lower clamp kept it far too large and the descent cycled
+    # for 103 728 iterations, and at 1e-150 it ran for minutes
+    tri = CanonicalTriangle(scale, scale, scale)
+    res = projected_gradient(tri, 2.0)
+    truth = minimize_closed_form(tri, 2.0)
+    assert res.iterations < 100
+    assert math.dist(res.point, truth.point_canonical) < 1e-8 * scale
+
+
+def test_descent_does_not_spin_on_a_sliver_of_huge_aspect():
+    # Step clamps in units of the squared diameter instead of a * a would
+    # cap the step near 3e130 here; the line search then halves it back on
+    # every iteration, for 13 329 iterations and 13 s of run time.
+    # Clamped at 1e30 * a * a the descent stops early, short of the
+    # minimizer 1e48 along the valley, and the grid is the better oracle.
+    tri = CanonicalTriangle(1.0, 1e50, 0.7e50)
+    res = projected_gradient(tri, 5.0)
+    assert res.iterations < 1000
+    assert res.value >= minimize_closed_form(tri, 5.0).value
+
+
+def test_descent_refuses_a_start_value_that_underflows_to_zero():
+    # F at the centroid is (1e-80)^5 = 0: the run used to normalize by 1
+    # instead and return the centroid as the minimizer
+    with pytest.raises(OverflowError, match="1 / 0.0"):
+        projected_gradient(CanonicalTriangle(1e-80, 2e-80, 3e-80), 5.0)
 
 
 # compare --------------------------------------------------------------------

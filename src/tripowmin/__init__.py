@@ -13,10 +13,8 @@ from .closed_form import (
     DerivedConstants,
     MinimizerResult,
     VertexMinimum,
-    VertexValues,
     minimize_closed_form,
     minimize_n1,
-    vertex_values,
 )
 from .errors import (
     DegenerateTriangle,
@@ -27,21 +25,15 @@ from .errors import (
     TriPowMinError,
 )
 from .geometry import (
-    Altitudes,
     CanonicalTriangle,
     GeneralTriangle,
     Isometry,
     Point,
-    SideDistances,
     altitudes,
     canonicalize,
-    contains,
     incenter,
-    project_to_triangle,
-    side_distances,
 )
 from .kkt import (
-    HessianInfo,
     KktReport,
     Verdict,
     evaluate_F,
@@ -52,41 +44,34 @@ from .kkt import (
 from .oracle import (
     DiscrepancyReport,
     OracleConfig,
-    PgResult,
     compare,
     grid_search,
     projected_gradient,
 )
-from .sampling import random_canonical_triangle, random_general_triangle
+from .sampling import random_general_triangle
 
 __all__ = [
     "__version__",
-    "Altitudes",
     "CanonicalTriangle",
     "DegenerateTriangle",
     "DerivedConstants",
     "DidNotConverge",
     "DiscrepancyReport",
     "GeneralTriangle",
-    "HessianInfo",
     "InvalidExponent",
     "Isometry",
     "KktReport",
     "MinimizerResult",
     "OracleConfig",
-    "PgResult",
     "Point",
     "PointNotFeasible",
     "PointNotInterior",
-    "SideDistances",
     "TriPowMinError",
     "Verdict",
     "VertexMinimum",
-    "VertexValues",
     "altitudes",
     "canonicalize",
     "compare",
-    "contains",
     "evaluate_F",
     "gradient",
     "grid_search",
@@ -95,10 +80,6 @@ __all__ = [
     "kkt_residual",
     "minimize_closed_form",
     "minimize_n1",
-    "project_to_triangle",
     "projected_gradient",
-    "random_canonical_triangle",
     "random_general_triangle",
-    "side_distances",
-    "vertex_values",
 ]

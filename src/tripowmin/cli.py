@@ -49,11 +49,19 @@ def _kv(fields: dict) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in fields.items())
 
 
-def _json_default(obj):
-    # the one non-JSON field of a KktReport: its verdict
+def _jsonable(obj):
+    """``obj`` in JSON's (RFC 8259) terms, at any depth: a verdict (the one
+    non-JSON field of a KktReport) by its value, and each non-finite
+    float, which JSON has no literal for, as None, written null."""
+    if isinstance(obj, float):
+        return obj if -math.inf < obj < math.inf else None
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, Verdict):
         return obj.value
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return obj
 
 
 def _parse_pair(token: str) -> tuple[float, float]:
@@ -134,7 +142,7 @@ def cmd_solve(args) -> int:
     }
     kkt, oracle = doc["kkt"], doc["oracle"]
     if args.format == "json":
-        print(json.dumps(doc, indent=2, default=_json_default))
+        print(json.dumps(_jsonable(doc), indent=2, allow_nan=False))
     elif args.format == "csv":
         mc, mo = doc["minimizer"], doc["minimizer_original"]
         writer = csv.writer(sys.stdout)
@@ -207,7 +215,7 @@ def cmd_sequence(args) -> int:
             "rows": rows,
             "limit": _point_dict(inc_o),
         }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps(_jsonable(doc), indent=2, allow_nan=False))
         return 0
     table = [["n", "x", "y", "value", "dist_to_incenter"]]
     table += [[_fmt(v) for v in row.values()] for row in rows]

@@ -35,26 +35,32 @@ class DerivedConstants(NamedTuple):
 
 @dataclass(frozen=True, init=False)
 class MinimizerResult:
+    """The minimizer of the powered-distance sum over ``triangle``.
+    ``constants``, the paper's, are computed when read."""
+
+    triangle: CanonicalTriangle
     point_canonical: Point
     point_original: Point
     value: float
-    constants: DerivedConstants
     exponent: float
 
-    def __init__(self, point_canonical, point_original, value, constants, exponent):
+    def __init__(self, triangle, point_canonical, point_original, value, exponent):
         # each field stored once, as in geometry's constructors
         fields = self.__dict__
+        fields["triangle"] = triangle
         fields["point_canonical"] = point_canonical
         fields["point_original"] = point_original
         fields["value"] = value
-        fields["constants"] = constants
         fields["exponent"] = exponent
 
-
-class VertexValues(NamedTuple):
-    f_a: float
-    f_b: float
-    f_c: float
+    @property
+    def constants(self) -> DerivedConstants:
+        tri = self.triangle
+        inv = 1.0 / (self.exponent - 1.0)
+        p, q, base = _side_lengths(tri.a, tri.b, tri.c)
+        t = _pow_or_inf(p / q, inv)
+        r = _pow_or_inf(base / q, inv)
+        return DerivedConstants(p, q, t, r, q + base * r + p * t)
 
 
 class VertexMinimum(NamedTuple):
@@ -64,8 +70,7 @@ class VertexMinimum(NamedTuple):
 
 
 def _pow_or_inf(base: float, n: float) -> float:
-    # double overflow surfaces as +inf, not an exception; the minimizing
-    # point stays finite even when the value leaves the double range
+    """base ** n, or inf where that leaves the doubles and ** raises."""
     try:
         return base ** n
     except OverflowError:
@@ -88,25 +93,14 @@ def minimize_closed_form(
     n = _check_exponent(n)
     a, b, c = tri.a, tri.b, tri.c
     inv = 1.0 / (n - 1.0)
-    p, q, base = lengths = _side_lengths(a, b, c)
-    x, y, h, tot = _trilinear_point(a, b, c, lengths, inv)
+    x, y, h, tot = _trilinear_point(a, b, c, _side_lengths(a, b, c), inv)
     if not (math.isfinite(x) and math.isfinite(y)):
         raise OverflowError(
             f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
         )
-    t = _pow_or_inf(p / q, inv)
-    r = _pow_or_inf(base / q, inv)
-    constants = tuple.__new__(DerivedConstants, (p, q, t, r, q + base * r + p * t))
     point = _point((x, y))
     original = point if isometry is None else isometry.to_original(point)
-    return MinimizerResult(point, original, _pow_or_inf(h, n) * tot, constants, n)
-
-
-def vertex_values(tri: CanonicalTriangle, n) -> VertexValues:
-    """Objective at the three vertices: each vertex's altitude to the n-th
-    power, a^n, (a(b+c)/q)^n and (a(b+c)/p)^n."""
-    n = _check_exponent(n, allow_one=True)
-    return VertexValues(*(_pow_or_inf(h, n) for h in altitudes(tri)))
+    return MinimizerResult(tri, point, original, _pow_or_inf(h, n) * tot, n)
 
 
 def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:

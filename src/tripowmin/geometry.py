@@ -213,12 +213,6 @@ class Isometry:
         return _point((ca * x + sa * y, -sa * x + ca * y))
 
 
-class SideDistances(NamedTuple):
-    d1: float  # to the line through (0, a) and (-b, 0)
-    d2: float  # to the line through (0, a) and (c, 0)
-    d3: float  # to the base line y = 0
-
-
 class Altitudes(NamedTuple):
     h_a: float
     h_b: float
@@ -387,62 +381,44 @@ def _seg_closest(px, py, ax, ay, bx, by):
     return ax + t * vx, ay + t * vy
 
 
-def _project_point(a, b, c, x, y):
-    """Nearest point of the closed triangle; ties go to the first edge tried.
+def _projector(a, b, c):
+    """``project(x, y)``: the nearest point of the closed triangle as an
+    (x, y) pair; ties go to the first edge tried.
 
     Points inside by a roundoff-level margin are returned unchanged, which
     makes repeated projection bit-stable. The work runs on a, b, c, x, y
     scaled by a power of two, as in ``canonicalize``, so that products
-    such as b * y neither overflow nor underflow. The scaling and the
-    scaling back are exact, but for a coordinate hundreds of orders of
-    magnitude below the triangle's size, which is 0 against it anyway.
+    such as b * y neither overflow nor underflow; the scale is found once
+    here, not per point. The scaling and the scaling back are exact, but
+    for a coordinate hundreds of orders of magnitude below the triangle's
+    size, which is 0 against it anyway.
     """
     ldexp = math.ldexp
     shift = -math.frexp(max(a, b, c))[1]
-    ox, oy = x, y
     a, b, c = ldexp(a, shift), ldexp(b, shift), ldexp(c, shift)
-    x, y = ldexp(x, shift), ldexp(y, shift)
-    g1 = a * x - b * y + a * b
-    g2 = -a * x - c * y + a * c
-    e1 = 1e-14 * (a * b + abs(a * x) + abs(b * y))
-    e2 = 1e-14 * (a * c + abs(a * x) + abs(c * y))
-    if g1 >= -e1 and g2 >= -e2 and y >= 0.0:
-        return ox, oy
-    bx, by = _seg_closest(x, y, 0.0, a, -b, 0.0)
-    bd = (bx - x) * (bx - x) + (by - y) * (by - y)
-    cx, cy = _seg_closest(x, y, 0.0, a, c, 0.0)
-    d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
-    if d < bd:
-        bx, by, bd = cx, cy, d
-    cx, cy = _seg_closest(x, y, -b, 0.0, c, 0.0)
-    d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
-    if d < bd:
-        bx, by, bd = cx, cy, d
-    return ldexp(bx, -shift), ldexp(by, -shift)
+    ab, ac = a * b, a * c
 
+    def project(ox, oy):
+        x, y = ldexp(ox, shift), ldexp(oy, shift)
+        g1 = a * x - b * y + ab
+        g2 = -a * x - c * y + ac
+        e1 = 1e-14 * (ab + abs(a * x) + abs(b * y))
+        e2 = 1e-14 * (ac + abs(a * x) + abs(c * y))
+        if g1 >= -e1 and g2 >= -e2 and y >= 0.0:
+            return ox, oy
+        bx, by = _seg_closest(x, y, 0.0, a, -b, 0.0)
+        bd = (bx - x) * (bx - x) + (by - y) * (by - y)
+        cx, cy = _seg_closest(x, y, 0.0, a, c, 0.0)
+        d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
+        if d < bd:
+            bx, by, bd = cx, cy, d
+        cx, cy = _seg_closest(x, y, -b, 0.0, c, 0.0)
+        d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
+        if d < bd:
+            bx, by, bd = cx, cy, d
+        return ldexp(bx, -shift), ldexp(by, -shift)
 
-def side_distances(tri: CanonicalTriangle, point) -> SideDistances:
-    """Unsigned distances from a point to the three side lines."""
-    s1, s2, s3 = _side_slacks(tri.a, tri.b, tri.c, float(point[0]), float(point[1]))
-    return SideDistances(abs(s1), abs(s2), abs(s3))
-
-
-def contains(tri: CanonicalTriangle, point) -> bool:
-    """Closed-triangle membership with a roundoff-level cushion.
-
-    The cushion (~1e-12 of the local scale) admits points whose half-plane
-    expressions sit an ulp below zero, which is exactly what projected
-    boundary points look like.
-    """
-    x, y = float(point[0]), float(point[1])
-    eps = 1e-12 * (tri.a + tri.b + tri.c + abs(x) + abs(y))
-    s1, s2, s3 = _side_slacks(tri.a, tri.b, tri.c, x, y)
-    return s1 >= -eps and s2 >= -eps and s3 >= -eps
-
-
-def project_to_triangle(tri: CanonicalTriangle, point) -> Point:
-    """Nearest point of the closed triangle (idempotent)."""
-    return _point(_project_point(tri.a, tri.b, tri.c, float(point[0]), float(point[1])))
+    return project
 
 
 def incenter(tri: CanonicalTriangle) -> Point:

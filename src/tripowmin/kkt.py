@@ -45,7 +45,8 @@ class Verdict(enum.Enum):
 
 
 class HessianInfo(NamedTuple):
-    """Second derivatives of the objective at an interior point."""
+    """Second derivatives of the objective at an interior point; a
+    determinant beyond the doubles reads inf."""
 
     fxx: float
     fxy: float
@@ -56,7 +57,8 @@ class HessianInfo(NamedTuple):
 @dataclass(frozen=True, init=False)
 class KktReport:
     """``multipliers`` are per side (AB, AC, BC) and per unit normal, so in
-    the gradient's units; the Hessian fields are NaN on the boundary."""
+    the gradient's units; the Hessian fields are NaN on the boundary, and
+    a determinant beyond the doubles reads inf."""
 
     active_set: tuple[str, ...]
     multipliers: tuple[float, float, float]
@@ -87,10 +89,23 @@ class KktReport:
         fields["verdict"] = verdict
 
 
+def _beyond_doubles(slacks, power) -> OverflowError:
+    """The error for the slack whose ``power`` leaves the doubles (the
+    largest, or the smallest for a negative power), where float ``**``
+    raises with a bare errno that names neither."""
+    d = (max if power > 0.0 else min)(map(abs, slacks))
+    return OverflowError(
+        f"side distance {d!r} to the power {power!r} is beyond the doubles"
+    )
+
+
 def _power_sum(slacks, n):
     """Sum of the n-th powers of the absolute slacks."""
     s1, s2, s3 = slacks
-    return abs(s1) ** n + abs(s2) ** n + abs(s3) ** n
+    try:
+        return abs(s1) ** n + abs(s2) ** n + abs(s3) ** n
+    except OverflowError:
+        raise _beyond_doubles(slacks, n) from None
 
 
 def _power_sum_grad(normals, slacks, n):
@@ -102,9 +117,12 @@ def _power_sum_grad(normals, slacks, n):
     """
     (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
     s1, s2, s3 = slacks
-    d1 = s1 ** (n - 1.0) if s1 > 0.0 else 0.0
-    d2 = s2 ** (n - 1.0) if s2 > 0.0 else 0.0
-    d3 = s3 ** (n - 1.0) if s3 > 0.0 else 0.0
+    try:
+        d1 = s1 ** (n - 1.0) if s1 > 0.0 else 0.0
+        d2 = s2 ** (n - 1.0) if s2 > 0.0 else 0.0
+        d3 = s3 ** (n - 1.0) if s3 > 0.0 else 0.0
+    except OverflowError:
+        raise _beyond_doubles(slacks, n - 1.0) from None
     gx = n * u1x * d1 + n * u2x * d2 + n * u3x * d3
     gy = n * u1y * d1 + n * u2y * d2 + n * u3y * d3
     return gx, gy
@@ -132,8 +150,9 @@ def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
 
     The determinant field comes from the pairwise cross products of the
     side normals rather than fxx*fyy - fxy^2; both agree to roundoff and
-    the tests cross-check them. Raises like ``kkt_residual`` where the
-    slacks leave the double range.
+    the tests cross-check them; a determinant beyond the doubles reads
+    inf. Raises like ``kkt_residual`` where the slacks or their powers
+    leave the double range.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
@@ -169,7 +188,10 @@ def _hessian(normals, slacks, n: float):
     independent."""
     (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
     s1, s2, s3 = slacks
-    w1, w2, w3 = s1 ** (n - 2.0), s2 ** (n - 2.0), s3 ** (n - 2.0)
+    try:
+        w1, w2, w3 = s1 ** (n - 2.0), s2 ** (n - 2.0), s3 ** (n - 2.0)
+    except OverflowError:
+        raise _beyond_doubles(slacks, n - 2.0) from None
     nn = n * (n - 1.0)
     fxx = nn * (w1 * u1x * u1x + w2 * u2x * u2x + w3 * u3x * u3x)
     fxy = nn * (w1 * u1x * u1y + w2 * u2x * u2y + w3 * u3x * u3y)
@@ -230,7 +252,8 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     The slacks are formed once; the gradient, the multipliers and the
     Hessian fields all come from them and the unit normals. Raises
     FloatingPointError or OverflowError where the slacks leave the double
-    range, and FloatingPointError where G is below the normal doubles.
+    range, OverflowError naming the power where a power of a slack does,
+    and FloatingPointError where G is below the normal doubles.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])

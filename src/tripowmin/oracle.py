@@ -18,10 +18,10 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .closed_form import minimize_closed_form
+from .closed_form import _pow_or_inf, minimize_closed_form
 from .errors import DidNotConverge, _check_exponent
 from .geometry import (
-    CanonicalTriangle, Point, _normals, _project_point, _side_lengths, _slacks
+    CanonicalTriangle, Point, _normals, _projector, _side_lengths, _slacks
 )
 from .kkt import _power_sum, _power_sum_grad
 
@@ -90,14 +90,6 @@ def _lattice_scratch(m):
     return np.empty((3, size)), np.empty((3, size)), np.empty(size)
 
 
-def _pow(d, n):
-    """d ** n for d >= 0, inf where it overflows instead of raising."""
-    try:
-        return d ** n
-    except OverflowError:
-        return math.inf
-
-
 def _block_power(s, n, out):
     """s ** n elementwise for s >= 0, in ``out`` unless n = 1 (then s).
 
@@ -154,9 +146,9 @@ def _lattice_best(a, b, c, n, m, window, scratch):
     return (
         ka * w1x + kb * w2x + kc * w3x,
         ka * w1y + kb * w2y + kc * w3y,
-        _pow(abs(ka * s11 + kb * s21 + kc * s31), n)
-        + _pow(abs(ka * s12 + kb * s22 + kc * s32), n)
-        + _pow(abs(ka * s13 + kb * s23 + kc * s33), n),
+        _pow_or_inf(abs(ka * s11 + kb * s21 + kc * s31), n)
+        + _pow_or_inf(abs(ka * s12 + kb * s22 + kc * s32), n)
+        + _pow_or_inf(abs(ka * s13 + kb * s23 + kc * s33), n),
     )
 
 
@@ -192,6 +184,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     window = list(tri.vertices())
     radius = tri.diameter()
     half_rt3 = 0.5 * math.sqrt(3.0)
+    project = _projector(a, b, c)
     scratch = _lattice_scratch(cfg.grid_resolution)
     best_x, best_y, best_f = 0.0, 0.0, math.inf
     for _ in range(cfg.zoom_iterations + 1):
@@ -202,9 +195,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
         for k, (ox, oy) in enumerate(
             ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
         ):
-            window[k] = _project_point(
-                a, b, c, best_x + radius * ox, best_y + radius * oy
-            )
+            window[k] = project(best_x + radius * ox, best_y + radius * oy)
     return Point(best_x, best_y), float(best_f)
 
 
@@ -247,7 +238,8 @@ def _pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
     s_min = 1e-30 * a * a
     s_max = min(1e30 * a * a, sys.float_info.max)
     normals = _normals(a, b, c, p, q)
-    x, y = _project_point(a, b, c, x0, y0)
+    project = _projector(a, b, c)
+    x, y = project(x0, y0)
     sl = _slacks(a, b, c, p, q, x, y)
     f0 = _power_sum(sl, n)
     inv0 = 1.0 / f0 if f0 > 0.0 else math.inf
@@ -267,7 +259,7 @@ def _pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
     while it < max_iters and s * gn > tol:
         fmax = max(hist)
         while s * gn > tol:
-            cx, cy = _project_point(a, b, c, x - s * gx, y - s * gy)
+            cx, cy = project(x - s * gx, y - s * gy)
             dx = cx - x
             dy = cy - y
             if dx != 0.0 or dy != 0.0:
@@ -312,8 +304,6 @@ def _pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
             mark, span = it, 2 * span
             kx, ky, ks, khist = x, y, s, hist[oldest:] + hist[:oldest]
     return bx, by, bf / inv0, it, s * gn, it >= max_iters
-
-
 
 
 def projected_gradient(

@@ -1,13 +1,11 @@
-"""Seeded random triangle generators for randomized checks.
-
-Each takes a ``numpy.random.Generator`` and calls only its ``uniform``.
-"""
+"""Seeded random triangles for randomized checks, drawn from a
+``numpy.random.Generator`` through its ``uniform`` alone."""
 
 from __future__ import annotations
 
 import math
 
-from .geometry import CanonicalTriangle, GeneralTriangle
+from .geometry import GeneralTriangle
 
 
 def random_general_triangle(rng) -> GeneralTriangle:
@@ -25,9 +23,3 @@ def random_general_triangle(rng) -> GeneralTriangle:
             return GeneralTriangle(v[0], v[1], v[2])
     raise RuntimeError("rejection sampling failed to produce a triangle")
 
-
-def random_canonical_triangle(rng) -> CanonicalTriangle:
-    """Apex-frame triangle with a in [0.2, 5] and b, c in [0.1, 4], uniform."""
-    return CanonicalTriangle(
-        rng.uniform(0.2, 5.0), rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
-    )

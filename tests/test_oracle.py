@@ -4,6 +4,7 @@ and honest failure when an iteration budget is too small."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 from tripowmin.closed_form import minimize_closed_form
-from tripowmin.errors import DidNotConverge, InvalidExponent
+from tripowmin.errors import (
+    DidNotConverge, InvalidExponent, PointNotInterior, TriPowMinError
+)
 from tripowmin.geometry import CanonicalTriangle, GeneralTriangle, _projector, canonicalize
 from tripowmin.kkt import evaluate_F
 from tripowmin.oracle import (
-    OracleConfig, _block_power, _lattice_best, _lattice_scratch, _pg_minimize, compare,
+    OracleConfig, _block_power, _discrepancy, _lattice_best, _lattice_scratch, compare,
     grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
@@ -286,9 +289,11 @@ def test_descent_from_near_vertex_start():
     assert np.hypot(res.point[0] - 7.0 / 32.0, res.point[1] - 27.0 / 32.0) < 1e-8
 
 
-def test_descent_from_exterior_start_projects_first():
-    res = projected_gradient(WORKED, 2.0, start=np.array([50.0, -30.0]))
-    assert np.hypot(res.point[0] - 7.0 / 32.0, res.point[1] - 27.0 / 32.0) < 1e-8
+def test_descent_refuses_an_exterior_start():
+    # Newton's steps stay inside the open triangle, so they need an
+    # interior start; nothing is projected
+    with pytest.raises(PointNotInterior):
+        projected_gradient(WORKED, 2.0, start=np.array([50.0, -30.0]))
 
 
 def test_descent_keeps_isosceles_symmetry_exactly():
@@ -323,30 +328,15 @@ def test_descent_converged_result_stable_under_longer_budget():
 
 
 # A sliver at n = 1.01 (perfbench seed 204, case 668) on which the
-# non-monotone search locks into a period-2 roundoff cycle. Run to the cap,
-# it spins there for 200 000 iterations and returns these same bits.
+# spectral projected gradient descent locked into a period-2 roundoff cycle
 CYCLING = CanonicalTriangle(36.29203748228868, 7.013765963112165, 277.6955932065455)
 
 
-def test_descent_stops_on_an_exact_cycle():
-    res = projected_gradient(CYCLING, 1.01, config=OracleConfig(pg_max_iters=200_000))
-    assert res.point == (-1.116746991587859, 30.513540753128346)
-    assert res.value == 37.554006473399156
-    assert res.iterations < 1000
-
-
-@pytest.mark.parametrize(
-    "cap, residual", [(200_000, 2.538608576712332e-07), (200_001, 1.269304288356166e-07)]
-)
-def test_descent_cycle_exit_reports_the_capped_residual(cap, residual):
-    # the two phases of the cycle have different step * |grad|; a cycle exit
-    # reports the one the capped run ends on, so DidNotConverge decides alike
-    a, b, c = CYCLING.a, CYCLING.b, CYCLING.c
-    *_, iters, got, capped = _pg_minimize(
-        a, b, c, 1.01, (c - b) / 3.0, a / 3.0, 0.1 * CYCLING.diameter(), 1e-10 * a, cap
-    )
-    assert capped and iters < 1000
-    assert got == residual
+def test_descent_converges_on_a_sliver_near_n1():
+    res = projected_gradient(CYCLING, 1.01)
+    truth = minimize_closed_form(CYCLING, 1.01).value
+    assert res.iterations <= 20
+    assert abs(res.value - truth) <= 1e-12 * truth
 
 
 def test_descent_rejects_subunit_exponent():
@@ -390,15 +380,14 @@ def test_descent_step_clamps_follow_the_triangles_scale(scale):
 
 
 def test_descent_does_not_spin_on_a_sliver_of_huge_aspect():
-    # Step clamps in units of the squared diameter instead of a * a would
-    # cap the step near 3e130 here; the line search then halves it back on
-    # every iteration, for 13 329 iterations and 13 s of run time.
-    # Clamped at 1e30 * a * a the descent stops early, short of the
-    # minimizer 1e48 along the valley, and the grid is the better oracle.
+    # the minimizer is 1e48 along the valley from the centroid; a step
+    # clamped in units of a * a stopped short of it, and one clamped in
+    # units of the squared diameter was halved back on every iteration
     tri = CanonicalTriangle(1.0, 1e50, 0.7e50)
     res = projected_gradient(tri, 5.0)
+    cf = minimize_closed_form(tri, 5.0)
     assert res.iterations < 1000
-    assert res.value >= minimize_closed_form(tri, 5.0).value
+    assert cf.value * (1.0 - 1e-14) <= res.value <= cf.value * (1.0 + 1e-12)
 
 
 def test_descent_refuses_a_start_value_that_underflows_to_zero():
@@ -406,6 +395,64 @@ def test_descent_refuses_a_start_value_that_underflows_to_zero():
     # instead and return the centroid as the minimizer
     with pytest.raises(OverflowError, match="1 / 0.0"):
         projected_gradient(CanonicalTriangle(1e-80, 2e-80, 3e-80), 5.0)
+
+
+@pytest.mark.parametrize(
+    "abc, n",
+    [
+        # perfbench oracle-compare seed 210 case 56, seed 1 case 100 and
+        # seed 214 case 964, canonicalized: the spectral descent locked into
+        # exact cycles far from the minimizer and raised DidNotConverge
+        ((38.49906135225482, 199.14124018550305, 13.903690280291988), 1.01),
+        ((0.059645666874670294, 0.016446450689584207, 0.08389681925202555), 1.01),
+        ((29.618396818977242, 34.63880014220831, 7.615272445374764), 1.01),
+        # a first step of 0.1 * diameter, a length where the step is a
+        # length squared, returned the centroid after 0 iterations
+        ((3e10, 1e10, 2e10), 2.0),
+        # step clamps in units of a * a stopped at F = 0.12548 against 0.08630
+        ((1.0, 1e10, 0.7e10), 5.0),
+    ],
+)
+def test_descent_reaches_the_closed_form(abc, n):
+    tri = CanonicalTriangle(*abc)
+    res = projected_gradient(tri, n)
+    truth = minimize_closed_form(tri, n)
+    assert abs(res.value - truth.value) <= 1e-12 * truth.value
+    assert math.dist(res.point, truth.point_canonical) <= 1e-10 * tri.diameter()
+
+
+def _extreme_case(rng):
+    # scales 1e-12..1e12; regular shapes, flat ones with apex height down
+    # to 1e-8 and needles with base down to 1e-6 of the height; n - 1
+    # log-uniform from 1e-4 to 59
+    scale = 10.0 ** rng.uniform(-12.0, 12.0)
+    kind = rng.randrange(3)
+    if kind == 0:
+        a, b, c = rng.uniform(0.2, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)
+    elif kind == 1:
+        a, b, c = 10.0 ** rng.uniform(-8.0, 0.0), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
+    else:
+        width = 10.0 ** rng.uniform(-6.0, 0.0)
+        a, b, c = 1.0, width * rng.uniform(0.05, 1.0), width * rng.uniform(0.05, 1.0)
+    n = 1.0 + 10.0 ** rng.uniform(-4.0, math.log10(59.0))
+    return CanonicalTriangle(scale * a, scale * b, scale * c), n
+
+
+def test_descent_on_extreme_inputs_is_right_or_refuses():
+    rng = random.Random(1707)
+    answered = 0
+    for _ in range(1000):
+        tri, n = _extreme_case(rng)
+        try:
+            res = projected_gradient(tri, n)
+        except (TriPowMinError, ArithmeticError):
+            continue
+        truth = minimize_closed_form(tri, n)
+        assert abs(res.value - truth.value) <= 1e-8 * truth.value, (tri, n)
+        assert math.dist(res.point, truth.point_canonical) <= 1e-5 * tri.diameter(), (tri, n)
+        answered += 1
+    # refusals are for F or the Hessian beyond the normal doubles
+    assert answered >= 950
 
 
 # compare --------------------------------------------------------------------
@@ -431,6 +478,18 @@ def test_closed_form_never_above_oracle():
         for n in (2.0, 5.0):
             rep = compare(tri, n, OracleConfig(pg_max_iters=200_000))
             assert rep.closed_form_value <= rep.oracle_value * (1 + 1e-12)
+
+
+def test_value_gap_stays_relative_below_1e300():
+    # the gap was divided by max(|a|, |b|, 1e-300), so it read a 0.1% gap
+    # between values near 1e-307 as 1e-10
+    rep = _discrepancy((0.0, 0.0), 1.001e-307, (0.0, 0.0), 1e-307, 1.0, 1e-8)
+    assert rep.value_gap_rel == pytest.approx(1e-3 / 1.001, rel=1e-9)
+    assert not rep.passed
+    rep = compare(CanonicalTriangle(3e-153, 1e-153, 2e-153), 2.0)
+    gap = abs(rep.closed_form_value - rep.oracle_value)
+    assert rep.value_gap_rel == gap / max(rep.closed_form_value, rep.oracle_value)
+    assert _discrepancy((0.0, 0.0), 0.0, (0.0, 0.0), 0.0, 1.0, 0.0).value_gap_rel == 0.0
 
 
 def test_compare_rejects_n1():

@@ -7,7 +7,7 @@ runs both against the closed form and reports the gaps.
 Only the lattice scan uses numpy, imported inside the functions that need
 it, so ``import tripowmin`` and the descent run without it. The scan
 evaluates each lattice pass as whole-block array operations: one matrix
-product for the side slacks, one power and one sum.
+product for the side slacks, one power and two adds.
 """
 
 from __future__ import annotations
@@ -33,11 +33,16 @@ _TINY = sys.float_info.min
 class OracleConfig:
     """Knobs for both oracles.
 
-    ``zoom_iterations`` counts the window-shrink steps after the initial
-    full-triangle scan.
+    ``grid_resolution`` is the number of lattice steps along each side of
+    a grid pass's window, so a pass scans (m + 1)(m + 2)/2 points: 4753 at
+    the default 96. ``zoom_iterations`` counts the window-shrink steps
+    after the initial full-triangle scan. With the windows centred on each
+    pass's winner, 96 with 10 zooms misses verify's tolerances on fewer
+    oracle-compare cases than 128 did with windows on the running best;
+    64 and 80 resolve the height of a 1e160 sliver too coarsely.
     """
 
-    grid_resolution: int = 128
+    grid_resolution: int = 96
     zoom_iterations: int = 10
     # the descent stops within tens of steps; the cap only bounds a run
     # that cannot meet its stopping rule
@@ -92,7 +97,8 @@ def _lattice_scratch(m):
 
 
 def _block_power(s, n, out):
-    """s ** n elementwise for s >= 0, in ``out`` unless n = 1 (then s).
+    """s ** n elementwise for s >= 0, in ``out`` unless n = 1 (then s);
+    for any s when n is even and at most 64, whose last step squares.
 
     Integral n up to 64 goes by repeated squaring, left to right over the
     bits of n: n = 5 takes three multiplies and n = 10 four, each far
@@ -113,25 +119,27 @@ def _block_power(s, n, out):
     return power
 
 
-def _lattice_best(a, b, c, n, m, window, scratch):
+def _lattice_best(a, b, c, p, q, n, m, window, scratch):
     """Best point of the barycentric lattice of resolution m over the window
     triangle whose vertices are the three (x, y) pairs of ``window``;
-    returns (x, y, f), lowest lattice index on ties. ``scratch`` comes from
+    returns (x, y, f), lowest lattice index on ties. p and q are the side
+    lengths from ``_side_lengths(a, b, c)``; ``scratch`` comes from
     ``_lattice_scratch(m)`` and is overwritten.
 
     A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
     the point's slack is the same combination of the corners' slacks: one
     3x3 by 3xN product gives every side's slack at every point, and no
     coordinates are formed until the winner is known. One power over the
-    block (``_block_power``) and one sum over the sides give F at every
-    point. The winner's value is recomputed in plain floats from its own
-    slacks.
+    block (``_block_power``) and two in-place adds over the sides give F
+    at every point. The ``abs`` that folds roundoff-negative slacks is
+    skipped for even n up to 64, whose repeated squaring ends in a square
+    and so gives (-s)^n == s^n bit for bit. The winner's value is
+    recomputed in plain floats from its own slacks.
     """
     import numpy as np
 
     weights = _bary_weights(m)
     s, r, f = scratch
-    p, q, _ = _side_lengths(a, b, c)
     (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
     corners = np.array((
         _slacks(a, b, c, p, q, w1x, w1y),
@@ -139,8 +147,11 @@ def _lattice_best(a, b, c, n, m, window, scratch):
         _slacks(a, b, c, p, q, w3x, w3y),
     ))
     np.matmul(corners.T, weights, out=s)
-    np.abs(s, out=s)
-    np.add.reduce(_block_power(s, n, r), axis=0, out=f)
+    if not (n % 2 == 0 and n <= 64):
+        np.abs(s, out=s)
+    r1, r2, r3 = _block_power(s, n, r)
+    np.add(r1, r2, out=f)
+    np.add(f, r3, out=f)
     best = int(np.argmin(f))
     ka, kb, kc = weights[:, best].tolist()
     (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = corners.tolist()
@@ -157,46 +168,56 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     """Deterministic zooming lattice scan for n >= 1; returns (point, value).
 
     The first pass scans a barycentric lattice over the whole triangle.
-    Every later pass scans an equilateral window centered on the best
-    point seen so far, with the window radius shrinking by ZOOM_FACTOR
-    per pass; the running best only ever improves, so the returned value
-    is monotone in zoom_iterations. Equilateral windows keep the margin
-    around the running best isotropic, which matters on thin triangles:
-    a window shaped like the triangle itself leaves almost no room along
-    the short direction and can wall off the flat valley floor. Window
-    corners are re-projected onto the triangle, keeping the lattice
-    feasible when the minimizer sits on the boundary, as it does for
-    n = 1. Ties go to the lowest lattice index and nothing depends on
-    thread count, so reruns are bit-identical.
+    Every later pass scans an equilateral window centred on the winner of
+    the pass just scanned, with the window radius shrinking by ZOOM_FACTOR
+    per pass. The returned point is the best seen over all passes, so the
+    value is monotone in zoom_iterations.
 
-    A pass is a handful of numpy calls over one 3 x N block (N = 8385
-    points at the default resolution): one matrix product interpolates
-    every side's slack at every point from the window corners' slacks,
-    then one ``abs``, one power and one sum over the sides. For integral
-    n up to 64 the power is repeated squaring, a few multiplies over the
-    block; any other n, such as 1.01, takes one ``np.power``, which then
-    costs more than the rest of the pass together. Coordinates are formed
-    only for the winner. The work arrays belong to this call, so
-    concurrent scans share nothing.
+    Centring on the pass's winner rather than on the running best keeps
+    the windows following the valley on thin triangles. There the early
+    passes are full-height slabs, and the lattice's error across the
+    height outweighs the fall of F along the valley floor, so a pass that
+    has moved towards the minimizer can still score worse than an earlier,
+    staler point; windows kept on that stale point shrink around it until
+    the minimizer falls outside them. Equilateral windows keep the margin
+    around the centre isotropic, which matters on thin triangles too: a
+    window shaped like the triangle itself leaves almost no room along the
+    short direction and can wall off the valley floor. Window corners are
+    re-projected onto the triangle, keeping the lattice feasible when the
+    minimizer sits on the boundary, as it does for n = 1. Ties go to the
+    lowest lattice index and nothing depends on thread count, so reruns
+    are bit-identical.
+
+    A pass is a handful of numpy calls over one 3 x N block (N = 4753
+    points at the default resolution of 96): one matrix product
+    interpolates every side's slack at every point from the window
+    corners' slacks, then one power and two adds over the sides, after an
+    ``abs`` unless n is even and at most 64. For integral n up to 64 the
+    power is repeated squaring, a few multiplies over the block; any other
+    n, such as 1.01, takes one ``np.power``, which then costs more than the
+    rest of the pass together. Coordinates are formed only for the winner. The
+    work arrays belong to this call, so concurrent scans share nothing.
     """
     n = _check_exponent(n, allow_one=True)
     cfg = config if config is not None else OracleConfig()
     a, b, c = tri.a, tri.b, tri.c
+    p, q, _ = _side_lengths(a, b, c)
+    m = cfg.grid_resolution
     window = list(tri.vertices())
     radius = tri.diameter()
     half_rt3 = 0.5 * math.sqrt(3.0)
     project = _projector(a, b, c)
-    scratch = _lattice_scratch(cfg.grid_resolution)
+    scratch = _lattice_scratch(m)
     best_x, best_y, best_f = 0.0, 0.0, math.inf
     for _ in range(cfg.zoom_iterations + 1):
-        lx, ly, lf = _lattice_best(a, b, c, n, cfg.grid_resolution, window, scratch)
+        lx, ly, lf = _lattice_best(a, b, c, p, q, n, m, window, scratch)
         if lf < best_f:
             best_x, best_y, best_f = lx, ly, lf
         radius /= ZOOM_FACTOR
         for k, (ox, oy) in enumerate(
             ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
         ):
-            window[k] = project(best_x + radius * ox, best_y + radius * oy)
+            window[k] = project(lx + radius * ox, ly + radius * oy)
     return Point(best_x, best_y), float(best_f)
 
 

@@ -17,7 +17,9 @@ from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import (
     DidNotConverge, InvalidExponent, PointNotInterior, TriPowMinError
 )
-from tripowmin.geometry import CanonicalTriangle, GeneralTriangle, _projector, canonicalize
+from tripowmin.geometry import (
+    CanonicalTriangle, GeneralTriangle, _projector, _side_lengths, canonicalize
+)
 from tripowmin.kkt import evaluate_F
 from tripowmin.oracle import (
     OracleConfig, _block_power, _discrepancy, _lattice_best, _lattice_scratch, compare,
@@ -180,6 +182,40 @@ def test_grid_on_a_sliver_of_scale_1e160_stays_in_the_triangle():
     assert truth <= value < truth * (1.0 + 1e-3)
 
 
+def test_grid_follows_the_valley_of_a_thin_triangle():
+    # perfbench seed 0: windows centred on the running best stayed on a
+    # stale point while they shrank, and missed by 2.7e-5 * diameter
+    tri = CanonicalTriangle(
+        1.635462734213484e-06, 0.001230795720216599, 0.00025014204315872255
+    )
+    (x, y), value = grid_search(tri, 2.0)
+    truth = minimize_closed_form(tri, 2.0)
+    assert math.dist((x, y), truth.point_canonical) <= 1e-6 * tri.diameter()
+    assert truth.value <= value <= truth.value * (1.0 + 1e-9)
+
+
+def test_grid_misses_few_thin_triangles():
+    # thinness (height over base) 1e-3..1e-2, where each early pass is a
+    # full-height slab; 92 of these 800 miss, against 147 with windows
+    # centred on the running best and 128 lattice steps
+    # verify's tolerances, applied to the grid alone
+    rng = random.Random(15)
+    misses = 0
+    for k in range(800):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        tau = 10.0 ** rng.uniform(-3.0, -2.0)
+        b = rng.uniform(0.05, 0.95)
+        tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
+        n = (1.01, 2.0, 5.0, 10.0)[k % 4]
+        (x, y), value = grid_search(tri, n)
+        truth = minimize_closed_form(tri, n)
+        misses += (
+            math.dist((x, y), truth.point_canonical) > 1e-5 * tri.diameter()
+            or abs(value - truth.value) > 1e-8 * truth.value
+        )
+    assert misses <= 110
+
+
 def test_projection_of_a_far_point_beyond_the_products_range():
     # b * y = 1e320 overflowed, the inside test's margin became inf and
     # accepted the point unchanged
@@ -207,8 +243,11 @@ def test_lattice_value_is_inf_where_the_winners_power_overflows():
     # the winner's value is recomputed with Python's float power, which
     # raises OverflowError bare; the scan must return inf instead
     tri = CanonicalTriangle(3e100, 1e100, 2e100)
+    p, q, _ = _side_lengths(tri.a, tri.b, tri.c)
     with np.errstate(over="ignore"):
-        x, y, f = _lattice_best(tri.a, tri.b, tri.c, 5.0, 8, tri.vertices(), _lattice_scratch(8))
+        x, y, f = _lattice_best(
+            tri.a, tri.b, tri.c, p, q, 5.0, 8, tri.vertices(), _lattice_scratch(8)
+        )
     assert f == math.inf and math.isfinite(x) and math.isfinite(y)
 
 
@@ -246,7 +285,8 @@ def assert_lattice_matches_loop(args):
     # so the value may differ in the last bits; the chosen point may not
     a, b, c, n, m, window = args
     lx, ly, lf = _lattice_best_loop(*args)
-    vx, vy, vf = _lattice_best(*args, _lattice_scratch(m))
+    p, q, _ = _side_lengths(a, b, c)
+    vx, vy, vf = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
     assert (vx, vy) == (lx, ly)
     assert abs(vf - lf) <= 2.0 * np.spacing(lf)
     # The interpolated slacks differ from those of the returned point by
@@ -273,6 +313,14 @@ def test_lattice_twins_agree_on_shrunk_windows():
     # windows produced by zooming are not in canonical position
     window = np.array([[0.1, 0.7], [-0.4, 0.2], [0.8, 0.05]])
     assert_lattice_matches_loop((WORKED.a, WORKED.b, WORKED.c, 5.0, 64, window))
+
+
+@pytest.mark.parametrize("n", [2.0, 10.0])
+def test_lattice_twins_agree_on_a_window_poking_out(n):
+    # a corner 1e-12 below the base gives lattice points a negative slack;
+    # even n skips the abs, and (-s)^n must still equal s^n bit for bit
+    window = np.array([[0.1, 0.7], [-0.4, 0.2], [0.8, -1e-12]])
+    assert_lattice_matches_loop((WORKED.a, WORKED.b, WORKED.c, n, 64, window))
 
 
 # projected_gradient ---------------------------------------------------------
@@ -550,5 +598,5 @@ def test_config_validation(kwargs):
 
 def test_default_config_is_usable():
     cfg = OracleConfig()
-    assert cfg.grid_resolution == 128
+    assert cfg.grid_resolution == 96
     assert cfg.zoom_iterations == 10

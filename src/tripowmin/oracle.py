@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -26,18 +27,25 @@ from .geometry import (
 
 
 ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
+# thinness 2 * area / diameter^2 from which the grid scan's zoom passes
+# take the coarser lattice (see grid_search)
+_THIN = 0.05
 _TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Knobs for both oracles.
+    """Knobs for both oracles; each must be an integer.
 
-    ``grid_resolution`` is the number of lattice steps along each side of
-    a grid pass's window, so a pass scans (m + 1)(m + 2)/2 points: 4753 at
-    the default 96. ``zoom_iterations`` counts the window-shrink steps
-    after the initial full-triangle scan. With the windows centred on each
-    pass's winner, 96 with 10 zooms misses verify's tolerances on fewer
+    ``grid_resolution`` (m) is the number of lattice steps along each side
+    of a grid pass's window, so a pass scans (m + 1)(m + 2)/2 points: 4753
+    at the default 96. ``zoom_iterations`` counts the window-shrink steps
+    after the initial full-triangle scan. The first pass scans m steps on
+    every triangle, and so does every zoom pass on a thin one; on a
+    triangle that is not thin the zoom passes scan max(1, 7m // 16) steps
+    (946 points at the default) and there is one more of them, as
+    ``grid_search`` explains. With the windows centred on each pass's
+    winner, 96 with 10 zooms misses verify's tolerances on fewer
     oracle-compare cases than 128 did with windows on the running best;
     64 and 80 resolve the height of a 1e160 sliver too coarsely.
     """
@@ -49,12 +57,17 @@ class OracleConfig:
     pg_max_iters: int = 200_000
 
     def __post_init__(self):
-        if self.grid_resolution < 1:
-            raise ValueError("grid_resolution must be >= 1")
-        if self.zoom_iterations < 0:
-            raise ValueError("zoom_iterations must be >= 0")
-        if self.pg_max_iters < 1:
-            raise ValueError("pg_max_iters must be >= 1")
+        for name, low in (
+            ("grid_resolution", 1), ("zoom_iterations", 0), ("pg_max_iters", 1)
+        ):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}")
+            object.__setattr__(self, name, value)
 
 
 class PgResult(NamedTuple):
@@ -122,8 +135,9 @@ def _block_power(s, n, out):
 def _lattice_best(a, b, c, p, q, n, m, window, scratch):
     """Best point of the barycentric lattice of resolution m over the window
     triangle whose vertices are the three (x, y) pairs of ``window``;
-    returns (x, y, f), lowest lattice index on ties. p and q are the side
-    lengths from ``_side_lengths(a, b, c)``; ``scratch`` comes from
+    returns (x, y, slacks), the winner and its three side slacks, lowest
+    lattice index on ties. p and q are the side lengths from
+    ``_side_lengths(a, b, c)``; ``scratch`` comes from
     ``_lattice_scratch(m)`` and is overwritten.
 
     A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
@@ -133,8 +147,8 @@ def _lattice_best(a, b, c, p, q, n, m, window, scratch):
     block (``_block_power``) and two in-place adds over the sides give F
     at every point. The ``abs`` that folds roundoff-negative slacks is
     skipped for even n up to 64, whose repeated squaring ends in a square
-    and so gives (-s)^n == s^n bit for bit. The winner's value is
-    recomputed in plain floats from its own slacks.
+    and so gives (-s)^n == s^n bit for bit. The winner's slacks are
+    recomputed in plain floats from the corners', for ``_power_sum``.
     """
     import numpy as np
 
@@ -158,20 +172,30 @@ def _lattice_best(a, b, c, p, q, n, m, window, scratch):
     return (
         ka * w1x + kb * w2x + kc * w3x,
         ka * w1y + kb * w2y + kc * w3y,
-        _pow_or_inf(abs(ka * s11 + kb * s21 + kc * s31), n)
-        + _pow_or_inf(abs(ka * s12 + kb * s22 + kc * s32), n)
-        + _pow_or_inf(abs(ka * s13 + kb * s23 + kc * s33), n),
+        (
+            ka * s11 + kb * s21 + kc * s31,
+            ka * s12 + kb * s22 + kc * s32,
+            ka * s13 + kb * s23 + kc * s33,
+        ),
     )
+
+
+def _power_sum(slacks, n):
+    """|s1|^n + |s2|^n + |s3|^n in plain floats; inf where a power
+    overflows."""
+    s1, s2, s3 = slacks
+    return _pow_or_inf(abs(s1), n) + _pow_or_inf(abs(s2), n) + _pow_or_inf(abs(s3), n)
 
 
 def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
     """Deterministic zooming lattice scan for n >= 1; returns (point, value).
 
-    The first pass scans a barycentric lattice over the whole triangle.
-    Every later pass scans an equilateral window centred on the winner of
-    the pass just scanned, with the window radius shrinking by ZOOM_FACTOR
-    per pass. The returned point is the best seen over all passes, so the
-    value is monotone in zoom_iterations.
+    The first pass scans a barycentric lattice of m = ``grid_resolution``
+    steps over the whole triangle. Every later pass scans an equilateral
+    window centred on the winner of the pass just scanned, with the window
+    radius shrinking by ZOOM_FACTOR per pass. The returned point is the
+    best seen over all passes, so the value is monotone in
+    zoom_iterations.
 
     Centring on the pass's winner rather than on the running best keeps
     the windows following the valley on thin triangles. There the early
@@ -188,37 +212,75 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     lowest lattice index and nothing depends on thread count, so reruns
     are bit-identical.
 
+    Only thin triangles need m steps after the first pass. Their valley of
+    F is long and narrow, and a coarse lattice can pick a winner off the
+    valley floor that the next, four times smaller window then walls the
+    minimizer away from. So from thinness 2 * area / diameter^2 = 0.05 up
+    the zoom passes scan max(1, 7m // 16) steps, 42 at the default, with
+    one zoom pass more, which keeps the last lattice step no coarser:
+    diameter / (42 * 4^11) against diameter / (96 * 4^10). Against m on
+    every pass, on 31,744 oracle-compare cases (seeds 0 and 201-230) and
+    4000 triangles of thinness 1e-3 to 1, 42 steps miss verify's
+    tolerances on no case that m meets. 32, 36 and 40 steps each lose one
+    to three cases at n = 1.01, all on near-equilateral triangles, where F
+    is so nearly linear that its valley is thin whatever the shape; 54 and
+    64 steps lose the mirror symmetry of an isosceles triangle's answer;
+    and 48 steps from thinness 0.01 up miss acceptance criterion 04.
+
+    The scan runs on a, b, c scaled by the power of two that puts the
+    triangle's largest altitude in [0.5, 1), which is exact. No slack then
+    exceeds 1, so no lattice value overflows at any size of triangle and
+    any n, and a value underflows only where it is below 1e-308 times the
+    largest altitude's nth power; passes are compared on the scaled
+    values. (Scaling the diameter instead would underflow every value on
+    a sliver whose height is 1e-160 of its width.) The winner is scaled
+    back exactly, and its value is recomputed in the triangle's own units
+    from its slacks: 0 or inf where F leaves the doubles there.
+
     A pass is a handful of numpy calls over one 3 x N block (N = 4753
-    points at the default resolution of 96): one matrix product
-    interpolates every side's slack at every point from the window
-    corners' slacks, then one power and two adds over the sides, after an
-    ``abs`` unless n is even and at most 64. For integral n up to 64 the
-    power is repeated squaring, a few multiplies over the block; any other
-    n, such as 1.01, takes one ``np.power``, which then costs more than the
-    rest of the pass together. Coordinates are formed only for the winner. The
-    work arrays belong to this call, so concurrent scans share nothing.
+    points at m = 96, 946 at 42): one matrix product interpolates every
+    side's slack at every point from the window corners' slacks, then one
+    power and two adds over the sides, after an ``abs`` unless n is even
+    and at most 64. For integral n up to 64 the power is repeated
+    squaring, a few multiplies over the block; any other n, such as 1.01,
+    takes one ``np.power``, which then costs more than the rest of the
+    pass together. Coordinates are formed only for the winner. The work
+    arrays belong to this call, so concurrent scans share nothing.
     """
     n = _check_exponent(n, allow_one=True)
     cfg = config if config is not None else OracleConfig()
-    a, b, c = tri.a, tri.b, tri.c
-    p, q, _ = _side_lengths(a, b, c)
-    m = cfg.grid_resolution
-    window = list(tri.vertices())
-    radius = tri.diameter()
+    ldexp = math.ldexp
+    p, q, base = _side_lengths(tri.a, tri.b, tri.c)
+    # the largest altitude, onto the shortest side, bounds every slack
+    shift = -math.frexp(tri.a * (base / min(p, q, base)))[1]
+    a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
+    p, q, base = _side_lengths(a, b, c)
+    radius = max(p, q, base)
+    m = zoom_m = cfg.grid_resolution
+    zooms = cfg.zoom_iterations
+    if a / radius * (base / radius) >= _THIN:
+        zoom_m, zooms = max(1, 7 * m // 16), zooms + 1
+    first_scratch = _lattice_scratch(m)
+    zoom_scratch = first_scratch if zoom_m == m else _lattice_scratch(zoom_m)
+    window = [(0.0, a), (-b, 0.0), (c, 0.0)]
     half_rt3 = 0.5 * math.sqrt(3.0)
     project = _projector(a, b, c)
-    scratch = _lattice_scratch(m)
-    best_x, best_y, best_f = 0.0, 0.0, math.inf
-    for _ in range(cfg.zoom_iterations + 1):
-        lx, ly, lf = _lattice_best(a, b, c, p, q, n, m, window, scratch)
+    best_x, best_y, best_f, best_s = 0.0, 0.0, math.inf, None
+    for k in range(zooms + 1):
+        lx, ly, ls = _lattice_best(
+            a, b, c, p, q, n, zoom_m if k else m, window,
+            zoom_scratch if k else first_scratch,
+        )
+        lf = _power_sum(ls, n)
         if lf < best_f:
-            best_x, best_y, best_f = lx, ly, lf
+            best_x, best_y, best_f, best_s = lx, ly, lf, ls
         radius /= ZOOM_FACTOR
-        for k, (ox, oy) in enumerate(
+        for j, (ox, oy) in enumerate(
             ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
         ):
-            window[k] = project(lx + radius * ox, ly + radius * oy)
-    return Point(best_x, best_y), float(best_f)
+            window[j] = project(lx + radius * ox, ly + radius * oy)
+    value = _power_sum([ldexp(s, -shift) for s in best_s], n)
+    return Point(ldexp(best_x, -shift), ldexp(best_y, -shift)), value
 
 
 def _ratio_power_sum(slacks, top, n):
@@ -355,7 +417,7 @@ def projected_gradient(
     if start is None:  # the centroid
         start = ((-tri.b + tri.c) / 3.0, tri.a / 3.0)
     x, y, f, iters = _newton(
-        tri.a, tri.b, tri.c, n, float(start[0]), float(start[1]), int(cfg.pg_max_iters)
+        tri.a, tri.b, tri.c, n, float(start[0]), float(start[1]), cfg.pg_max_iters
     )
     return PgResult(Point(x, y), f, iters)
 

@@ -22,8 +22,8 @@ from tripowmin.geometry import (
 )
 from tripowmin.kkt import evaluate_F
 from tripowmin.oracle import (
-    OracleConfig, _block_power, _discrepancy, _lattice_best, _lattice_scratch, compare,
-    grid_search, projected_gradient,
+    ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _lattice_best, _lattice_scratch,
+    _power_sum, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
 from triangle_helpers import contains
@@ -106,23 +106,23 @@ def test_grid_is_bit_deterministic():
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
+def _bits(result):
+    (x, y), f = result
+    return x.hex(), y.hex(), f.hex()
+
+
 def test_grid_search_is_reentrant():
     # numpy releases the GIL inside its ufuncs, and a short switch interval
     # interleaves the threads between them, so two scans that shared work
     # arrays would overwrite each other's values
     jobs = ((WORKED, 3.0), (CanonicalTriangle(1.0, 0.3, 2.5), 5.0))
-
-    def bits(result):
-        (x, y), f = result
-        return x.hex(), y.hex(), f.hex()
-
-    serial = [bits(grid_search(tri, n)) for tri, n in jobs]
+    serial = [_bits(grid_search(tri, n)) for tri, n in jobs]
     results = [[], []]
 
     def run(k):
         tri, n = jobs[k]
         for _ in range(20):
-            results[k].append(bits(grid_search(tri, n)))
+            results[k].append(_bits(grid_search(tri, n)))
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
     old = sys.getswitchinterval()
@@ -216,6 +216,87 @@ def test_grid_misses_few_thin_triangles():
     assert misses <= 110
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e-60, 1e60, 1e100])
+@pytest.mark.parametrize("n", [5.0, 10.0])
+def test_grid_does_not_depend_on_the_unit_of_length(scale, n):
+    # the lattice ran in the triangle's own units: where every F underflowed
+    # to 0 the scan returned its first lattice point, the vertex (2s, 0),
+    # and where the block power overflowed numpy warned and gave garbage
+    tri = CanonicalTriangle(3.0 * scale, scale, 2.0 * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt, value = grid_search(tri, n)
+    truth = minimize_closed_form(tri, n)
+    assert math.dist(pt, truth.point_canonical) <= 1e-5 * tri.diameter()
+    # 0 or inf where F leaves the doubles, as the closed form's value does
+    assert value == truth.value or abs(value - truth.value) <= 1e-8 * truth.value
+
+
+def _dense_grid_search(tri, n, m=96, zooms=10):
+    # Reference for grid_search's gate: the same scan with m lattice steps
+    # on every pass, on every triangle, in the triangle's own units.
+    a, b, c = tri.a, tri.b, tri.c
+    p, q, _ = _side_lengths(a, b, c)
+    project = _projector(a, b, c)
+    half_rt3 = 0.5 * math.sqrt(3.0)
+    window = tri.vertices()
+    radius = tri.diameter()
+    scratch = _lattice_scratch(m)
+    best_x, best_y, best_f = 0.0, 0.0, math.inf
+    for _ in range(zooms + 1):
+        lx, ly, ls = _lattice_best(a, b, c, p, q, n, m, window, scratch)
+        lf = _power_sum(ls, n)
+        if lf < best_f:
+            best_x, best_y, best_f = lx, ly, lf
+        radius /= ZOOM_FACTOR
+        window = [
+            project(lx + radius * ox, ly + radius * oy)
+            for ox, oy in ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
+        ]
+    return (best_x, best_y), best_f
+
+
+def _grid_meets(tri, n, point, value):
+    # verify's tolerances, applied to the grid alone
+    truth = minimize_closed_form(tri, n)
+    return (
+        math.dist(point, truth.point_canonical) <= 1e-5 * tri.diameter()
+        and abs(value - truth.value) <= 1e-8 * truth.value
+    )
+
+
+def test_coarse_zoom_lattice_misses_nothing_the_dense_one_meets():
+    # thinness 2 * area / diameter^2 from 0.05 up, where the zoom passes
+    # scan the coarser lattice; the base is the longest side, so the
+    # thinness is the height over the base
+    rng = random.Random(16)
+    lost = []
+    for k in range(400):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        tau = 10.0 ** rng.uniform(math.log10(0.05), math.log10(0.85))
+        half = math.sqrt(1.0 - tau * tau)
+        b = rng.uniform(1.0 - half, half)
+        tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
+        n = (1.01, 2.0, 5.0, 10.0)[k % 4]
+        if _grid_meets(tri, n, *_dense_grid_search(tri, n)) and not _grid_meets(
+            tri, n, *grid_search(tri, n)
+        ):
+            lost.append((tri, n))
+    assert not lost, lost
+
+
+def test_thin_triangles_keep_the_dense_zoom_lattice():
+    # thinness a / (b + c) = 0.05 exactly in doubles at a = 0.4, and the
+    # largest altitude, 0.91, already lies in [0.5, 1), so the scan runs in
+    # the triangle's own units and the dense path matches the reference bit
+    # for bit
+    below = CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5)
+    at = CanonicalTriangle(0.4, 3.5, 4.5)
+    for n in (2.0, 5.0):
+        assert _bits(grid_search(below, n)) == _bits(_dense_grid_search(below, n))
+        assert _bits(grid_search(at, n)) != _bits(_dense_grid_search(at, n))
+
+
 def test_projection_of_a_far_point_beyond_the_products_range():
     # b * y = 1e320 overflowed, the inside test's margin became inf and
     # accepted the point unchanged
@@ -240,14 +321,13 @@ def test_block_power_matches_pow_to_the_squarings_roundoff(n):
 
 
 def test_lattice_value_is_inf_where_the_winners_power_overflows():
-    # the winner's value is recomputed with Python's float power, which
-    # raises OverflowError bare; the scan must return inf instead
+    # the winner's value is recomputed in the triangle's own units with
+    # Python's float power, which raises OverflowError bare; the scan must
+    # return inf instead
     tri = CanonicalTriangle(3e100, 1e100, 2e100)
-    p, q, _ = _side_lengths(tri.a, tri.b, tri.c)
-    with np.errstate(over="ignore"):
-        x, y, f = _lattice_best(
-            tri.a, tri.b, tri.c, p, q, 5.0, 8, tri.vertices(), _lattice_scratch(8)
-        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (x, y), f = grid_search(tri, 5.0, OracleConfig(grid_resolution=8, zoom_iterations=1))
     assert f == math.inf and math.isfinite(x) and math.isfinite(y)
 
 
@@ -286,7 +366,8 @@ def assert_lattice_matches_loop(args):
     a, b, c, n, m, window = args
     lx, ly, lf = _lattice_best_loop(*args)
     p, q, _ = _side_lengths(a, b, c)
-    vx, vy, vf = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
+    vx, vy, vs = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
+    vf = _power_sum(vs, n)
     assert (vx, vy) == (lx, ly)
     assert abs(vf - lf) <= 2.0 * np.spacing(lf)
     # The interpolated slacks differ from those of the returned point by
@@ -586,13 +667,23 @@ def test_in_process_results_match_subprocess():
         {"grid_resolution": -5},
         {"zoom_iterations": -1},
         {"pg_max_iters": 0},
+        # non-integers ended in a bare TypeError at scan time, or were
+        # silently truncated
+        {"grid_resolution": 2.0},
+        {"grid_resolution": 96.5},
+        {"zoom_iterations": 1.5},
+        {"pg_max_iters": 10.5},
     ],
     # Pinned ids: cases 3-5 (zoom_factor, pg_step, pg_tolerance) went with
     # their fields, and the remaining cases keep the names they had.
-    ids=["kwargs0", "kwargs1", "kwargs2", "kwargs6"],
+    ids=[
+        "kwargs0", "kwargs1", "kwargs2", "kwargs6", "grid_resolution_float",
+        "grid_resolution_fraction", "zoom_iterations_fraction", "pg_max_iters_fraction",
+    ],
 )
 def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         OracleConfig(**kwargs)
 
 

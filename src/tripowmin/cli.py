@@ -26,7 +26,7 @@ from .geometry import (
     incenter,
 )
 from .kkt import Verdict, kkt_residual
-from .oracle import _discrepancy, compare, grid_search
+from .oracle import _discrepancy, _log_F, compare, grid_search
 from .sampling import random_general_triangle
 
 # output names of DerivedConstants' fields, in order
@@ -115,7 +115,8 @@ def cmd_solve(args) -> int:
             # is unique: the point gap is reported but not judged
             gp, gv = grid_search(tri, n)
             oracle_report = _discrepancy(
-                point_c, value, gp, gv, math.inf, args.tol_value
+                point_c, value, math.log(value), gp, gv, _log_F(tri, n, gp),
+                math.inf, args.tol_value,
             )
     else:
         res = minimize_closed_form(tri, n, isometry=iso)

@@ -36,7 +36,7 @@ class DerivedConstants(NamedTuple):
 @dataclass(frozen=True, init=False)
 class MinimizerResult:
     """The minimizer of the powered-distance sum over ``triangle``.
-    ``constants``, the paper's, are computed when read."""
+    ``constants``, the paper's, and ``log_value`` are computed when read."""
 
     triangle: CanonicalTriangle
     point_canonical: Point
@@ -61,6 +61,15 @@ class MinimizerResult:
         t = _pow_or_inf(p / q, inv)
         r = _pow_or_inf(base / q, inv)
         return DerivedConstants(p, q, t, r, q + base * r + p * t)
+
+    @property
+    def log_value(self) -> float:
+        """log of ``value`` as n log h + log tot (see
+        ``minimize_closed_form``), finite where the value is 0 or inf."""
+        tri, n = self.triangle, self.exponent
+        lengths = _side_lengths(tri.a, tri.b, tri.c)
+        _, _, h, tot = _trilinear_point(tri.a, tri.b, tri.c, lengths, 1.0 / (n - 1.0))
+        return n * math.log(h) + math.log(tot)
 
 
 class VertexMinimum(NamedTuple):

@@ -360,16 +360,6 @@ def _normals(a, b, c, p, q):
     return (a / p, -b / p), (-a / q, -c / q), (0.0, 1.0)
 
 
-def _side_slacks(a, b, c, x, y):
-    """Signed distances from (x, y) to the three side lines, positive inside.
-
-    The first line runs through (0, a) and (-b, 0), the second through
-    (0, a) and (c, 0), the third is the base y = 0.
-    """
-    p, q, _ = _side_lengths(a, b, c)
-    return _slacks(a, b, c, p, q, x, y)
-
-
 def _seg_closest(px, py, ax, ay, bx, by):
     vx = bx - ax
     vy = by - ay

@@ -1,27 +1,31 @@
-"""First- and second-order certification of candidate minimizers.
+"""The objective F, its derivatives, and first- and second-order
+certification of candidate minimizers.
 
-The objective F is the powered-distance sum; the feasible set is the closed
-triangle, where the three side slacks (signed distances to the sides AB,
-AC and BC, positive inside) are >= 0. Each slack's gradient is its side's
-unit inward normal. ``kkt_residual`` checks the Karush-Kuhn-Tucker system
-at a point: multipliers for the active constraints, stationarity of the
+F is the powered-distance sum; the feasible set is the closed triangle,
+where the three side slacks (signed distances to the sides AB, AC and BC,
+positive inside) are >= 0. Each slack's gradient is its side's unit
+inward normal. ``kkt_residual`` checks the Karush-Kuhn-Tucker system at a
+point: multipliers for the active constraints, stationarity of the
 Lagrangian, complementary slackness and multiplier signs. ``hessian``
 gives the second derivatives at interior points, where they are positive
 definite for n > 1.
+
+Every scalar reader of F, here and in both oracles, goes through one
+kernel, ``_powers``. It works in the ratios r_i = d_i / max d, which never
+leave [0, 1], so no power leaves the doubles; a quantity in the
+triangle's own units is a ratio-unit one times a power of max d.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .closed_form import _pow_or_inf
 from .errors import PointNotFeasible, PointNotInterior, _check_exponent
-from .geometry import (
-    CanonicalTriangle, Point, _normals, _point, _side_lengths, _side_slacks, _slacks
-)
+from .geometry import CanonicalTriangle, Point, _normals, _point, _side_lengths, _slacks
 
 _SIDE_LABELS = ("AB", "AC", "BC")
 
@@ -35,8 +39,6 @@ _ACTIVE = tuple(
     for mask in range(8)
 )
 
-_TINY = sys.float_info.min
-
 
 class Verdict(enum.Enum):
     SATISFIED = "satisfied"
@@ -45,8 +47,7 @@ class Verdict(enum.Enum):
 
 
 class HessianInfo(NamedTuple):
-    """Second derivatives of the objective at an interior point; a
-    determinant beyond the doubles reads inf."""
+    """Second derivatives of F at an interior point (see ``hessian``)."""
 
     fxx: float
     fxy: float
@@ -57,8 +58,8 @@ class HessianInfo(NamedTuple):
 @dataclass(frozen=True, init=False)
 class KktReport:
     """``multipliers`` are per side (AB, AC, BC) and per unit normal, so in
-    the gradient's units; the Hessian fields are NaN on the boundary, and
-    a determinant beyond the doubles reads inf."""
+    the gradient's units; the Hessian fields are NaN on the boundary. A
+    field beyond the doubles reads +-inf."""
 
     active_set: tuple[str, ...]
     multipliers: tuple[float, float, float]
@@ -89,6 +90,102 @@ class KktReport:
         fields["verdict"] = verdict
 
 
+def _value(k):
+    """F from the kernel's result: 0 or inf where it leaves the doubles."""
+    n, _, top, _, total, _, _, _ = k
+    return _pow_or_inf(top, n) * total
+
+
+def _log_value(k):
+    """log F from the kernel's result ``k``, finite wherever the point is."""
+    n, _, top, _, total, _, _, _ = k
+    return n * math.log(top) + math.log(total)
+
+
+def _over(k, base):
+    """F at the kernel's result ``k`` over F at ``base``, in ratio units."""
+    n, _, top, _, total, _, _, _ = k
+    _, _, base_top, _, base_total, _, _, _ = base
+    return _pow_or_inf(top / base_top, n) * (total / base_total)
+
+
+def _frame(a, b, c):
+    """The triangle as ``_powers`` reads it, formed once: a, b, c scaled
+    exactly by the power of two ``unit`` that puts a in [0.5, 1), so that
+    no slack or normal over- or underflows at any size (only an a below
+    2^-1023 is refused), with the side lengths p, q and unit normals."""
+    try:
+        unit = math.ldexp(1.0, -math.frexp(a)[1])
+    except OverflowError:
+        raise OverflowError(f"apex height a = {a!r} is below 2^-1023") from None
+    a, b, c = a * unit, b * unit, c * unit
+    p, q, _ = _side_lengths(a, b, c)
+    return unit, a, b, c, p, q, _normals(a, b, c, p, q)
+
+
+def _powers(frame, x, y, n):
+    """The kernel: F in ratio units at (x, y) in the triangle of ``frame``
+    (from ``_frame``), as (n, slacks, top, ratios, total, e, w, normals):
+
+    the signed slacks s_i and top = max_i |s_i| in the triangle's units;
+    r_i = |s_i| / top, so that F = top^n * total; e_i = r_i^(n-1), so that
+    grad F = n top^(n-1) sum_i e_i u_i over the unit normals u_i; and
+    w_i = (n-1) r_i^(n-2), so that hess F = n top^(n-2) sum_i w_i u_i u_i^T,
+    with w None unless every s_i and r_i is > 0 (strictly inside). Each
+    e_i is at most 1; total is sum r_i e_i and w_i is (n-1) e_i / r_i, so
+    three powers make all of them. e_i is 0 where s_i <= 0: the one-sided
+    derivative at a side, real where a boundary point lands an ulp outside.
+    """
+    unit, a, b, c, p, q, normals = frame
+    s1, s2, s3 = _slacks(a, b, c, p, q, x * unit, y * unit)
+    d1, d2, d3 = abs(s1), abs(s2), abs(s3)
+    top = max(d1, d2, d3)
+    r1, r2, r3 = d1 / top, d2 / top, d3 / top
+    p1, p2, p3 = r1 ** (n - 1.0), r2 ** (n - 1.0), r3 ** (n - 1.0)
+    w = None
+    if s1 > 0.0 and s2 > 0.0 and s3 > 0.0 and r1 > 0.0 and r2 > 0.0 and r3 > 0.0:
+        w = (n - 1.0) * p1 / r1, (n - 1.0) * p2 / r2, (n - 1.0) * p3 / r3
+    return (
+        n,
+        (s1 / unit, s2 / unit, s3 / unit),
+        top / unit,
+        (r1, r2, r3),
+        r1 * p1 + r2 * p2 + r3 * p3,
+        (p1 if s1 > 0.0 else 0.0, p2 if s2 > 0.0 else 0.0, p3 if s3 > 0.0 else 0.0),
+        w,
+        normals,
+    )
+
+
+def _grad(normals, e):
+    """grad F / (n top^(n-1)) = sum_i e_i u_i."""
+    (u1x, u1y), (u2x, u2y), _ = normals
+    e1, e2, e3 = e
+    return e1 * u1x + e2 * u2x, e1 * u1y + e2 * u2y + e3
+
+
+def _crosses(normals):
+    """u1 x u2, u1 x u3 and u2 x u3; u3 = (0, 1), so the last two are u1x
+    and u2x."""
+    (u1x, u1y), (u2x, u2y), _ = normals
+    return u1x * u2y - u1y * u2x, u1x, u2x
+
+
+def _hessian(normals, w):
+    """(fxx, fxy, fyy, det) of F / (n top^(n-2)) at an interior point. det
+    is sum_{i<j} w_i w_j (u_i x u_j)^2, which agrees with fxx * fyy - fxy^2
+    to roundoff but is positive for n > 1."""
+    (u1x, u1y), (u2x, u2y), _ = normals
+    w1, w2, w3 = w
+    c12, c13, c23 = _crosses(normals)
+    return (
+        w1 * u1x * u1x + w2 * u2x * u2x,
+        w1 * u1x * u1y + w2 * u2x * u2y,
+        w1 * u1y * u1y + w2 * u2y * u2y + w3,
+        w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23,
+    )
+
+
 def _beyond_doubles(slacks, power) -> OverflowError:
     """The error for the slack whose ``power`` leaves the doubles (the
     largest, or the smallest for a negative power), where float ``**``
@@ -99,108 +196,50 @@ def _beyond_doubles(slacks, power) -> OverflowError:
     )
 
 
-def _power_sum(slacks, n):
-    """Sum of the n-th powers of the absolute slacks."""
-    s1, s2, s3 = slacks
-    try:
-        return abs(s1) ** n + abs(s2) ** n + abs(s3) ** n
-    except OverflowError:
-        raise _beyond_doubles(slacks, n) from None
-
-
-def _power_sum_grad(normals, slacks, n):
-    """Gradient of ``_power_sum`` for n > 1: sum_i n * s_i^(n-1) * u_i.
-
-    Slacks are clamped at zero so fractional powers stay real when a
-    boundary point lands an ulp outside; the clamped value is exactly the
-    one-sided derivative there.
-    """
-    (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
-    s1, s2, s3 = slacks
-    try:
-        d1 = s1 ** (n - 1.0) if s1 > 0.0 else 0.0
-        d2 = s2 ** (n - 1.0) if s2 > 0.0 else 0.0
-        d3 = s3 ** (n - 1.0) if s3 > 0.0 else 0.0
-    except OverflowError:
-        raise _beyond_doubles(slacks, n - 1.0) from None
-    gx = n * u1x * d1 + n * u2x * d2 + n * u3x * d3
-    gy = n * u1y * d1 + n * u2y * d2 + n * u3y * d3
-    return gx, gy
+def _interior(tri: CanonicalTriangle, n, point):
+    """The kernel's result at a point strictly inside, where w is not None."""
+    x, y = float(point[0]), float(point[1])
+    k = _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
+    if k[6] is None:
+        raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
+    return k
 
 
 def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
-    """Powered-distance sum at any planar point (n >= 1)."""
+    """Powered-distance sum at any planar point (n >= 1); 0 or inf where it
+    leaves the doubles."""
     n = _check_exponent(n, allow_one=True)
-    x, y = float(point[0]), float(point[1])
-    return _power_sum(_side_slacks(tri.a, tri.b, tri.c, x, y), n)
+    frame = _frame(tri.a, tri.b, tri.c)
+    return _value(_powers(frame, float(point[0]), float(point[1]), n))
 
 
 def gradient(tri: CanonicalTriangle, n, point) -> Point:
-    """Gradient of F at a strictly interior point, n > 1; raises like ``hessian``."""
+    """Gradient of F at a strictly interior point, n > 1; OverflowError
+    naming the power where it leaves the doubles."""
     n = _check_exponent(n)
-    x, y = float(point[0]), float(point[1])
-    slacks, normals = _slacks_and_normals(tri, x, y)
-    if min(slacks) <= 0.0:
-        raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return _point(_power_sum_grad(normals, slacks, n))
+    _, slacks, top, _, _, e, _, normals = _interior(tri, n, point)
+    gx, gy = _grad(normals, e)
+    g = n * _pow_or_inf(top, n - 1.0)
+    gx, gy = gx * g if gx else gx, gy * g if gy else gy  # 0 stays 0 where g is inf
+    if not abs(gx) + abs(gy) < math.inf:
+        raise _beyond_doubles(slacks, n - 1.0)
+    return _point((gx, gy))
 
 
 def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
-    """Hessian entries and determinant of F at a strictly interior point.
-
-    The determinant field comes from the pairwise cross products of the
-    side normals rather than fxx*fyy - fxy^2; both agree to roundoff and
-    the tests cross-check them; a determinant beyond the doubles reads
-    inf. Raises like ``kkt_residual`` where the slacks or their powers
-    leave the double range.
-    """
+    """Hessian entries and determinant of F at a strictly interior point
+    (see ``_hessian``); a determinant beyond the doubles reads inf, and an
+    entry beyond them raises OverflowError naming the power. The
+    determinant comes from the pairwise cross products of the side
+    normals rather than fxx*fyy - fxy^2."""
     n = _check_exponent(n)
-    x, y = float(point[0]), float(point[1])
-    slacks, normals = _slacks_and_normals(tri, x, y)
-    if min(slacks) <= 0.0:
-        raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return HessianInfo(*_hessian(normals, slacks, n))
-
-
-def _slacks_and_normals(tri: CanonicalTriangle, x, y):
-    """The point's side slacks and the sides' unit normals, from one pair
-    of side lengths; refused where the doubles cannot carry the slacks:
-    FloatingPointError when a * min(b, c) is subnormal, which leaves the
-    slacks' products wrong in the fifth digit, and OverflowError when a
-    slack is not finite, which would make any residual pass."""
-    a, b, c = tri.a, tri.b, tri.c
-    if a * min(b, c) < _TINY:
-        raise FloatingPointError(
-            f"a * min(b, c) = {a * min(b, c)!r} is below the normal doubles"
-        )
-    p, q, _ = _side_lengths(a, b, c)
-    slacks = s1, s2, s3 = _slacks(a, b, c, p, q, x, y)
-    if not math.isfinite(s1 + s2 + s3):
-        raise OverflowError(f"side slacks {slacks} are not finite")
-    return slacks, _normals(a, b, c, p, q)
-
-
-def _hessian(normals, slacks, n: float):
-    """n(n-1) * sum_i s_i^(n-2) * u_i u_i^T over the unit normals u_i and
-    the (positive) slacks s_i, as (fxx, fxy, fyy, det). Its determinant is
-    the sum over side pairs of n^2(n-1)^2 * s_i^(n-2) * s_j^(n-2) *
-    (u_i x u_j)^2, positive for n > 1 because any two sides' normals are
-    independent."""
-    (u1x, u1y), (u2x, u2y), (u3x, u3y) = normals
-    s1, s2, s3 = slacks
-    try:
-        w1, w2, w3 = s1 ** (n - 2.0), s2 ** (n - 2.0), s3 ** (n - 2.0)
-    except OverflowError:
-        raise _beyond_doubles(slacks, n - 2.0) from None
-    nn = n * (n - 1.0)
-    fxx = nn * (w1 * u1x * u1x + w2 * u2x * u2x + w3 * u3x * u3x)
-    fxy = nn * (w1 * u1x * u1y + w2 * u2x * u2y + w3 * u3x * u3y)
-    fyy = nn * (w1 * u1y * u1y + w2 * u2y * u2y + w3 * u3y * u3y)
-    c12 = u1x * u2y - u1y * u2x
-    c13 = u1x * u3y - u1y * u3x
-    c23 = u2x * u3y - u2y * u3x
-    det = nn * nn * (w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23)
-    return fxx, fxy, fyy, det
+    _, slacks, top, _, _, _, w, normals = _interior(tri, n, point)
+    h = n * _pow_or_inf(top, n - 2.0)
+    fxx, fxy, fyy, det = (v * h if v else v for v in _hessian(normals, w))
+    det = det * h if det else det
+    if not abs(fxx) + abs(fxy) + abs(fyy) < math.inf:
+        raise _beyond_doubles(slacks, n - 2.0)
+    return HessianInfo(fxx, fxy, fyy, det)
 
 
 def _multipliers(normals, active, gx, gy) -> list[float]:
@@ -241,32 +280,30 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     A constraint is active when its slack, the distance to its side, is at
     most ``tolerance`` (default 1e-9 * a, also the feasibility margin); the
     active multipliers solve the stationarity equations over the sides'
-    unit normals, exactly for one or two, minimum-norm for three. Against
-    the gradient scale G = n * max_i d_i^(n-1), so that no verdict depends
-    on the unit of length, the stationarity residual and each multiplier
-    must be within 1e-9 * G, and complementary slackness over G (a length)
-    within ``tolerance``. Signs are judged first: an edge point with a
-    descent direction into the interior reports MULTIPLIER_NEGATIVE even
-    though its Lagrangian is stationary.
+    unit normals, exactly for one or two, minimum-norm for three. The
+    verdict is judged in ratio units, over the gradient scale
+    G = n * max_i d_i^(n-1), so that it depends neither on the unit of
+    length nor on whether G is a double: the stationarity residual and
+    each multiplier over G must be within 1e-9, and complementary
+    slackness over G (a length) within ``tolerance``. Signs are judged
+    first: an edge point with a descent direction into the interior
+    reports MULTIPLIER_NEGATIVE even though its Lagrangian is stationary.
 
-    The slacks are formed once; the gradient, the multipliers and the
-    Hessian fields all come from them and the unit normals. Raises
-    FloatingPointError or OverflowError where the slacks leave the double
-    range, OverflowError naming the power where a power of a slack does,
-    and FloatingPointError where G is below the normal doubles.
+    The report's fields are the ratio-unit ones times G (or the Hessian's
+    scale), in the triangle's own units: +-inf where that leaves the
+    doubles, and an exact 0 stays 0. Only PointNotFeasible is raised.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a if tolerance is None else float(tolerance)
-    slacks, normals = _slacks_and_normals(tri, x, y)
+    _, slacks, top, _, _, e, w, normals = _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
     s1, s2, s3 = slacks
-    lowest = min(slacks)
-    if lowest < -tol:
+    if min(slacks) < -tol:
         raise PointNotFeasible(
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    gx, gy = _power_sum_grad(normals, slacks, n)
+    gx, gy = _grad(normals, e)
     active, labels = _ACTIVE[(s1 <= tol) + 2 * (s2 <= tol) + 4 * (s3 <= tol)]
     m = _multipliers(normals, active, gx, gy)
     rx, ry = gx, gy
@@ -277,28 +314,28 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     m1, m2, m3 = m
     comp_slack = max(abs(m1 * s1), abs(m2 * s2), abs(m3 * s3))
 
-    scale = n * max(slacks) ** (n - 1.0)
-    if scale < _TINY:
-        # a subnormal scale would judge roundoff-level residuals as failures
-        raise FloatingPointError(
-            f"gradient scale n * max d_i^(n-1) = {scale!r} is below the normal doubles"
-        )
-    if min(m) < -1e-9 * scale:
+    if min(m) < -1e-9:
         verdict = Verdict.MULTIPLIER_NEGATIVE
-    elif stationarity > 1e-9 * scale or comp_slack > tol * scale:
+    elif stationarity > 1e-9 or comp_slack > tol:
         verdict = Verdict.STATIONARITY_FAILED
     else:
         verdict = Verdict.SATISFIED
 
+    # the scales of the Hessian and the gradient, n top^(n-2) and n top^(n-1)
     h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
-    if lowest > 0.0:
-        h_fxx, _, _, h_det = _hessian(normals, slacks, n)
-
+    if w is not None:
+        h = n * _pow_or_inf(top, n - 2.0)
+        h_fxx, _, _, h_det = _hessian(normals, w)
+        h_fxx, h_det = h_fxx * h if h_fxx else h_fxx, h_det * h * h if h_det else h_det
+        g = h * top
+    else:
+        g = n * _pow_or_inf(top, n - 1.0)
     return KktReport(
         active_set=labels,
-        multipliers=tuple(m),
-        stationarity_residual=stationarity,
-        complementary_slackness_residual=comp_slack,
+        # in the triangle's units; an exact 0 stays 0 where g is inf
+        multipliers=(m1 * g if m1 else m1, m2 * g if m2 else m2, m3 * g if m3 else m3),
+        stationarity_residual=stationarity * g if stationarity else stationarity,
+        complementary_slackness_residual=comp_slack * g if comp_slack else comp_slack,
         hessian_fxx=h_fxx,
         hessian_det=h_det,
         verdict=verdict,

@@ -14,14 +14,13 @@ from tripowmin.geometry import (
     CanonicalTriangle,
     GeneralTriangle,
     _projector,
-    _side_slacks,
     altitudes,
     canonicalize,
     incenter,
 )
 from tripowmin.kkt import Verdict, evaluate_F, gradient, hessian, kkt_residual
 from tripowmin.oracle import OracleConfig, grid_search, projected_gradient
-from triangle_helpers import contains
+from triangle_helpers import contains, side_slacks
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 ORACLE_CFG = OracleConfig(pg_max_iters=200_000)
@@ -172,7 +171,7 @@ def test_criterion_06_minimizer_distance_identities():
     bad = []
     for tri, n, res in _oracle_population():
         k = res.constants
-        d1, d2, d3 = _side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)
+        d1, d2, d3 = side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)
         base = tri.a * (tri.b + tri.c) / k.lam
         checks = (
             abs(d1 - k.t * base) <= 1e-10 * abs(k.t * base),
@@ -357,7 +356,7 @@ def test_criterion_11_derivative_formulas_match_finite_differences():
         verts = tri.vertices()
         w = 0.8 * rng.dirichlet([1.0, 1.0, 1.0]) + 0.2 / 3.0
         pt = w @ verts
-        d = _side_slacks(tri.a, tri.b, tri.c, *pt)
+        d = side_slacks(tri.a, tri.b, tri.c, *pt)
         if max(d) > 8.0 * min(d):
             continue
         checked += 1

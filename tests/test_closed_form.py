@@ -8,13 +8,12 @@ from tripowmin.errors import InvalidExponent
 from tripowmin.geometry import (
     CanonicalTriangle,
     GeneralTriangle,
-    _side_slacks,
     canonicalize,
     incenter,
 )
 from tripowmin.kkt import evaluate_F
 from tripowmin.sampling import random_general_triangle
-from triangle_helpers import random_canonical_triangle
+from triangle_helpers import random_canonical_triangle, side_slacks
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -90,7 +89,7 @@ def test_minimizer_side_distances_have_ratio_structure():
         for n in (1.5, 2.0, 5.0, 12.0):
             res = minimize_closed_form(tri, n)
             k = res.constants
-            d1, d2, d3 = _side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)
+            d1, d2, d3 = side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)
             base = tri.a * (tri.b + tri.c) / k.lam
             assert d2 == pytest.approx(base, rel=1e-11)
             assert d1 == pytest.approx(k.t * base, rel=1e-11)
@@ -103,7 +102,7 @@ def test_minimizer_is_strictly_interior():
         tri = random_canonical_triangle(rng)
         for n in (1.1, 2.0, 10.0, 100.0):
             res = minimize_closed_form(tri, n)
-            assert min(_side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)) > 0.0
+            assert min(side_slacks(tri.a, tri.b, tri.c, *res.point_canonical)) > 0.0
 
 
 def test_minimum_dominates_other_points():
@@ -219,7 +218,7 @@ def test_value_overflow_reports_infinity_with_finite_point():
     res = minimize_closed_form(big, float(2**14))
     assert math.isinf(res.value)
     assert np.all(np.isfinite(res.point_canonical))
-    assert min(_side_slacks(big.a, big.b, big.c, *res.point_canonical)) > 0.0
+    assert min(side_slacks(big.a, big.b, big.c, *res.point_canonical)) > 0.0
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,11 @@ from tripowmin.geometry import (
     Point,
     _dot,
     _projector,
-    _side_slacks,
     altitudes,
     canonicalize,
     incenter,
 )
-from triangle_helpers import contains
+from triangle_helpers import contains, side_slacks
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -394,7 +393,7 @@ def test_points_from_every_constructor_behave_as_point_x_y():
 # side distances -------------------------------------------------------------
 
 def side_distances(tri, point):
-    return [abs(s) for s in _side_slacks(tri.a, tri.b, tri.c, *point)]
+    return [abs(s) for s in side_slacks(tri.a, tri.b, tri.c, *point)]
 
 
 def test_side_distances_at_vertices():

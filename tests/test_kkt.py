@@ -5,7 +5,7 @@ import pytest
 
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import InvalidExponent, PointNotFeasible, PointNotInterior
-from tripowmin.geometry import CanonicalTriangle, _side_slacks, incenter
+from tripowmin.geometry import CanonicalTriangle, incenter
 from tripowmin.kkt import (
     Verdict,
     evaluate_F,
@@ -13,7 +13,7 @@ from tripowmin.kkt import (
     hessian,
     kkt_residual,
 )
-from triangle_helpers import random_canonical_triangle
+from triangle_helpers import random_canonical_triangle, side_slacks
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -91,37 +91,53 @@ def test_gradient_requires_strict_interior():
 
 
 @pytest.mark.parametrize(
-    "abc, error",
-    [((3e160, 1e160, 2e160), OverflowError), ((1e-160, 1e-160, 1e-160), FloatingPointError)],
-    ids=["slacks-overflow", "subnormal-products"],
+    "scale", [1e160, 1e-160], ids=["slacks-overflow", "subnormal-products"]
 )
-def test_gradient_refuses_slacks_beyond_the_doubles_like_hessian(abc, error):
-    # at 3e160 the slanted sides' slacks are NaN, which the clamp s > 0
-    # would read as 0, and at 1e-160 their products are subnormal: the
-    # gradient refuses both, as hessian and kkt_residual do
-    tri = CanonicalTriangle(*abc)
-    for f in (gradient, hessian):
-        with pytest.raises(error):
-            f(tri, 2.0, incenter(tri))
+def test_gradient_and_hessian_answer_at_the_ends_of_the_scale(scale):
+    # in raw units the slanted sides' slacks were NaN at 3e160, and their
+    # products subnormal at 1e-160, so both refused; in ratio units each
+    # is the unit-scale answer times scale^(n-1), or scale^(n-2)
+    tri = CanonicalTriangle(3.0 * scale, scale, 2.0 * scale)
+    point = (0.1 * scale, scale)
+    for n in (1.5, 2.0):
+        g = gradient(tri, n, point)
+        want = gradient(WORKED, n, (0.1, 1.0))
+        assert g == pytest.approx(scale ** (n - 1.0) * np.asarray(want), rel=1e-13)
+        h, unit = hessian(tri, n, point), hessian(WORKED, n, (0.1, 1.0))
+        k = scale ** (n - 2.0)
+        assert h[:3] == pytest.approx([k * v for v in unit[:3]], rel=1e-13)
+        assert h.det == pytest.approx(k * k * unit.det, rel=1e-13)
 
 
-def test_kkt_refuses_a_subnormal_gradient_scale():
+def test_kkt_judges_a_subnormal_gradient_scale_in_ratio_units():
     # n * max d_i^(n-1) = 3.6e-321 here: judged against it, a residual of
-    # 1.5e-323 read as stationarity_failed at the exact minimizer
+    # 1.5e-323 read as stationarity_failed at the exact minimizer, and the
+    # certificate then refused; in ratio units the scale never enters
     tri = CanonicalTriangle(1e-80, 2e-80, 3e-80)
     point = minimize_closed_form(tri, 5.0).point_canonical
-    with pytest.raises(FloatingPointError, match="gradient scale"):
-        kkt_residual(tri, 5.0, point)
+    rep = kkt_residual(tri, 5.0, point)
+    assert rep.verdict is Verdict.SATISFIED
+    assert rep.multipliers == (0.0, 0.0, 0.0)
+    # (1e-80)^5 underflows: the value and the residual in raw units read 0
+    assert evaluate_F(tri, 5.0, point) == 0.0
+    assert rep.stationarity_residual < 1e-320
 
 
 def test_a_power_beyond_the_doubles_is_named():
     # float ** raised OverflowError(34, 'Numerical result out of range');
-    # the Hessian's determinant overflows by multiplication and reads inf
+    # F reads inf, the certificate answers with its fields at +-inf, and the
+    # gradient and Hessian, whose own entries leave the doubles, name the
+    # power; the Hessian's determinant reads inf
     tri = CanonicalTriangle(1e50, 1e50, 1e50)
     point = minimize_closed_form(tri, 7.5).point_canonical
-    for f, power in ((gradient, 6.5), (kkt_residual, 6.5), (evaluate_F, 7.5)):
-        with pytest.raises(OverflowError, match=rf"to the power {power} is beyond"):
-            f(tri, 7.5, point)
+    assert evaluate_F(tri, 7.5, point) == math.inf
+    rep = kkt_residual(tri, 7.5, point)
+    assert rep.verdict is Verdict.SATISFIED
+    assert rep.multipliers == (0.0, 0.0, 0.0)
+    assert rep.stationarity_residual == math.inf and rep.hessian_det == math.inf
+    # away from the minimizer, where the gradient is not 0
+    with pytest.raises(OverflowError, match=r"to the power 6\.5 is beyond"):
+        gradient(tri, 7.5, incenter(tri))
     assert hessian(tri, 7.5, point).det == math.inf
     with pytest.raises(OverflowError, match=r"to the power 10\.5 is beyond"):
         hessian(tri, 12.5, point)
@@ -303,7 +319,7 @@ def kkt_reference(tri, n, point, tol):
     slackness over that scale against the slack tolerance."""
     x, y = float(point[0]), float(point[1])
     a, b, c = tri.a, tri.b, tri.c
-    slacks = _side_slacks(a, b, c, x, y)
+    slacks = side_slacks(a, b, c, x, y)
     constraint_grads = np.array([[a, -b], [-a, -c], [0.0, 1.0]])
     normal_lengths = np.hypot(constraint_grads[:, 0], constraint_grads[:, 1])
     # grad F = n * sum_i s_i^(n-1) * u_i over the unit normals u_i, a slack

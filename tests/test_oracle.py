@@ -15,15 +15,15 @@ import pytest
 
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import (
-    DidNotConverge, InvalidExponent, PointNotInterior, TriPowMinError
+    DidNotConverge, InvalidExponent, PointNotInterior
 )
 from tripowmin.geometry import (
     CanonicalTriangle, GeneralTriangle, _projector, _side_lengths, canonicalize
 )
-from tripowmin.kkt import evaluate_F
+from tripowmin.kkt import _frame, _log_value, _powers, evaluate_F
 from tripowmin.oracle import (
     ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _lattice_best, _lattice_scratch,
-    _power_sum, compare, grid_search, projected_gradient,
+    _log_F, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
 from triangle_helpers import contains
@@ -232,6 +232,23 @@ def test_grid_does_not_depend_on_the_unit_of_length(scale, n):
     assert value == truth.value or abs(value - truth.value) <= 1e-8 * truth.value
 
 
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("n", [600.0, 1000.0])
+def test_grid_finds_the_minimizer_at_large_n(scale, n):
+    # with the largest altitude scaled into [0.5, 1), every lattice value
+    # near the minimizer underflowed to 0 from about n = 500 and the scan
+    # took its first lattice point; the scan's scale now follows n there
+    tri = CanonicalTriangle(3.0 * scale, scale, 2.0 * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt, value = grid_search(tri, n)
+    truth = minimize_closed_form(tri, n)
+    assert math.dist(pt, truth.point_canonical) <= 1e-5 * tri.diameter()
+    # 0 or inf where F leaves the doubles, as the closed form's value does
+    assert value == truth.value or abs(value - truth.value) <= 1e-8 * truth.value
+    assert abs(_log_F(tri, n, pt) - truth.log_value) <= 1e-8
+
+
 def _dense_grid_search(tri, n, m=96, zooms=10):
     # Reference for grid_search's gate: the same scan with m lattice steps
     # on every pass, on every triangle, in the triangle's own units.
@@ -244,8 +261,8 @@ def _dense_grid_search(tri, n, m=96, zooms=10):
     scratch = _lattice_scratch(m)
     best_x, best_y, best_f = 0.0, 0.0, math.inf
     for _ in range(zooms + 1):
-        lx, ly, ls = _lattice_best(a, b, c, p, q, n, m, window, scratch)
-        lf = _power_sum(ls, n)
+        lx, ly = _lattice_best(a, b, c, p, q, n, m, window, scratch)
+        lf = _log_value(_powers(_frame(a, b, c), lx, ly, n))
         if lf < best_f:
             best_x, best_y, best_f = lx, ly, lf
         radius /= ZOOM_FACTOR
@@ -253,7 +270,7 @@ def _dense_grid_search(tri, n, m=96, zooms=10):
             project(lx + radius * ox, ly + radius * oy)
             for ox, oy in ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
         ]
-    return (best_x, best_y), best_f
+    return (best_x, best_y), evaluate_F(tri, n, (best_x, best_y))
 
 
 def _grid_meets(tri, n, point, value):
@@ -366,17 +383,15 @@ def assert_lattice_matches_loop(args):
     a, b, c, n, m, window = args
     lx, ly, lf = _lattice_best_loop(*args)
     p, q, _ = _side_lengths(a, b, c)
-    vx, vy, vs = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
-    vf = _power_sum(vs, n)
+    vx, vy = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
     assert (vx, vy) == (lx, ly)
-    assert abs(vf - lf) <= 2.0 * np.spacing(lf)
     # The interpolated slacks differ from those of the returned point by
     # roundoff on the scale of the window's corner slacks; to first order
     # F moves by n * sum d_i^(n-1) times that.
     d = [abs(s) for s in _loop_slacks(a, b, c, vx, vy)]
     scale = max(abs(s) for corner in window for s in _loop_slacks(a, b, c, *corner))
     bound = 8.0 * np.finfo(float).eps * scale * n * sum(di ** (n - 1.0) for di in d)
-    assert abs(vf - sum(di ** n for di in d)) <= bound + 4.0 * np.spacing(vf)
+    assert abs(lf - sum(di ** n for di in d)) <= bound + 4.0 * np.spacing(lf)
 
 
 def test_lattice_twins_agree():
@@ -484,16 +499,26 @@ def test_descent_reports_exhausted_budget():
         )
 
 
-# F at the centroid is subnormal, so 1 / F overflows
-TINY = CanonicalTriangle(1e-160, 1e-160, 1e-160)
-
-
-def test_descent_refuses_a_start_value_it_cannot_normalize():
-    # compare used to take the NaN this returned as its reference value
-    with pytest.raises(ArithmeticError):
-        projected_gradient(TINY, 2.0)
-    with pytest.raises(ArithmeticError):
-        compare(TINY, 2.0)
+@pytest.mark.parametrize(
+    "abc, n",
+    [
+        # F at the centroid was subnormal, so 1 / F overflowed, and compare
+        # took the NaN the descent returned as its reference value
+        ((1e-160, 1e-160, 1e-160), 2.0),
+        # F at the centroid was (1e-80)^5 = 0: the run normalized by 1
+        # instead and returned the centroid as the minimizer
+        ((1e-80, 2e-80, 3e-80), 5.0),
+        # F is inf everywhere in the triangle
+        ((300.0, 100.0, 200.0), 200.0),
+    ],
+)
+def test_descent_answers_where_F_leaves_the_doubles(abc, n):
+    tri = CanonicalTriangle(*abc)
+    res = projected_gradient(tri, n)
+    truth = minimize_closed_form(tri, n)
+    assert res.value == truth.value
+    assert math.dist(res.point, truth.point_canonical) <= 1e-9 * tri.diameter()
+    assert compare(tri, n).passed
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1e-150])
@@ -517,13 +542,6 @@ def test_descent_does_not_spin_on_a_sliver_of_huge_aspect():
     cf = minimize_closed_form(tri, 5.0)
     assert res.iterations < 1000
     assert cf.value * (1.0 - 1e-14) <= res.value <= cf.value * (1.0 + 1e-12)
-
-
-def test_descent_refuses_a_start_value_that_underflows_to_zero():
-    # F at the centroid is (1e-80)^5 = 0: the run used to normalize by 1
-    # instead and return the centroid as the minimizer
-    with pytest.raises(OverflowError, match="1 / 0.0"):
-        projected_gradient(CanonicalTriangle(1e-80, 2e-80, 3e-80), 5.0)
 
 
 @pytest.mark.parametrize(
@@ -568,20 +586,38 @@ def _extreme_case(rng):
 
 
 def test_descent_on_extreme_inputs_is_right_or_refuses():
+    # from the incenter every case answers; from the centroid 19 refused
+    # (F or the Newton determinant beyond the normal doubles) and needles
+    # at large n took up to 689 steps. F itself reads 0 or inf on some,
+    # so values are compared in logs.
     rng = random.Random(1707)
-    answered = 0
     for _ in range(1000):
         tri, n = _extreme_case(rng)
-        try:
-            res = projected_gradient(tri, n)
-        except (TriPowMinError, ArithmeticError):
-            continue
+        res = projected_gradient(tri, n)
         truth = minimize_closed_form(tri, n)
-        assert abs(res.value - truth.value) <= 1e-8 * truth.value, (tri, n)
+        assert res.iterations <= 25, (tri, n)
+        assert abs(_log_F(tri, n, res.point) - truth.log_value) <= 1e-8, (tri, n)
         assert math.dist(res.point, truth.point_canonical) <= 1e-5 * tri.diameter(), (tri, n)
-        answered += 1
-    # refusals are for F or the Hessian beyond the normal doubles
-    assert answered >= 950
+
+
+@pytest.mark.parametrize(
+    "abc, n",
+    [
+        # from the centroid, one slack's power dominated F and each Newton
+        # step cut that slack by about 1 / (n - 1): 671 steps
+        ((0.13738607314284296, 2.7359565835068926e-07, 4.067634838284864e-07), 57.02),
+        # at the centroid the Hessian weights of both long sides underflowed
+        # and the Newton determinant was 0 (FloatingPointError)
+        ((0.9718849431406602, 5.011054610712012e-07, 1.0191052309573957e-06),
+         58.731746492007545),
+    ],
+)
+def test_descent_answers_needles_at_large_n_from_the_incenter(abc, n):
+    tri = CanonicalTriangle(*abc)
+    res = projected_gradient(tri, n)
+    assert res.iterations <= 25
+    truth = minimize_closed_form(tri, n).point_canonical
+    assert math.dist(res.point, truth) <= 1e-9 * tri.diameter()
 
 
 # compare --------------------------------------------------------------------
@@ -611,14 +647,19 @@ def test_closed_form_never_above_oracle():
 
 def test_value_gap_stays_relative_below_1e300():
     # the gap was divided by max(|a|, |b|, 1e-300), so it read a 0.1% gap
-    # between values near 1e-307 as 1e-10
-    rep = _discrepancy((0.0, 0.0), 1.001e-307, (0.0, 0.0), 1e-307, 1.0, 1e-8)
+    # between values near 1e-307 as 1e-10; from log values it is relative
+    # to the larger value at any size, and where both read 0 or inf
+    log = math.log
+    rep = _discrepancy(
+        (0.0, 0.0), 1.001e-307, log(1.001e-307), (0.0, 0.0), 1e-307, log(1e-307), 1.0, 1e-8
+    )
     assert rep.value_gap_rel == pytest.approx(1e-3 / 1.001, rel=1e-9)
     assert not rep.passed
+    rep = _discrepancy((0.0, 0.0), math.inf, 800.0, (0.0, 0.0), math.inf, 800.0 + 1e-3, 1.0, 1e-8)
+    assert rep.value_gap_rel == pytest.approx(-math.expm1(-1e-3), rel=1e-9) and not rep.passed
+    assert _discrepancy((0.0, 0.0), 0.0, -800.0, (0.0, 0.0), 0.0, -800.0, 1.0, 0.0).passed
     rep = compare(CanonicalTriangle(3e-153, 1e-153, 2e-153), 2.0)
-    gap = abs(rep.closed_form_value - rep.oracle_value)
-    assert rep.value_gap_rel == gap / max(rep.closed_form_value, rep.oracle_value)
-    assert _discrepancy((0.0, 0.0), 0.0, (0.0, 0.0), 0.0, 1.0, 0.0).value_gap_rel == 0.0
+    assert rep.passed and rep.value_gap_rel < 1e-12
 
 
 def test_compare_rejects_n1():

@@ -1,7 +1,17 @@
-"""Helpers shared by the test modules: random triangles in the apex frame
-and membership of the closed triangle."""
+"""Helpers shared by the test modules: random triangles in the apex frame,
+side slacks and membership of the closed triangle."""
 
-from tripowmin.geometry import CanonicalTriangle, _side_slacks
+from tripowmin.geometry import CanonicalTriangle, _side_lengths, _slacks
+
+
+def side_slacks(a, b, c, x, y):
+    """Signed distances from (x, y) to the three side lines, positive inside.
+
+    The first line runs through (0, a) and (-b, 0), the second through
+    (0, a) and (c, 0), the third is the base y = 0.
+    """
+    p, q, _ = _side_lengths(a, b, c)
+    return _slacks(a, b, c, p, q, x, y)
 
 
 def random_canonical_triangle(rng):
@@ -16,4 +26,4 @@ def contains(tri, point):
     local scale, which admits projected boundary points an ulp outside."""
     x, y = float(point[0]), float(point[1])
     eps = 1e-12 * (tri.a + tri.b + tri.c + abs(x) + abs(y))
-    return min(_side_slacks(tri.a, tri.b, tri.c, x, y)) >= -eps
+    return min(side_slacks(tri.a, tri.b, tri.c, x, y)) >= -eps

@@ -37,8 +37,6 @@ from .kkt import (
     KktReport,
     Verdict,
     evaluate_F,
-    gradient,
-    hessian,
     kkt_residual,
 )
 from .oracle import (
@@ -73,9 +71,7 @@ __all__ = [
     "canonicalize",
     "compare",
     "evaluate_F",
-    "gradient",
     "grid_search",
-    "hessian",
     "incenter",
     "kkt_residual",
     "minimize_closed_form",

@@ -136,16 +136,6 @@ class CanonicalTriangle:
         fields["b"] = _positive(b, "b")
         fields["c"] = _positive(c, "c")
 
-    @property
-    def p(self) -> float:
-        """Length of the side from (0, a) to (-b, 0)."""
-        return _side_lengths(self.a, self.b, self.c)[0]
-
-    @property
-    def q(self) -> float:
-        """Length of the side from (0, a) to (c, 0)."""
-        return _side_lengths(self.a, self.b, self.c)[1]
-
     def vertices(self) -> tuple[Point, Point, Point]:
         return _point((0.0, self.a)), _point((-self.b, 0.0)), _point((self.c, 0.0))
 
@@ -167,17 +157,13 @@ class GeneralTriangle:
         fields["v2"] = _finite_point(v2, "vertex v2")
         fields["v3"] = _finite_point(v3, "vertex v3")
 
-    def vertex_array(self) -> tuple[Point, Point, Point]:
-        return self.v1, self.v2, self.v3
-
 
 @dataclass(frozen=True, init=False)
 class Isometry:
     """Rigid motion (rotation by ``angle`` then translation), det = +1.
 
-    ``to_canonical`` maps original coordinates into the apex frame,
-    ``to_original`` is the exact inverse. ``apex_index`` records which input
-    vertex became (0, a).
+    ``to_original`` maps apex-frame coordinates back to the original ones.
+    ``apex_index`` records which input vertex became (0, a).
     """
 
     angle: float
@@ -198,12 +184,6 @@ class Isometry:
         fields["angle"] = angle
         fields["translation"] = t
         fields["apex_index"] = apex_index
-
-    def to_canonical(self, point) -> Point:
-        x, y = float(point[0]), float(point[1])
-        tx, ty = self.translation
-        ca, sa = math.cos(self.angle), math.sin(self.angle)
-        return _point((ca * x - sa * y + tx, sa * x + ca * y + ty))
 
     def to_original(self, point) -> Point:
         tx, ty = self.translation
@@ -421,4 +401,5 @@ def incenter(tri: CanonicalTriangle) -> Point:
 def altitudes(tri: CanonicalTriangle) -> Altitudes:
     """Altitudes dropped from (0, a), (-b, 0) and (c, 0) respectively."""
     a, b, c = tri.a, tri.b, tri.c
-    return Altitudes(a, a * (b + c) / tri.q, a * (b + c) / tri.p)
+    p, q, base = _side_lengths(a, b, c)
+    return Altitudes(a, a * base / q, a * base / p)

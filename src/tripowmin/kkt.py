@@ -1,14 +1,14 @@
-"""The objective F, its derivatives, and first- and second-order
-certification of candidate minimizers.
+"""The objective F and first- and second-order certification of
+candidate minimizers.
 
 F is the powered-distance sum; the feasible set is the closed triangle,
 where the three side slacks (signed distances to the sides AB, AC and BC,
 positive inside) are >= 0. Each slack's gradient is its side's unit
 inward normal. ``kkt_residual`` checks the Karush-Kuhn-Tucker system at a
 point: multipliers for the active constraints, stationarity of the
-Lagrangian, complementary slackness and multiplier signs. ``hessian``
-gives the second derivatives at interior points, where they are positive
-definite for n > 1.
+Lagrangian, complementary slackness and multiplier signs. At interior
+points its report also carries the Hessian's fxx and determinant, both
+positive for n > 1.
 
 Every scalar reader of F, here and in both oracles, goes through one
 kernel, ``_powers``. It works in the ratios r_i = d_i / max d, which never
@@ -21,11 +21,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .closed_form import _pow_or_inf
-from .errors import PointNotFeasible, PointNotInterior, _check_exponent
-from .geometry import CanonicalTriangle, Point, _normals, _point, _side_lengths, _slacks
+from .errors import PointNotFeasible, _check_exponent
+from .geometry import CanonicalTriangle, _normals, _side_lengths, _slacks
 
 _SIDE_LABELS = ("AB", "AC", "BC")
 
@@ -44,15 +43,6 @@ class Verdict(enum.Enum):
     SATISFIED = "satisfied"
     MULTIPLIER_NEGATIVE = "multiplier_negative"
     STATIONARITY_FAILED = "stationarity_failed"
-
-
-class HessianInfo(NamedTuple):
-    """Second derivatives of F at an interior point (see ``hessian``)."""
-
-    fxx: float
-    fxy: float
-    fyy: float
-    det: float
 
 
 @dataclass(frozen=True, init=False)
@@ -172,37 +162,16 @@ def _crosses(normals):
 
 
 def _hessian(normals, w):
-    """(fxx, fxy, fyy, det) of F / (n top^(n-2)) at an interior point. det
-    is sum_{i<j} w_i w_j (u_i x u_j)^2, which agrees with fxx * fyy - fxy^2
+    """(fxx, det) of F / (n top^(n-2)) at an interior point. det is
+    sum_{i<j} w_i w_j (u_i x u_j)^2, which agrees with fxx * fyy - fxy^2
     to roundoff but is positive for n > 1."""
-    (u1x, u1y), (u2x, u2y), _ = normals
+    (u1x, _), (u2x, _), _ = normals
     w1, w2, w3 = w
     c12, c13, c23 = _crosses(normals)
     return (
         w1 * u1x * u1x + w2 * u2x * u2x,
-        w1 * u1x * u1y + w2 * u2x * u2y,
-        w1 * u1y * u1y + w2 * u2y * u2y + w3,
         w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23,
     )
-
-
-def _beyond_doubles(slacks, power) -> OverflowError:
-    """The error for the slack whose ``power`` leaves the doubles (the
-    largest, or the smallest for a negative power), where float ``**``
-    raises with a bare errno that names neither."""
-    d = (max if power > 0.0 else min)(map(abs, slacks))
-    return OverflowError(
-        f"side distance {d!r} to the power {power!r} is beyond the doubles"
-    )
-
-
-def _interior(tri: CanonicalTriangle, n, point):
-    """The kernel's result at a point strictly inside, where w is not None."""
-    x, y = float(point[0]), float(point[1])
-    k = _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
-    if k[6] is None:
-        raise PointNotInterior(f"point {(x, y)} is not strictly inside the triangle")
-    return k
 
 
 def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
@@ -211,35 +180,6 @@ def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     n = _check_exponent(n, allow_one=True)
     frame = _frame(tri.a, tri.b, tri.c)
     return _value(_powers(frame, float(point[0]), float(point[1]), n))
-
-
-def gradient(tri: CanonicalTriangle, n, point) -> Point:
-    """Gradient of F at a strictly interior point, n > 1; OverflowError
-    naming the power where it leaves the doubles."""
-    n = _check_exponent(n)
-    _, slacks, top, _, _, e, _, normals = _interior(tri, n, point)
-    gx, gy = _grad(normals, e)
-    g = n * _pow_or_inf(top, n - 1.0)
-    gx, gy = gx * g if gx else gx, gy * g if gy else gy  # 0 stays 0 where g is inf
-    if not abs(gx) + abs(gy) < math.inf:
-        raise _beyond_doubles(slacks, n - 1.0)
-    return _point((gx, gy))
-
-
-def hessian(tri: CanonicalTriangle, n, point) -> HessianInfo:
-    """Hessian entries and determinant of F at a strictly interior point
-    (see ``_hessian``); a determinant beyond the doubles reads inf, and an
-    entry beyond them raises OverflowError naming the power. The
-    determinant comes from the pairwise cross products of the side
-    normals rather than fxx*fyy - fxy^2."""
-    n = _check_exponent(n)
-    _, slacks, top, _, _, _, w, normals = _interior(tri, n, point)
-    h = n * _pow_or_inf(top, n - 2.0)
-    fxx, fxy, fyy, det = (v * h if v else v for v in _hessian(normals, w))
-    det = det * h if det else det
-    if not abs(fxx) + abs(fxy) + abs(fyy) < math.inf:
-        raise _beyond_doubles(slacks, n - 2.0)
-    return HessianInfo(fxx, fxy, fyy, det)
 
 
 def _multipliers(normals, active, gx, gy) -> list[float]:
@@ -274,18 +214,18 @@ def _multipliers(normals, active, gx, gy) -> list[float]:
     return m
 
 
-def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
+def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     """First-order certificate at a feasible point.
 
     A constraint is active when its slack, the distance to its side, is at
-    most ``tolerance`` (default 1e-9 * a, also the feasibility margin); the
+    most the tolerance tol = 1e-9 * a, also the feasibility margin; the
     active multipliers solve the stationarity equations over the sides'
     unit normals, exactly for one or two, minimum-norm for three. The
     verdict is judged in ratio units, over the gradient scale
     G = n * max_i d_i^(n-1), so that it depends neither on the unit of
     length nor on whether G is a double: the stationarity residual and
     each multiplier over G must be within 1e-9, and complementary
-    slackness over G (a length) within ``tolerance``. Signs are judged
+    slackness over G (a length) within tol. Signs are judged
     first: an edge point with a descent direction into the interior
     reports MULTIPLIER_NEGATIVE even though its Lagrangian is stationary.
 
@@ -295,10 +235,11 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
-    tol = 1e-9 * tri.a if tolerance is None else float(tolerance)
+    tol = 1e-9 * tri.a
     _, slacks, top, _, _, e, w, normals = _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
     s1, s2, s3 = slacks
-    if min(slacks) < -tol:
+    # written so that a NaN slack fails it too
+    if not (s1 >= -tol and s2 >= -tol and s3 >= -tol):
         raise PointNotFeasible(
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
@@ -325,7 +266,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point, tolerance=None) -> KktReport:
     h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
     if w is not None:
         h = n * _pow_or_inf(top, n - 2.0)
-        h_fxx, _, _, h_det = _hessian(normals, w)
+        h_fxx, h_det = _hessian(normals, w)
         h_fxx, h_det = h_fxx * h if h_fxx else h_fxx, h_det * h * h if h_det else h_det
         g = h * top
     else:

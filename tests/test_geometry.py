@@ -20,7 +20,7 @@ from tripowmin.geometry import (
     canonicalize,
     incenter,
 )
-from triangle_helpers import contains, side_slacks
+from triangle_helpers import contains, side_slacks, to_canonical
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -85,7 +85,7 @@ def test_canonicalize_vertices_map_onto_frame_positions():
     g = GeneralTriangle(np.array([1.0, 3.0]), np.array([-2.0, 1.0]), np.array([2.0, -1.0]))
     tri, iso = canonicalize(g)
     frame = np.array([[0.0, tri.a], [-tri.b, 0.0], [tri.c, 0.0]])
-    mapped = np.array([iso.to_canonical(v) for v in g.vertex_array()])
+    mapped = np.array([to_canonical(iso, v) for v in (g.v1, g.v2, g.v3)])
     # apex goes to (0, a); base vertices to (-b, 0) and (c, 0) in some order
     diam = tri.diameter()
     assert np.linalg.norm(mapped[iso.apex_index] - frame[0]) < 1e-10 * diam
@@ -101,10 +101,10 @@ def test_canonicalize_roundtrip_is_identity():
         tri, iso = canonicalize(GeneralTriangle(v[0], v[1], v[2]))
         diam = tri.diameter()
         for pt in v:
-            back = iso.to_original(iso.to_canonical(pt))
+            back = iso.to_original(to_canonical(iso, pt))
             assert np.linalg.norm(back - pt) < 1e-12 * diam
         # isometry: pairwise distances preserved
-        mapped = [iso.to_canonical(x) for x in v]
+        mapped = [to_canonical(iso, x) for x in v]
         for i in range(3):
             for j in range(i):
                 d0 = np.linalg.norm(v[i] - v[j])
@@ -137,7 +137,7 @@ def test_canonicalize_rejects_degenerate_input(v1, v2, v3):
 def canonicalize_reference(triangle):
     """canonicalize as it was written on numpy 2-vectors, kept as the
     reference for the float version: same frame, same bits."""
-    verts = np.asarray(triangle.vertex_array())
+    verts = np.asarray((triangle.v1, triangle.v2, triangle.v3))
 
     def cross(u, v):
         return float(u[0] * v[1] - u[1] * v[0])
@@ -412,7 +412,7 @@ def test_side_distances_at_vertices():
 def test_side_distances_match_direct_line_formulas():
     rng = np.random.default_rng(3)
     a, b, c = WORKED.a, WORKED.b, WORKED.c
-    p, q = WORKED.p, WORKED.q
+    p, q = math.hypot(a, b), math.hypot(a, c)
     for _ in range(50):
         x = rng.uniform(-2.0, 3.0)
         y = rng.uniform(-1.0, 4.0)
@@ -488,7 +488,7 @@ def test_incenter_matches_area_over_semiperimeter():
     tri = WORKED
     inc = incenter(tri)
     area = 0.5 * tri.a * (tri.b + tri.c)
-    s = 0.5 * (tri.p + tri.q + tri.b + tri.c)
+    s = 0.5 * (math.hypot(tri.a, tri.b) + math.hypot(tri.a, tri.c) + tri.b + tri.c)
     assert side_distances(tri, inc)[2] == pytest.approx(area / s, rel=1e-13)
     assert inc[1] == pytest.approx(area / s, rel=1e-13)
 
@@ -516,5 +516,5 @@ def test_altitudes_satisfy_area_identity():
         h = altitudes(tri)
         area2 = tri.a * (tri.b + tri.c)
         assert h.h_a * (tri.b + tri.c) == pytest.approx(area2, rel=1e-12)
-        assert h.h_b * tri.q == pytest.approx(area2, rel=1e-12)
-        assert h.h_c * tri.p == pytest.approx(area2, rel=1e-12)
+        assert h.h_b * math.hypot(tri.a, tri.c) == pytest.approx(area2, rel=1e-12)
+        assert h.h_c * math.hypot(tri.a, tri.b) == pytest.approx(area2, rel=1e-12)

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from tripowmin.closed_form import minimize_closed_form
-from tripowmin.errors import InvalidExponent, PointNotFeasible, PointNotInterior
+from tripowmin.errors import InvalidExponent, PointNotFeasible
 from tripowmin.geometry import CanonicalTriangle, incenter
-from tripowmin.kkt import (
-    Verdict,
-    evaluate_F,
-    gradient,
-    hessian,
-    kkt_residual,
-)
-from triangle_helpers import random_canonical_triangle, side_slacks
+from tripowmin.kkt import Verdict, evaluate_F, kkt_residual
+from triangle_helpers import kernel_gradient, random_canonical_triangle, side_slacks
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 
@@ -23,6 +17,17 @@ def interior_points(tri, rng, count):
     # Dirichlet weights bounded away from the boundary
     ws = 0.9 * rng.dirichlet([1.0, 1.0, 1.0], size=count) + 0.1 / 3.0
     return ws @ verts
+
+
+def reference_hessian(tri, n, point):
+    """fxx, fyy and fxy of F at an interior point, from the Hessian
+    n (n-1) sum_i d_i^(n-2) u_i u_i^T over the unit normals u_i."""
+    a, b, c = tri.a, tri.b, tri.c
+    u = np.array([[a, -b], [-a, -c], [0.0, 1.0]])
+    u /= np.hypot(u[:, 0], u[:, 1])[:, None]
+    d = np.array(side_slacks(a, b, c, float(point[0]), float(point[1])))
+    hess = n * (n - 1.0) * (d ** (n - 2.0) * u.T) @ u
+    return hess[0, 0], hess[1, 1], hess[0, 1]
 
 
 # evaluate_F -----------------------------------------------------------------
@@ -49,7 +54,7 @@ def test_evaluate_rejects_subunit_exponent():
         evaluate_F(WORKED, 0.5, np.array([0.0, 1.0]))
 
 
-# gradient -------------------------------------------------------------------
+# gradient, as the certificate reads it from the kernel ---------------------
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
@@ -58,7 +63,7 @@ def test_gradient_matches_finite_differences():
         h = 1e-6 * tri.diameter()
         for n in (1.5, 2.0, 3.0, 7.5):
             for pt in interior_points(tri, rng, 6):
-                g = gradient(tri, n, pt)
+                g = kernel_gradient(tri, n, pt)
                 fd = np.array(
                     [
                         (evaluate_F(tri, n, pt + e) - evaluate_F(tri, n, pt - e)) / (2 * h)
@@ -77,17 +82,10 @@ def test_gradient_vanishes_at_closed_form_minimizer():
         tri = random_canonical_triangle(rng)
         for n in (2.0, 5.0):
             res = minimize_closed_form(tri, n)
-            g = gradient(tri, n, res.point_canonical)
+            g = kernel_gradient(tri, n, res.point_canonical)
             # gradient scale at distance ~a from the minimizer
             ref = n * evaluate_F(tri, n, res.point_canonical) / tri.a
             assert np.linalg.norm(g) < 1e-9 * max(ref, 1e-300)
-
-
-def test_gradient_requires_strict_interior():
-    with pytest.raises(PointNotInterior):
-        gradient(WORKED, 2.0, np.array([0.0, 0.0]))
-    with pytest.raises(PointNotInterior):
-        gradient(WORKED, 2.0, np.array([0.0, 4.0]))
 
 
 @pytest.mark.parametrize(
@@ -100,13 +98,13 @@ def test_gradient_and_hessian_answer_at_the_ends_of_the_scale(scale):
     tri = CanonicalTriangle(3.0 * scale, scale, 2.0 * scale)
     point = (0.1 * scale, scale)
     for n in (1.5, 2.0):
-        g = gradient(tri, n, point)
-        want = gradient(WORKED, n, (0.1, 1.0))
+        g = kernel_gradient(tri, n, point)
+        want = kernel_gradient(WORKED, n, (0.1, 1.0))
         assert g == pytest.approx(scale ** (n - 1.0) * np.asarray(want), rel=1e-13)
-        h, unit = hessian(tri, n, point), hessian(WORKED, n, (0.1, 1.0))
+        h, unit = kkt_residual(tri, n, point), kkt_residual(WORKED, n, (0.1, 1.0))
         k = scale ** (n - 2.0)
-        assert h[:3] == pytest.approx([k * v for v in unit[:3]], rel=1e-13)
-        assert h.det == pytest.approx(k * k * unit.det, rel=1e-13)
+        assert h.hessian_fxx == pytest.approx(k * unit.hessian_fxx, rel=1e-13)
+        assert h.hessian_det == pytest.approx(k * k * unit.hessian_det, rel=1e-13)
 
 
 def test_kkt_judges_a_subnormal_gradient_scale_in_ratio_units():
@@ -123,11 +121,9 @@ def test_kkt_judges_a_subnormal_gradient_scale_in_ratio_units():
     assert rep.stationarity_residual < 1e-320
 
 
-def test_a_power_beyond_the_doubles_is_named():
+def test_a_power_beyond_the_doubles_reads_inf():
     # float ** raised OverflowError(34, 'Numerical result out of range');
-    # F reads inf, the certificate answers with its fields at +-inf, and the
-    # gradient and Hessian, whose own entries leave the doubles, name the
-    # power; the Hessian's determinant reads inf
+    # F reads inf, and the certificate answers with its fields at +-inf
     tri = CanonicalTriangle(1e50, 1e50, 1e50)
     point = minimize_closed_form(tri, 7.5).point_canonical
     assert evaluate_F(tri, 7.5, point) == math.inf
@@ -135,26 +131,21 @@ def test_a_power_beyond_the_doubles_is_named():
     assert rep.verdict is Verdict.SATISFIED
     assert rep.multipliers == (0.0, 0.0, 0.0)
     assert rep.stationarity_residual == math.inf and rep.hessian_det == math.inf
-    # away from the minimizer, where the gradient is not 0
-    with pytest.raises(OverflowError, match=r"to the power 6\.5 is beyond"):
-        gradient(tri, 7.5, incenter(tri))
-    assert hessian(tri, 7.5, point).det == math.inf
-    with pytest.raises(OverflowError, match=r"to the power 10\.5 is beyond"):
-        hessian(tri, 12.5, point)
-    with pytest.raises(OverflowError, match=r"1e-320 to the power -0\.99 is beyond"):
-        hessian(WORKED, 1.01, (0.1, 1e-320))
+    # the Hessian's scale n max d^(n-2) leaves the doubles
+    assert kkt_residual(tri, 12.5, point).hessian_fxx == math.inf
+    # so does the weight (n-1) r_3^(n-2) of a slack of 1e-320
+    assert kkt_residual(WORKED, 1.01, (0.1, 1e-320)).hessian_det == math.inf
 
 
-# hessian --------------------------------------------------------------------
+# the Hessian fields of kkt_residual's report -------------------------------
 
 def test_hessian_quadratic_case_is_constant():
     # n = 2 makes every weight 1, so the entries depend only on the frame
-    h = hessian(WORKED, 2.0, np.array([7.0 / 32.0, 27.0 / 32.0]))
-    assert h.fxx == pytest.approx(18.0 * (1.0 / 10.0 + 1.0 / 13.0), rel=1e-14)
-    h2 = hessian(WORKED, 2.0, np.array([0.1, 1.7]))
-    assert h2.fxx == pytest.approx(h.fxx, rel=1e-14)
-    assert h2.fyy == pytest.approx(h.fyy, rel=1e-14)
-    assert h2.fxy == pytest.approx(h.fxy, rel=1e-14)
+    h = kkt_residual(WORKED, 2.0, np.array([7.0 / 32.0, 27.0 / 32.0]))
+    assert h.hessian_fxx == pytest.approx(18.0 * (1.0 / 10.0 + 1.0 / 13.0), rel=1e-14)
+    h2 = kkt_residual(WORKED, 2.0, np.array([0.1, 1.7]))
+    assert h2.hessian_fxx == pytest.approx(h.hessian_fxx, rel=1e-14)
+    assert h2.hessian_det == pytest.approx(h.hessian_det, rel=1e-14)
 
 
 def test_hessian_determinant_grouping_matches_products():
@@ -163,9 +154,10 @@ def test_hessian_determinant_grouping_matches_products():
         tri = random_canonical_triangle(rng)
         for n in (1.5, 2.0, 3.0, 6.0):
             for pt in interior_points(tri, rng, 5):
-                h = hessian(tri, n, pt)
-                direct = h.fxx * h.fyy - h.fxy**2
-                assert h.det == pytest.approx(direct, rel=1e-10)
+                rep = kkt_residual(tri, n, pt)
+                fxx, fyy, fxy = reference_hessian(tri, n, pt)
+                assert rep.hessian_fxx == pytest.approx(fxx, rel=1e-12)
+                assert rep.hessian_det == pytest.approx(fxx * fyy - fxy**2, rel=1e-10)
 
 
 def test_hessian_positive_definite_at_minimizers():
@@ -174,9 +166,9 @@ def test_hessian_positive_definite_at_minimizers():
         tri = random_canonical_triangle(rng)
         for n in (1.5, 2.0, 4.0, 9.0):
             res = minimize_closed_form(tri, n)
-            h = hessian(tri, n, res.point_canonical)
-            assert h.fxx > 0.0
-            assert h.det > 0.0
+            rep = kkt_residual(tri, n, res.point_canonical)
+            assert rep.hessian_fxx > 0.0
+            assert rep.hessian_det > 0.0
 
 
 # kkt_residual ---------------------------------------------------------------
@@ -203,8 +195,6 @@ def test_report_at_closed_form_minimizer_is_clean():
         assert rep.complementary_slackness_residual < 1e-9
         assert rep.hessian_fxx > 0.0 and rep.hessian_det > 0.0
         assert math.isfinite(rep.hessian_det)
-        h = hessian(tri, n, res.point_canonical)
-        assert (rep.hessian_fxx, rep.hessian_det) == (h.fxx, h.det)
 
 
 def test_base_point_flags_negative_multiplier():
@@ -296,9 +286,16 @@ def test_verdicts_do_not_depend_on_the_unit(scale, n):
 
 
 def test_tolerance_controls_active_set():
-    pt = np.array([0.5, 0.05])
-    assert kkt_residual(WORKED, 2.0, pt).active_set == ()
-    assert kkt_residual(WORKED, 2.0, pt, tolerance=0.1).active_set == ("BC",)
+    # the tolerance is 1e-9 * a, 3e-9 here; the slack to the base is y
+    assert kkt_residual(WORKED, 2.0, (0.5, 0.05)).active_set == ()
+    assert kkt_residual(WORKED, 2.0, (0.5, 3.1e-9)).active_set == ()
+    for y in (2.9e-9, -2.9e-9):
+        assert kkt_residual(WORKED, 2.0, (0.5, y)).active_set == ("BC",)
+    with pytest.raises(PointNotFeasible):
+        kkt_residual(WORKED, 2.0, (0.5, -3.1e-9))
+    # ten times as tall, ten times the tolerance
+    tall = CanonicalTriangle(30.0, 1.0, 2.0)
+    assert kkt_residual(tall, 2.0, (0.5, 2.9e-8)).active_set == ("BC",)
 
 
 def test_infeasible_point_raises():
@@ -306,6 +303,16 @@ def test_infeasible_point_raises():
         kkt_residual(WORKED, 2.0, np.array([0.0, -1e-6]))
     with pytest.raises(PointNotFeasible):
         kkt_residual(WORKED, 2.0, np.array([4.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "point", [(math.nan, math.nan), (math.nan, 0.5), (0.1, math.nan)]
+)
+def test_nan_point_is_not_feasible(point):
+    # NaN < -tol is False, and min() skips a NaN that is not first, so
+    # such a point was certified SATISFIED with a residual of 0
+    with pytest.raises(PointNotFeasible):
+        kkt_residual(WORKED, 2.0, point)
 
 
 # kkt_residual against the numpy solve it replaced ---------------------------
@@ -326,7 +333,7 @@ def kkt_reference(tri, n, point, tol):
     # an ulp outside its side counting as 0
     powers = np.array([max(s, 0.0) ** (n - 1.0) for s in slacks])
     grad_obj = n * (powers / normal_lengths) @ constraint_grads
-    raw_slacks = np.array([slacks[0] * tri.p, slacks[1] * tri.q, slacks[2]])
+    raw_slacks = np.array(slacks) * normal_lengths
     active = [i for i in range(3) if slacks[i] <= tol]
     multipliers = np.zeros(3)
     if active:
@@ -380,7 +387,7 @@ def test_kkt_residual_matches_numpy_reference(n):
         assert rep.active_set == tuple(("AB", "AC", "BC")[i] for i in active)
         # kkt_residual reports multipliers per unit normal: the reference's
         # raw-constraint multipliers times the length of their normal
-        mult = mult * np.array([tri.p, tri.q, 1.0])
+        mult = mult * np.hypot([tri.a, tri.a, 0.0], [tri.b, tri.c, 1.0])
         # multipliers relative to the largest; residuals relative to the
         # gradient, whose terms cancel in them
         assert np.allclose(rep.multipliers, mult, rtol=0.0,
@@ -388,6 +395,8 @@ def test_kkt_residual_matches_numpy_reference(n):
         assert abs(rep.stationarity_residual - stat) <= 1e-12 * gnorm + 1e-300
         assert abs(rep.complementary_slackness_residual - comp) <= 1e-12 * comp + 1e-300
         if not active:
-            h = hessian(tri, n, pt)
-            assert (rep.hessian_fxx, rep.hessian_det) == (h.fxx, h.det)
+            fxx, fyy, fxy = reference_hessian(tri, n, pt)
+            assert rep.hessian_fxx == pytest.approx(fxx, rel=1e-12)
+            # fxx * fyy - fxy^2 cancels: its error is relative to fxx * fyy
+            assert abs(rep.hessian_det - (fxx * fyy - fxy**2)) <= 1e-12 * fxx * fyy
     assert all(counts), counts

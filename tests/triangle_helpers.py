@@ -1,7 +1,11 @@
 """Helpers shared by the test modules: random triangles in the apex frame,
-side slacks and membership of the closed triangle."""
+side slacks, membership of the closed triangle, the gradient of F as the
+certificate reads it and the inverse of ``Isometry.to_original``."""
 
-from tripowmin.geometry import CanonicalTriangle, _side_lengths, _slacks
+import math
+
+from tripowmin.geometry import CanonicalTriangle, Point, _side_lengths, _slacks
+from tripowmin.kkt import _frame, _grad, _powers
 
 
 def side_slacks(a, b, c, x, y):
@@ -27,3 +31,21 @@ def contains(tri, point):
     x, y = float(point[0]), float(point[1])
     eps = 1e-12 * (tri.a + tri.b + tri.c + abs(x) + abs(y))
     return min(side_slacks(tri.a, tri.b, tri.c, x, y)) >= -eps
+
+
+def kernel_gradient(tri, n, point):
+    """grad F at a point, from the kernel's e_i and top as ``kkt_residual``
+    reads them (the one-sided derivative at a side)."""
+    x, y = float(point[0]), float(point[1])
+    _, _, top, _, _, e, _, normals = _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
+    gx, gy = _grad(normals, e)
+    g = n * top ** (n - 1.0)
+    return Point(gx * g, gy * g)
+
+
+def to_canonical(iso, point):
+    """Original coordinates into the apex frame: rotate by ``iso.angle``,
+    then translate."""
+    ca, sa = math.cos(iso.angle), math.sin(iso.angle)
+    x, y = float(point[0]), float(point[1])
+    return Point(ca * x - sa * y + iso.translation[0], sa * x + ca * y + iso.translation[1])

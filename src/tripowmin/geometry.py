@@ -24,9 +24,6 @@ from .errors import DegenerateTriangle
 # doubled area below this fraction of the squared longest side is collinear
 DEGENERACY_REL_TOL = 1e-12
 
-# Veltkamp's splitter for doubles: 2^27 + 1
-_SPLIT = 134217729.0
-
 _INF = math.inf
 
 
@@ -199,57 +196,23 @@ class Altitudes(NamedTuple):
     h_c: float
 
 
-def _dot(u0, u1, v0, v1) -> float:
-    """``fma(u1, v1, u0*v0)``, rounded once: the bits of the fused
-    multiply-add that OpenBLAS's 2-vector dot computes, which the frame's
-    projections have always had (see tests/test_geometry.py). Not the
-    correctly rounded dot: verdicts at n near 1 hinge on these last bits.
-    The arguments must be scaled so that no product leaves the normal
-    range, as ``canonicalize`` scales them.
-
-    ``p + e == u1*v1`` exactly, by Dekker's TwoProduct (Ogita, Rump and
-    Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005),
-    and ``fsum`` rounds ``u0*v0 + p + e`` once.
-    """
-    p = u1 * v1
-    t = _SPLIT * u1
-    uh = t - (t - u1)
-    ul = u1 - uh
-    t = _SPLIT * v1
-    vh = t - (t - v1)
-    vl = v1 - vh
-    return math.fsum((u0 * v0, p, ((uh * vh - p) + uh * vl + ul * vh) + ul * vl))
-
-
-def _obtuse_or_right(ux, uy, wx, wy) -> bool:
-    """Sign test ``u . w <= 0`` as the fused ``_dot`` decides it.
-
-    The float dot has the same sign whenever it is clear of roundoff; at a
-    right angle the sign is roundoff, and the float and the fused result can
-    disagree, so that case takes ``_dot``.
-    """
-    uw = ux * wx + uy * wy
-    if abs(uw) > 1e-15 * (abs(ux * wx) + abs(uy * wy)):
-        return uw < 0.0
-    return _dot(ux, uy, wx, wy) <= 0.0
-
-
 def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry]:
     """Move a triangle into the apex frame with an orientation-preserving motion.
 
     The apex is the vertex of a right or obtuse angle when one exists (that
     angle is the maximum, and only that choice keeps both base offsets
-    positive); for acute triangles every vertex is admissible and the first
-    input vertex is kept, so an already-canonical triangle maps to itself
-    under the identity.
+    positive); a right angle counts within the rounding of the coordinates.
+    For acute triangles every vertex is admissible and the first input
+    vertex is kept, so an already-canonical triangle maps to itself under
+    the identity.
     """
     ldexp = math.ldexp
     (x1, y1), (x2, y2), (x3, y3) = triangle.v1, triangle.v2, triangle.v3
-    # Everything below runs on the vertices scaled by a power of two, which
-    # is exact: the sign tests (collinearity, apex, orientation) do not
-    # depend on the unit of length, no square overflows or underflows, and
-    # neither do the split products of ``_dot``. a, b, c and the translation
-    # are scaled back at the end, exactly again.
+    # Everything below runs on the vertices scaled by the power of two that
+    # puts the largest |coordinate| in [0.5, 1). The scaling is exact, so the
+    # sign tests (collinearity, apex, orientation) do not depend on the unit
+    # of length, and no square overflows or underflows. a, b, c and the
+    # translation are scaled back at the end, exactly again.
     shift = -math.frexp(max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3)))[1]
     x1, y1 = ldexp(x1, shift), ldexp(y1, shift)
     x2, y2 = ldexp(x2, shift), ldexp(y2, shift)
@@ -258,20 +221,27 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     e1x, e1y = x2 - x1, y2 - y1
     e2x, e2y = x3 - x2, y3 - y2
     e3x, e3y = x1 - x3, y1 - y3
-    longest_sq = max(e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y, e3x * e3x + e3y * e3y)
+    s1, s2, s3 = e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y, e3x * e3x + e3y * e3y
+    longest_sq = max(s1, s2, s3)
     doubled_area = e1x * (y3 - y1) - e1y * (x3 - x1)
     if longest_sq == 0.0 or abs(doubled_area) <= DEGENERACY_REL_TOL * longest_sq:
         raise DegenerateTriangle("vertices are collinear within tolerance")
 
-    # the angle at vertex i lies between edge i and edge i - 1 reversed
-    if _obtuse_or_right(e1x, e1y, -e3x, -e3y):
-        apex = 0
-    elif _obtuse_or_right(e2x, e2y, -e1x, -e1y):
-        apex = 1
-    elif _obtuse_or_right(e3x, e3y, -e2x, -e2y):
-        apex = 2
+    # The angle at vertex i lies between u = edge i and w = edge i - 1
+    # reversed, and faces edge i + 1. Only the angle facing the longest edge
+    # can be right or obtuse, so that vertex alone is tested.
+    if s2 == longest_sq:
+        apex, ux, uy, wx, wy = 0, e1x, e1y, -e3x, -e3y
+    elif s3 == longest_sq:
+        apex, ux, uy, wx, wy = 1, e2x, e2y, -e1x, -e1y
     else:
-        apex = 0
+        apex, ux, uy, wx, wy = 2, e3x, e3y, -e2x, -e2y
+    # u . w <= 0 at a right or obtuse angle. Rounding each coordinate (by up
+    # to 2^-53 at this scale) moves u . w by up to 2^-52 times |ux| + |uy| +
+    # |wx| + |wy|, so the angle counts as right within 1e-15 times that sum,
+    # about 4.5 times the rounding.
+    if ux * wx + uy * wy > 1e-15 * (abs(ux) + abs(uy) + abs(wx) + abs(wy)):
+        apex = 0  # acute
 
     verts = ((x1, y1), (x2, y2), (x3, y3))
     i2, i3 = (apex + 1) % 3, (apex + 2) % 3
@@ -288,11 +258,11 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     h = math.hypot(rx - lx, ry - ly)
     # the frame's unit axes are (ex0, ex1) and (-ex1, ex0)
     ex0, ex1 = (rx - lx) / h, (ry - ly) / h
-    t = _dot(px - lx, py - ly, ex0, ex1)
+    t = (px - lx) * ex0 + (py - ly) * ex1
     fx, fy = lx + t * ex0, ly + t * ex1
-    a = _dot(px - fx, py - fy, -ex1, ex0)
-    b = _dot(fx - lx, fy - ly, ex0, ex1)
-    c = _dot(rx - fx, ry - fy, ex0, ex1)
+    a = (py - fy) * ex0 - (px - fx) * ex1
+    b = (fx - lx) * ex0 + (fy - ly) * ex1
+    c = (rx - fx) * ex0 + (ry - fy) * ex1
     if a <= 0.0 or b <= 0.0 or c <= 0.0:
         # can only happen when a base angle is right/obtuse at float
         # precision, i.e. the triangle is degenerate for this frame
@@ -300,8 +270,8 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
 
     a, b, c = ldexp(a, -shift), ldexp(b, -shift), ldexp(c, -shift)
     translation = _point((
-        ldexp(-_dot(fx, fy, ex0, ex1), -shift),
-        ldexp(-_dot(fx, fy, -ex1, ex0), -shift),
+        ldexp(-(fx * ex0 + fy * ex1), -shift),
+        ldexp(fx * ex1 - fy * ex0, -shift),
     ))
     return (
         CanonicalTriangle(a, b, c),

@@ -139,6 +139,19 @@ def test_solve_general_triangle_reports_original_frame():
     assert doc["minimizer_original"]["y"] == pytest.approx(7.0 / 32.0, rel=1e-10)
 
 
+def test_solve_rotated_right_triangle_frames_the_right_angle():
+    # the 3-4-5 triangle at (1, 1) turned by 2 degrees: the sign of the
+    # right angle's dot is rounding, and the apex went to an acute corner
+    # ("altitude foot falls outside the base segment", exit 2)
+    out = run_cli(
+        "solve", "--vertices",
+        "0.8604020131899961,4.9975633080763835 1.0,1.0 3.998172481057287,1.104698490107503",
+        "--n", "2", "--verify",
+    )
+    assert out.returncode == 0, out.stderr
+    assert "canonical: a=2.4 b=1.8 c=3.2\n" in out.stdout
+
+
 # bad inputs exit 2 ----------------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -134,7 +134,7 @@ def cmd_solve(args) -> int:
         "n": n,
         "minimizer": _point_dict(point_c),
         "minimizer_original": _point_dict(iso.to_original(point_c)),
-        "value": float(value),
+        "value": value,
         "constants": constants,
         "kkt": None if kkt_report is None else dataclasses.asdict(kkt_report),
         "oracle": None
@@ -202,8 +202,8 @@ def cmd_sequence(args) -> int:
         rows.append(
             {
                 "n": n,
-                "x": float(res.point_original[0]),
-                "y": float(res.point_original[1]),
+                "x": res.point_original[0],
+                "y": res.point_original[1],
                 "value": res.value,
                 "dist_to_incenter": math.dist(res.point_canonical, inc_c),
             }

@@ -120,4 +120,4 @@ def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:
     """
     alts = altitudes(tri)
     best = min(range(3), key=alts.__getitem__)  # the first of equal minima
-    return VertexMinimum("ABC"[best], tri.vertices()[best], float(alts[best]))
+    return VertexMinimum("ABC"[best], tri.vertices()[best], alts[best])

@@ -313,7 +313,10 @@ def _normals(a, b, c, p, q):
 def _seg_closest(px, py, ax, ay, bx, by):
     vx = bx - ax
     vy = by - ay
-    t = ((px - ax) * vx + (py - ay) * vy) / (vx * vx + vy * vy)
+    length_sq = vx * vx + vy * vy
+    if not length_sq > 0.0:  # too short to square: its start is nearest
+        return ax, ay
+    t = ((px - ax) * vx + (py - ay) * vy) / length_sq
     if t < 0.0:
         t = 0.0
     elif t > 1.0:
@@ -327,9 +330,10 @@ def _projector(a, b, c):
 
     Points inside by a roundoff-level margin are returned unchanged, which
     makes repeated projection bit-stable. The work runs on a, b, c, x, y
-    scaled by a power of two, as in ``canonicalize``, so that products
-    such as b * y neither overflow nor underflow; the scale is found once
-    here, not per point. The scaling and the scaling back are exact, but
+    scaled by the power of two that puts the largest of a, b, c in [0.5, 1),
+    so that products such as b * y do not overflow; the scale is found once
+    here, not per point. A side below about 1e-154 of that squares to 0 and
+    projects to its start. The scaling and the scaling back are exact, but
     for a coordinate hundreds of orders of magnitude below the triangle's
     size, which is 0 against it anyway.
     """
@@ -372,4 +376,5 @@ def altitudes(tri: CanonicalTriangle) -> Altitudes:
     """Altitudes dropped from (0, a), (-b, 0) and (c, 0) respectively."""
     a, b, c = tri.a, tri.b, tri.c
     p, q, base = _side_lengths(a, b, c)
-    return Altitudes(a, a * base / q, a * base / p)
+    # as ratios: a * base leaves the doubles beyond scales of about 1e+-154
+    return Altitudes(a, a * (base / q), a * (base / p))

@@ -86,12 +86,6 @@ def _value(k):
     return _pow_or_inf(top, n) * total
 
 
-def _log_value(k):
-    """log F from the kernel's result ``k``, finite wherever the point is."""
-    n, _, top, _, total, _, _, _ = k
-    return n * math.log(top) + math.log(total)
-
-
 def _over(k, base):
     """F at the kernel's result ``k`` over F at ``base``, in ratio units."""
     n, _, top, _, total, _, _, _ = k

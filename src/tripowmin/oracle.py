@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from .closed_form import minimize_closed_form
 from .errors import DidNotConverge, PointNotInterior, _check_exponent
 from .geometry import CanonicalTriangle, Point, _projector, _side_lengths, _slacks
-from .kkt import _crosses, _frame, _log_value, _over, _powers, _value
+from .kkt import _crosses, _frame, _over, _powers, _value
 
 
 ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
@@ -129,9 +129,9 @@ def _block_power(s, n, out):
 def _lattice_best(a, b, c, p, q, n, m, window, scratch):
     """Best point of the barycentric lattice of resolution m over the window
     triangle whose vertices are the three (x, y) pairs of ``window``;
-    returns the winner (x, y), lowest lattice index on ties. p and q are
-    the side lengths from ``_side_lengths(a, b, c)``; ``scratch`` comes
-    from ``_lattice_scratch(m)`` and is overwritten.
+    returns the winner's x, y and lattice value F, lowest lattice index on
+    ties. p and q are the side lengths from ``_side_lengths(a, b, c)``;
+    ``scratch`` comes from ``_lattice_scratch(m)`` and is overwritten.
 
     A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
     one 3x3 by 3xN product of the corners' slacks gives every side's slack
@@ -158,7 +158,8 @@ def _lattice_best(a, b, c, p, q, n, m, window, scratch):
     np.add(f, r3, out=f)
     best = int(np.argmin(f))
     ka, kb, kc = weights[:, best].tolist()
-    return ka * w1x + kb * w2x + kc * w3x, ka * w1y + kb * w2y + kc * w3y
+    x = ka * w1x + kb * w2x + kc * w3x
+    return x, ka * w1y + kb * w2y + kc * w3y, f.item(best)
 
 
 def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
@@ -169,10 +170,11 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     window centred on the winner of the pass just scanned, with the window
     radius shrinking by ZOOM_FACTOR per pass; window corners are projected
     onto the triangle, which keeps the lattice feasible when the minimizer
-    sits on the boundary, as at n = 1. The returned point is the best seen
-    over all passes, so the value is monotone in zoom_iterations. Ties go
-    to the lowest lattice index and nothing depends on thread count, so
-    reruns are bit-identical.
+    sits on the boundary, as at n = 1. The returned point is the winner of
+    the pass with the lowest lattice value (the earliest on ties), so the
+    value is monotone in zoom_iterations. Ties within a pass go to the
+    lowest lattice index and nothing depends on thread count, so reruns
+    are bit-identical.
 
     Centring on the pass's winner rather than on the running best keeps
     the windows in the valley of a thin triangle, where an early
@@ -186,16 +188,14 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     against diameter / (96 * 4^10).
 
     The scan runs on a, b, c scaled by the power of two that puts the
-    largest altitude h in [0.5, 1), exactly: no slack exceeds 1, so no
-    lattice value overflows. (Scaling the diameter instead would underflow
-    every value on a sliver whose height is 1e-160 of its width.) F is at
-    least inradius^n everywhere, so values near the minimizer can
-    underflow only where n * log2(2h / inradius) passes 1022; there the
-    scale puts the inradius in [0.5, 1) instead, so that none underflows
-    up to n = 1022, and values far from the minimizer overflow to inf with
-    numpy's warning off. Each pass's winner is scored by log F from the
-    kernel ``kkt._powers``; the best is scaled back exactly, and its value,
-    from the kernel, is in the triangle's own units: 0 or inf where F
+    inradius in [0.5, 1), exactly. F is at least inradius^n everywhere
+    (Hoelder's inequality gives F >= (2 area)^n / ||L||_q^n, which is at
+    least inradius^n), so no lattice value underflows up to n = 1022, and
+    all passes are compared on this one scale. Values far from the
+    minimizer may overflow to inf, with numpy's warning off; where
+    n * log2(2h / inradius) <= 1022, h the largest altitude, none does. The
+    best point is scaled back exactly, and its value, from the kernel
+    ``kkt._powers``, is in the triangle's own units: 0 or inf where F
     leaves the doubles.
 
     A pass is one matrix product, one block power and two adds over a
@@ -208,10 +208,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     cfg = config if config is not None else OracleConfig()
     ldexp = math.ldexp
     p, q, base = _side_lengths(tri.a, tri.b, tri.c)
-    # the largest altitude, onto the shortest side, bounds every slack
-    shift = -math.frexp(tri.a * (base / min(p, q, base)))[1]
-    if n * math.log2(2.0 * (p + q + base) / min(p, q, base)) > 1022.0:
-        shift = -math.frexp(tri.a * (base / (p + q + base)))[1]  # the inradius
+    shift = -math.frexp(tri.a * (base / (p + q + base)))[1]  # the inradius
     a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
     p, q, base = _side_lengths(a, b, c)
     radius = max(p, q, base)
@@ -224,16 +221,14 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     window = [(0.0, a), (-b, 0.0), (c, 0.0)]
     half_rt3 = 0.5 * math.sqrt(3.0)
     project = _projector(a, b, c)
-    frame = _frame(a, b, c)
-    best_x, best_y, best_f = 0.0, 0.0, math.inf
     with np.errstate(over="ignore"):
         for k in range(zooms + 1):
-            lx, ly = _lattice_best(
+            lx, ly, lf = _lattice_best(
                 a, b, c, p, q, n, zoom_m if k else m, window,
                 zoom_scratch if k else first_scratch,
             )
-            lf = _log_value(_powers(frame, lx, ly, n))
-            if lf < best_f:
+            # the first pass seeds the best, even where all its values are inf
+            if k == 0 or lf < best_f:
                 best_x, best_y, best_f = lx, ly, lf
             radius /= ZOOM_FACTOR
             for j, (ox, oy) in enumerate(
@@ -375,8 +370,10 @@ def projected_gradient(
 
 
 def _log_F(tri: CanonicalTriangle, n, point) -> float:
+    """log F at ``point`` from the kernel, finite where F leaves the doubles."""
     frame = _frame(tri.a, tri.b, tri.c)
-    return _log_value(_powers(frame, float(point[0]), float(point[1]), n))
+    _, _, top, _, total, _, _, _ = _powers(frame, float(point[0]), float(point[1]), n)
+    return n * math.log(top) + math.log(total)
 
 
 def compare(
@@ -415,7 +412,7 @@ def _discrepancy(
     return DiscrepancyReport(
         point_gap=point_gap,
         value_gap_rel=value_gap_rel,
-        oracle_value=float(oracle_value),
-        closed_form_value=float(value),
-        passed=bool(point_gap <= point_tol and value_gap_rel <= value_tol),
+        oracle_value=oracle_value,
+        closed_form_value=value,
+        passed=point_gap <= point_tol and value_gap_rel <= value_tol,
     )

@@ -270,6 +270,14 @@ def test_extreme_but_valid_input_gets_its_answer(triangle, n, point, rel):
         # and the gradient scale was subnormal (F at the descent's start,
         # the centroid, underflowed to 0 as well)
         ("1e-80,2e-80,3e-80", "5"),
+        # needles whose base squared to 0 in the grid's projection, which
+        # divided by it: float division by zero
+        ("1,1e-200,1e-200", "2"),
+        ("1,1e-200,1e-200", "5"),
+        ("1,1e-300,1e-300", "2"),
+        ("1,1e-300,1e-300", "5"),
+        ("1,1e-170,3e-170", "2"),
+        ("1,1e-170,3e-170", "5"),
     ],
 )
 def test_solve_verify_passes_at_the_ends_of_the_scale(canonical, n):
@@ -288,6 +296,21 @@ def test_solve_verify_verdicts_do_not_depend_on_the_unit(canonical):
         "solve", "--canonical", canonical, "--n", "5", "--format", "json", "--verify"
     )
     assert doc["kkt"]["verdict"] == "satisfied"
+    assert doc["oracle"]["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "canonical, x", [("3e-200,1e-200,2e-200", -1e-200), ("3e200,1e200,2e200", -1e200)]
+)
+def test_solve_n1_verify_passes_at_the_ends_of_the_scale(canonical, x):
+    # the altitudes formed a * base, which left the doubles: at 1e-200 the
+    # value read 0 and --verify exited 2 on its log, at 1e200 vertex A won
+    # and --verify exited 3
+    out = run_cli("solve", "--canonical", canonical, "--n", "1", "--format", "json",
+                  "--verify")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["minimizer"] == {"x": x, "y": 0.0}
     assert doc["oracle"]["passed"] is True
 
 

@@ -181,6 +181,16 @@ def test_minimize_n1_tie_prefers_apex():
     assert vm.value == pytest.approx(math.sqrt(3.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("s", [1e-200, 1e-160, 1e160, 1e200])
+def test_minimize_n1_at_the_ends_of_the_scale(s):
+    # the altitudes were a * base / side, and a * base left the doubles:
+    # at 1e-200 the value read 0, at 1e-160 it was wrong in the fifth
+    # digit, and at 1e200 vertex A won against infinite altitudes
+    vm = minimize_n1(CanonicalTriangle(3.0 * s, s, 2.0 * s))
+    assert vm.label == "B"
+    assert vm.value == pytest.approx(s * 2.4961508830135313, rel=1e-15, abs=0.0)
+
+
 def test_minimize_n1_agrees_with_dense_evaluation():
     rng = np.random.default_rng(16)
     for _ in range(10):

@@ -20,7 +20,7 @@ from tripowmin.errors import (
 from tripowmin.geometry import (
     CanonicalTriangle, GeneralTriangle, _projector, _side_lengths, canonicalize
 )
-from tripowmin.kkt import _frame, _log_value, _powers, evaluate_F
+from tripowmin.kkt import evaluate_F
 from tripowmin.oracle import (
     ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _lattice_best, _lattice_scratch,
     _log_F, compare, grid_search, projected_gradient,
@@ -237,7 +237,8 @@ def test_grid_does_not_depend_on_the_unit_of_length(scale, n):
 def test_grid_finds_the_minimizer_at_large_n(scale, n):
     # with the largest altitude scaled into [0.5, 1), every lattice value
     # near the minimizer underflowed to 0 from about n = 500 and the scan
-    # took its first lattice point; the scan's scale now follows n there
+    # took its first lattice point; with the inradius scaled into [0.5, 1)
+    # none does, since F >= inradius^n
     tri = CanonicalTriangle(3.0 * scale, scale, 2.0 * scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -251,7 +252,8 @@ def test_grid_finds_the_minimizer_at_large_n(scale, n):
 
 def _dense_grid_search(tri, n, m=96, zooms=10):
     # Reference for grid_search's gate: the same scan with m lattice steps
-    # on every pass, on every triangle, in the triangle's own units.
+    # on every pass, on every triangle, in the triangle's own units; each
+    # pass is scored by its winner's lattice value.
     a, b, c = tri.a, tri.b, tri.c
     p, q, _ = _side_lengths(a, b, c)
     project = _projector(a, b, c)
@@ -259,11 +261,9 @@ def _dense_grid_search(tri, n, m=96, zooms=10):
     window = tri.vertices()
     radius = tri.diameter()
     scratch = _lattice_scratch(m)
-    best_x, best_y, best_f = 0.0, 0.0, math.inf
-    for _ in range(zooms + 1):
-        lx, ly = _lattice_best(a, b, c, p, q, n, m, window, scratch)
-        lf = _log_value(_powers(_frame(a, b, c), lx, ly, n))
-        if lf < best_f:
+    for k in range(zooms + 1):
+        lx, ly, lf = _lattice_best(a, b, c, p, q, n, m, window, scratch)
+        if k == 0 or lf < best_f:
             best_x, best_y, best_f = lx, ly, lf
         radius /= ZOOM_FACTOR
         window = [
@@ -303,15 +303,38 @@ def test_coarse_zoom_lattice_misses_nothing_the_dense_one_meets():
 
 
 def test_thin_triangles_keep_the_dense_zoom_lattice():
-    # thinness a / (b + c) = 0.05 exactly in doubles at a = 0.4, and the
-    # largest altitude, 0.91, already lies in [0.5, 1), so the scan runs in
-    # the triangle's own units and the dense path matches the reference bit
-    # for bit
+    # thinness a / (b + c) = 0.05 exactly in doubles at a = 0.4; the scan
+    # runs on the triangle scaled by 4, which puts the inradius, 0.1995, in
+    # [0.5, 1), and at integral n that scaling changes no bit of the scan,
+    # so the dense path matches the reference in the triangle's own units
+    # bit for bit
     below = CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5)
     at = CanonicalTriangle(0.4, 3.5, 4.5)
     for n in (2.0, 5.0):
         assert _bits(grid_search(below, n)) == _bits(_dense_grid_search(below, n))
         assert _bits(grid_search(at, n)) != _bits(_dense_grid_search(at, n))
+
+
+@pytest.mark.parametrize("n", [1.01, 2.0, 5.0, 10.0])
+def test_grid_point_scales_exactly_with_the_triangle(n):
+    # the scan's one scale is the power of two that puts the inradius in
+    # [0.5, 1), so a triangle scaled by 2^k is scanned in the same units
+    # and its point is 2^k times the unit-scale point, bit for bit
+    (x, y), _ = grid_search(WORKED, n)
+    for k in (-600, -30, 30, 600):
+        tri = CanonicalTriangle(
+            math.ldexp(WORKED.a, k), math.ldexp(WORKED.b, k), math.ldexp(WORKED.c, k)
+        )
+        (sx, sy), _ = grid_search(tri, n)
+        assert (sx.hex(), sy.hex()) == (math.ldexp(x, k).hex(), math.ldexp(y, k).hex())
+
+
+def test_projection_onto_a_side_too_short_to_square():
+    # in the projector's units the base of this needle squares to 0, and
+    # projecting onto it divided by that: ZeroDivisionError
+    project = _projector(1.0, 1e-200, 1e-200)
+    x, y = project(0.0, -1.0)
+    assert y == 0.0 and -1e-200 <= x <= 1e-200
 
 
 def test_projection_of_a_far_point_beyond_the_products_range():
@@ -383,7 +406,7 @@ def assert_lattice_matches_loop(args):
     a, b, c, n, m, window = args
     lx, ly, lf = _lattice_best_loop(*args)
     p, q, _ = _side_lengths(a, b, c)
-    vx, vy = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
+    vx, vy, vf = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
     assert (vx, vy) == (lx, ly)
     # The interpolated slacks differ from those of the returned point by
     # roundoff on the scale of the window's corner slacks; to first order
@@ -392,6 +415,8 @@ def assert_lattice_matches_loop(args):
     scale = max(abs(s) for corner in window for s in _loop_slacks(a, b, c, *corner))
     bound = 8.0 * np.finfo(float).eps * scale * n * sum(di ** (n - 1.0) for di in d)
     assert abs(lf - sum(di ** n for di in d)) <= bound + 4.0 * np.spacing(lf)
+    # the lattice value the scan scores its passes by
+    assert abs(vf - lf) <= bound + 4.0 * np.spacing(lf)
 
 
 def test_lattice_twins_agree():

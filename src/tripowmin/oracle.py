@@ -37,12 +37,11 @@ class OracleConfig:
     ``grid_resolution`` (m) is the number of lattice steps along each side
     of a grid pass's window, so a pass scans (m + 1)(m + 2)/2 points: 4753
     at the default 96. ``zoom_iterations`` counts the window-shrink steps
-    after the initial full-triangle scan. The first pass scans m steps on
-    every triangle, and so does every zoom pass on a thin one; on a
-    triangle that is not thin the zoom passes scan max(1, 7m // 16) steps
-    (946 points at the default) and there is one more of them, as
-    ``grid_search`` explains. 64 and 80 steps resolve the height of a
-    1e160 sliver too coarsely.
+    after the initial full-triangle scan. Every pass on a thin triangle
+    scans m steps; on a triangle that is not thin every pass, the first
+    too, scans max(1, 7m // 16) steps (946 points at the default) and
+    there is one zoom pass more, as ``grid_search`` explains. 64 and 80
+    steps resolve the height of a 1e160 sliver too coarsely.
     """
 
     grid_resolution: int = 96
@@ -95,69 +94,73 @@ def _bary_weights(m):
     return weights
 
 
-def _lattice_scratch(m):
-    """Work arrays for ``_lattice_best`` at resolution m, the caller's own."""
+def _lattice(m):
+    """The lattice of resolution m for ``_lattice_best``: its weights
+    (``_bary_weights(m)``) and two (3, N) work arrays, the caller's own."""
     import numpy as np
 
-    size = (m + 1) * (m + 2) // 2
-    return np.empty((3, size)), np.empty((3, size)), np.empty(size)
+    weights = _bary_weights(m)
+    return weights, np.empty(weights.shape), np.empty(weights.shape)
 
 
-def _block_power(s, n, out):
-    """s ** n elementwise for s >= 0, in ``out`` unless n = 1 (then s);
-    for any s when n is even and at most 64, whose last step squares.
+def _block_power(n):
+    """The function ``power(s, out)`` that returns |s| ** n elementwise for
+    an array s, in ``out`` unless n = 1 (then in s); it may overwrite s.
+    Everything that depends on n alone is settled here, once per scan.
 
     Integral n up to 64 goes by repeated squaring, left to right over the
     bits of n: n = 5 takes three multiplies and n = 10 four, each far
     cheaper than a ``pow``, and the rounding error grows only linearly in
-    their number. Any other n takes one ``np.power``.
+    their number. Any other n takes one ``np.power``. The ``abs`` that
+    folds roundoff-negative slacks is skipped for even n up to 64, whose
+    repeated squaring ends in a square and so gives (-s)^n == s^n bit for
+    bit.
     """
     import numpy as np
 
     k = int(n)
-    if k != n or not 1 <= k <= 64:
-        return np.power(s, n, out=out)
-    power = s
-    for bit in bin(k)[3:]:  # the bits after the leading one
-        np.multiply(power, power, out=out)
-        power = out
-        if bit == "1":
-            np.multiply(out, s, out=out)
+    times_s = None  # np.power
+    if k == n and 1 <= k <= 64:
+        times_s = [bit == "1" for bit in bin(k)[3:]]  # the bits after the leading one
+    fold = times_s is None or k % 2 == 1
+
+    def power(s, out):
+        if fold:
+            np.abs(s, out=s)
+        if times_s is None:
+            return np.power(s, n, out=out)
+        result = s
+        for odd in times_s:
+            np.multiply(result, result, out=out)
+            result = out
+            if odd:
+                np.multiply(out, s, out=out)
+        return result
+
     return power
 
 
-def _lattice_best(a, b, c, p, q, n, m, window, scratch):
-    """Best point of the barycentric lattice of resolution m over the window
-    triangle whose vertices are the three (x, y) pairs of ``window``;
-    returns the winner's x, y and lattice value F, lowest lattice index on
-    ties. p and q are the side lengths from ``_side_lengths(a, b, c)``;
-    ``scratch`` comes from ``_lattice_scratch(m)`` and is overwritten.
+def _lattice_best(np, corners, window, lattice, power):
+    """Best point of a barycentric lattice over the window triangle whose
+    vertices are the three (x, y) pairs of ``window``; returns the winner's
+    x, y and lattice value F, lowest lattice index on ties. ``corners``
+    holds the three sides' slacks at each window vertex, as ``_slacks``
+    gives them; ``lattice`` comes from ``_lattice(m)``, whose work arrays
+    are overwritten, and ``power`` from ``_block_power(n)``. ``np`` is
+    numpy, which the scan imports once rather than once a pass.
 
     A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
     one 3x3 by 3xN product of the corners' slacks gives every side's slack
-    at every point; one power over the block (``_block_power``) and two
-    in-place adds give F. The ``abs`` that folds roundoff-negative slacks
-    is skipped for even n up to 64, whose repeated squaring ends in a
-    square and so gives (-s)^n == s^n bit for bit.
+    at every point; one power over the block and two in-place adds give F.
     """
-    import numpy as np
-
-    weights = _bary_weights(m)
-    s, r, f = scratch
-    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
-    corners = np.array((
-        _slacks(a, b, c, p, q, w1x, w1y),
-        _slacks(a, b, c, p, q, w2x, w2y),
-        _slacks(a, b, c, p, q, w3x, w3y),
-    ))
-    np.matmul(corners.T, weights, out=s)
-    if not (n % 2 == 0 and n <= 64):
-        np.abs(s, out=s)
-    r1, r2, r3 = _block_power(s, n, r)
-    np.add(r1, r2, out=f)
-    np.add(f, r3, out=f)
-    best = int(np.argmin(f))
+    weights, s, r = lattice
+    np.matmul(np.array(corners).T, weights, out=s)
+    f, r2, r3 = power(s, r)
+    f += r2
+    f += r3
+    best = f.argmin()
     ka, kb, kc = weights[:, best].tolist()
+    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
     x = ka * w1x + kb * w2x + kc * w3x
     return x, ka * w1y + kb * w2y + kc * w3y, f.item(best)
 
@@ -165,27 +168,28 @@ def _lattice_best(a, b, c, p, q, n, m, window, scratch):
 def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
     """Deterministic zooming lattice scan for n >= 1; returns (point, value).
 
-    The first pass scans a barycentric lattice of m = ``grid_resolution``
-    steps over the whole triangle. Every later pass scans an equilateral
-    window centred on the winner of the pass just scanned, with the window
-    radius shrinking by ZOOM_FACTOR per pass; window corners are projected
-    onto the triangle, which keeps the lattice feasible when the minimizer
-    sits on the boundary, as at n = 1. The returned point is the winner of
-    the pass with the lowest lattice value (the earliest on ties), so the
-    value is monotone in zoom_iterations. Ties within a pass go to the
-    lowest lattice index and nothing depends on thread count, so reruns
-    are bit-identical.
+    The first pass scans a barycentric lattice over the whole triangle.
+    Every later pass scans an equilateral window centred on the winner of
+    the pass just scanned, with the window radius shrinking by ZOOM_FACTOR
+    per pass; window corners are projected onto the triangle, which keeps
+    the lattice feasible when the minimizer sits on the boundary, as at
+    n = 1. The returned point is the winner of the pass with the lowest
+    lattice value (the earliest on ties), so the value is monotone in
+    zoom_iterations. Ties within a pass go to the lowest lattice index and
+    nothing depends on thread count, so reruns are bit-identical.
 
     Centring on the pass's winner rather than on the running best keeps
     the windows in the valley of a thin triangle, where an early
     full-height pass that has moved towards the minimizer can still score
     worse than a staler point; equilateral windows leave room along the
     valley's short direction, which a window shaped like the triangle
-    walls off. Only thin triangles need m steps after the first pass: from
-    thinness 2 * area / diameter^2 = 0.05 up the zoom passes scan
-    max(1, 7m // 16) steps, 42 at the default, with one zoom pass more,
-    which keeps the last lattice step no coarser: diameter / (42 * 4^11)
-    against diameter / (96 * 4^10).
+    walls off. Only thin triangles need m = ``grid_resolution`` steps a
+    pass: from thinness 2 * area / diameter^2 = 0.05 up every pass, the
+    first too, scans max(1, 7m // 16) steps, 42 at the default, and there
+    is one zoom pass more, which keeps the last lattice step no coarser:
+    diameter / (42 * 4^11) against diameter / (96 * 4^10). The first
+    window, of radius diameter / 4, still spans about ten steps of the
+    first lattice.
 
     The scan runs on a, b, c scaled by the power of two that puts the
     inradius in [0.5, 1), exactly. F is at least inradius^n everywhere
@@ -198,9 +202,16 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     ``kkt._powers``, is in the triangle's own units: 0 or inf where F
     leaves the doubles.
 
+    A new window corner is kept where ``geometry._projector``'s inside
+    test passes, and that test's terms over p and q are its slacks; only a
+    corner outside, or whose products overflow, is projected. The test
+    runs in the scan's units, so it agrees with the projector's wherever
+    its terms are normal doubles in both units.
+
     A pass is one matrix product, one block power and two adds over a
-    3 x N block (``_lattice_best``; N = 4753 at m = 96, 946 at 42). Its
-    work arrays belong to this call, so concurrent scans share nothing.
+    3 x N block (``_lattice_best``; N = 4753 at m = 96, 946 at 42). The
+    power's plan, the lattice and its work arrays are set up once per scan
+    and belong to this call, so concurrent scans share nothing.
     """
     import numpy as np
 
@@ -212,29 +223,37 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
     p, q, base = _side_lengths(a, b, c)
     radius = max(p, q, base)
-    m = zoom_m = cfg.grid_resolution
-    zooms = cfg.zoom_iterations
+    m, zooms = cfg.grid_resolution, cfg.zoom_iterations
     if a / radius * (base / radius) >= _THIN:
-        zoom_m, zooms = max(1, 7 * m // 16), zooms + 1
-    first_scratch = _lattice_scratch(m)
-    zoom_scratch = first_scratch if zoom_m == m else _lattice_scratch(zoom_m)
+        m, zooms = max(1, 7 * m // 16), zooms + 1
+    lattice, power = _lattice(m), _block_power(n)
+    ab, ac = a * b, a * c
     window = [(0.0, a), (-b, 0.0), (c, 0.0)]
+    corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
     half_rt3 = 0.5 * math.sqrt(3.0)
+    offsets = (0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5)
     project = _projector(a, b, c)
     with np.errstate(over="ignore"):
         for k in range(zooms + 1):
-            lx, ly, lf = _lattice_best(
-                a, b, c, p, q, n, zoom_m if k else m, window,
-                zoom_scratch if k else first_scratch,
-            )
+            if k:
+                radius /= ZOOM_FACTOR
+                for j, (ox, oy) in enumerate(offsets):
+                    x, y = lx + radius * ox, ly + radius * oy
+                    ax, by, cy = a * x, b * y, c * y
+                    g1, g2 = ax - by + ab, -ax - cy + ac
+                    e1 = 1e-14 * (ab + abs(ax) + abs(by))
+                    e2 = 1e-14 * (ac + abs(ax) + abs(cy))
+                    # an overflowed product makes a margin inf, which g >= -e passes
+                    if g1 >= -e1 and g2 >= -e2 and y >= 0.0 and e1 + e2 < math.inf:
+                        corners[j] = g1 / p, g2 / q, y
+                    else:
+                        x, y = project(x, y)
+                        corners[j] = _slacks(a, b, c, p, q, x, y)
+                    window[j] = x, y
+            lx, ly, lf = _lattice_best(np, corners, window, lattice, power)
             # the first pass seeds the best, even where all its values are inf
             if k == 0 or lf < best_f:
                 best_x, best_y, best_f = lx, ly, lf
-            radius /= ZOOM_FACTOR
-            for j, (ox, oy) in enumerate(
-                ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
-            ):
-                window[j] = project(lx + radius * ox, ly + radius * oy)
     x, y = ldexp(best_x, -shift), ldexp(best_y, -shift)
     return Point(x, y), _value(_powers(_frame(tri.a, tri.b, tri.c), x, y, n))
 

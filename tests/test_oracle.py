@@ -13,16 +13,17 @@ import warnings
 import numpy as np
 import pytest
 
+from tripowmin import oracle
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import (
     DidNotConverge, InvalidExponent, PointNotInterior
 )
 from tripowmin.geometry import (
-    CanonicalTriangle, GeneralTriangle, _projector, _side_lengths, canonicalize
+    CanonicalTriangle, GeneralTriangle, _projector, _side_lengths, _slacks, canonicalize
 )
 from tripowmin.kkt import evaluate_F
 from tripowmin.oracle import (
-    ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _lattice_best, _lattice_scratch,
+    ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _lattice, _lattice_best,
     _log_F, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
@@ -250,27 +251,49 @@ def test_grid_finds_the_minimizer_at_large_n(scale, n):
     assert abs(_log_F(tri, n, pt) - truth.log_value) <= 1e-8
 
 
+_OFFSETS = ((0.0, 1.0), (-0.5 * math.sqrt(3.0), -0.5), (0.5 * math.sqrt(3.0), -0.5))
+
+
+def _zoom_scan(a, b, c, n, m, passes):
+    # The zoom schedule as a plain loop over oracle._lattice_best and
+    # geometry._projector, in the units of a, b, c: m lattice steps a pass,
+    # every window corner projected and its slacks formed by _slacks, each
+    # pass scored by its winner's lattice value; returns the best point.
+    p, q, base = _side_lengths(a, b, c)
+    project = _projector(a, b, c)
+    window = [(0.0, a), (-b, 0.0), (c, 0.0)]
+    radius = max(p, q, base)
+    lattice, power = _lattice(m), _block_power(n)
+    with np.errstate(over="ignore"):
+        for k in range(passes):
+            corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
+            lx, ly, lf = _lattice_best(np, corners, window, lattice, power)
+            if k == 0 or lf < best_f:
+                best_x, best_y, best_f = lx, ly, lf
+            radius /= ZOOM_FACTOR
+            window = [project(lx + radius * ox, ly + radius * oy) for ox, oy in _OFFSETS]
+    return best_x, best_y
+
+
 def _dense_grid_search(tri, n, m=96, zooms=10):
     # Reference for grid_search's gate: the same scan with m lattice steps
-    # on every pass, on every triangle, in the triangle's own units; each
-    # pass is scored by its winner's lattice value.
-    a, b, c = tri.a, tri.b, tri.c
-    p, q, _ = _side_lengths(a, b, c)
-    project = _projector(a, b, c)
-    half_rt3 = 0.5 * math.sqrt(3.0)
-    window = tri.vertices()
-    radius = tri.diameter()
-    scratch = _lattice_scratch(m)
-    for k in range(zooms + 1):
-        lx, ly, lf = _lattice_best(a, b, c, p, q, n, m, window, scratch)
-        if k == 0 or lf < best_f:
-            best_x, best_y, best_f = lx, ly, lf
-        radius /= ZOOM_FACTOR
-        window = [
-            project(lx + radius * ox, ly + radius * oy)
-            for ox, oy in ((0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5))
-        ]
-    return (best_x, best_y), evaluate_F(tri, n, (best_x, best_y))
+    # on every pass, on every triangle, in the triangle's own units.
+    x, y = _zoom_scan(tri.a, tri.b, tri.c, n, m, zooms + 1)
+    return (x, y), evaluate_F(tri, n, (x, y))
+
+
+def _reference_grid_search(tri, n):
+    # grid_search as its docstring tells it, at the default config: on the
+    # triangle scaled by the power of two that puts the inradius in
+    # [0.5, 1), 12 passes of 42 steps from thinness 0.05 up and 11 of 96
+    # below.
+    p, q, base = _side_lengths(tri.a, tri.b, tri.c)
+    shift = -math.frexp(tri.a * (base / (p + q + base)))[1]
+    a, b, c = (math.ldexp(v, shift) for v in (tri.a, tri.b, tri.c))
+    d = max(_side_lengths(a, b, c))
+    m, passes = (42, 12) if a / d * ((b + c) / d) >= 0.05 else (96, 11)
+    x, y = (math.ldexp(v, -shift) for v in _zoom_scan(a, b, c, n, m, passes))
+    return (x, y), evaluate_F(tri, n, (x, y))
 
 
 def _grid_meets(tri, n, point, value):
@@ -315,6 +338,77 @@ def test_thin_triangles_keep_the_dense_zoom_lattice():
         assert _bits(grid_search(at, n)) != _bits(_dense_grid_search(at, n))
 
 
+@pytest.mark.parametrize(
+    "tri, passes",
+    [
+        (WORKED, [946] * 12),
+        (CanonicalTriangle(0.4, 3.5, 4.5), [946] * 12),  # thinness 0.05
+        (CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5), [4753] * 11),
+        (CanonicalTriangle(1.0, 1e160, 1e160), [4753] * 11),
+    ],
+)
+def test_grid_pass_schedule(monkeypatch, tri, passes):
+    # the points each pass scans: a change that adds work fails here
+    seen = []
+
+    def recording(np_, corners, window, lattice, power):
+        seen.append(lattice[0].shape[1])
+        return _lattice_best(np_, corners, window, lattice, power)
+
+    monkeypatch.setattr(oracle, "_lattice_best", recording)
+    grid_search(tri, 2.0)
+    assert seen == passes
+
+
+def test_grid_matches_its_plain_reference_bit_for_bit():
+    # grid_search forms each window corner's slacks from its own inside
+    # test and projects only the corners outside; the reference projects
+    # every corner and forms the slacks with _slacks
+    rng = random.Random(21)
+    cases = []
+    for k in range(48):
+        tau = 10.0 ** rng.uniform(-3.0, math.log10(0.85))  # thin and regular
+        half = math.sqrt(1.0 - tau * tau)
+        b = rng.uniform(1.0 - half, half)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
+        cases.append((tri, (1.01, 2.0, 5.0, 10.0)[k % 4]))
+    # at n = 1.01 the minimizer hugs a vertex and corners fall outside; on
+    # the last triangle one corner runs along the side AB, on it to roundoff
+    cases += [
+        (CanonicalTriangle(*abc), 1.01)
+        for abc in ((1.0, 0.1, 3.0), (0.3, 2.0, 0.5), (1.0, math.sqrt(3.0), 1.0))
+    ]
+    # slivers, where far corners' products overflow in the scan's units
+    for abc in ((1.0, 1e160, 1e160), (1e-160, 1.0, 1.0)):
+        cases += [(CanonicalTriangle(*abc), n) for n in (1.01, 5.0)]
+    for k in (-600, 600):
+        tri = CanonicalTriangle(*(math.ldexp(v, k) for v in (WORKED.a, WORKED.b, WORKED.c)))
+        cases += [(tri, n) for n in (1.01, 2.0, 10.0)]
+    projected = []
+
+    def counting(a, b, c):
+        project = _projector(a, b, c)
+
+        def wrapped(x, y):
+            out = project(x, y)
+            projected.append(out != (x, y))
+            return out
+
+        return wrapped
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tri, n in cases:
+            want = _bits(_reference_grid_search(tri, n))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "_projector", counting)
+                got = _bits(grid_search(tri, n))
+            assert got == want, (tri, n)
+    # the projection's slow path ran, and only on corners outside
+    assert projected and all(projected)
+
+
 @pytest.mark.parametrize("n", [1.01, 2.0, 5.0, 10.0])
 def test_grid_point_scales_exactly_with_the_triangle(n):
     # the scan's one scale is the power of two that puts the inradius in
@@ -353,7 +447,7 @@ def test_block_power_matches_pow_to_the_squarings_roundoff(n):
     # (n - 1) roundings relative; np.power is off by up to one more
     s = np.random.default_rng(7).uniform(0.0, 3.0, (3, 50))
     s[0, 0] = 0.0
-    got = _block_power(s, float(n), np.empty_like(s))
+    got = _block_power(float(n))(s, np.empty_like(s))
     want = np.power(s, float(n))
     assert np.all(np.abs(got - want) <= (n + 1) * np.finfo(float).eps * want)
     if n in (1, 2):
@@ -406,7 +500,8 @@ def assert_lattice_matches_loop(args):
     a, b, c, n, m, window = args
     lx, ly, lf = _lattice_best_loop(*args)
     p, q, _ = _side_lengths(a, b, c)
-    vx, vy, vf = _lattice_best(a, b, c, p, q, n, m, window, _lattice_scratch(m))
+    corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
+    vx, vy, vf = _lattice_best(np, corners, window, _lattice(m), _block_power(n))
     assert (vx, vy) == (lx, ly)
     # The interpolated slacks differ from those of the returned point by
     # roundoff on the scale of the window's corner slacks; to first order

@@ -2,13 +2,16 @@
 candidate minimizers.
 
 F is the powered-distance sum; the feasible set is the closed triangle,
-where the three side slacks (signed distances to the sides AB, AC and BC,
-positive inside) are >= 0. Each slack's gradient is its side's unit
-inward normal. ``kkt_residual`` checks the Karush-Kuhn-Tucker system at a
-point: multipliers for the active constraints, stationarity of the
-Lagrangian, complementary slackness and multiplier signs. At interior
-points its report also carries the Hessian's fxx and determinant, both
-positive for n > 1.
+where the three side slacks s_i (signed distances to the sides AB, AC and
+BC, positive inside) are >= 0. In those slacks the problem is
+min sum s_i^n subject to sum L_i s_i = 2 area and s >= 0, L_i the side
+lengths: a separable objective under one equality constraint, the
+continuous nonlinear resource-allocation problem (Patriksson, EJOR 185,
+2008). Its Karush-Kuhn-Tucker system n s_i^(n-1) = mu L_i + nu_i, with
+nu_i >= 0 and nu_i s_i = 0, has one scalar mu and needs no normals;
+``kkt_residual`` checks it at a point, each slack known only to within
+its rounding. At interior points its report also carries the Hessian's
+fxx and determinant, both positive for n > 1.
 
 Every scalar reader of F, here and in both oracles, goes through one
 kernel, ``_powers``. It works in the ratios r_i = d_i / max d, which never
@@ -20,7 +23,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
+from itertools import compress
 
 from .closed_form import _pow_or_inf
 from .errors import PointNotFeasible, _check_exponent
@@ -28,15 +33,9 @@ from .geometry import CanonicalTriangle, _normals, _side_lengths, _slacks
 
 _SIDE_LABELS = ("AB", "AC", "BC")
 
-# the active sides and their labels, indexed by the bit mask
-# (side 1 active) + 2 * (side 2 active) + 4 * (side 3 active)
-_ACTIVE = tuple(
-    (
-        tuple(i for i in range(3) if mask >> i & 1),
-        tuple(_SIDE_LABELS[i] for i in range(3) if mask >> i & 1),
-    )
-    for mask in range(8)
-)
+# the certificate's band: a point's slack is known to within this times
+# the scale of its coordinates, seen along the side's normal
+_ROUNDING = 8.0 * sys.float_info.epsilon
 
 
 class Verdict(enum.Enum):
@@ -47,9 +46,11 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True, init=False)
 class KktReport:
-    """``multipliers`` are per side (AB, AC, BC) and per unit normal, so in
-    the gradient's units; the Hessian fields are NaN on the boundary. A
-    field beyond the doubles reads +-inf."""
+    """``multipliers`` are the nu_i of n s_i^(n-1) = mu L_i + nu_i per side
+    (AB, AC, BC), in the gradient's units: 0 where the side's rounding band
+    admits KKT, and negative where it falls short. ``active_set`` holds the
+    sides within rounding of the point. The Hessian fields are NaN on the
+    boundary. A field beyond the doubles reads +-inf."""
 
     active_set: tuple[str, ...]
     multipliers: tuple[float, float, float]
@@ -141,13 +142,6 @@ def _powers(frame, x, y, n):
     )
 
 
-def _grad(normals, e):
-    """grad F / (n top^(n-1)) = sum_i e_i u_i."""
-    (u1x, u1y), (u2x, u2y), _ = normals
-    e1, e2, e3 = e
-    return e1 * u1x + e2 * u2x, e1 * u1y + e2 * u2y + e3
-
-
 def _crosses(normals):
     """u1 x u2, u1 x u3 and u2 x u3; u3 = (0, 1), so the last two are u1x
     and u2x."""
@@ -176,61 +170,36 @@ def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     return _value(_powers(frame, float(point[0]), float(point[1]), n))
 
 
-def _multipliers(normals, active, gx, gy) -> list[float]:
-    """Multipliers of the active sides in grad F = sum_i m_i * u_i, u_i the
-    unit normals.
-
-    One active side: the projection of the gradient on its normal. Two: the
-    2x2 system, solved by Cramer's rule (the normals of two sides are never
-    parallel). Three, which only a needle's sharp tip reaches within
-    tolerance: the minimum-norm solution m = N^T (N N^T)^-1 g, N the 2x3
-    matrix of the normals, with the 2x2 system N N^T z = g by Cramer's rule.
-    """
-    m = [0.0, 0.0, 0.0]
-    if len(active) == 1:
-        i = active[0]
-        ux, uy = normals[i]
-        m[i] = ux * gx + uy * gy
-    elif len(active) == 2:
-        i, j = active
-        (ux, uy), (vx, vy) = normals[i], normals[j]
-        det = ux * vy - uy * vx
-        m[i] = (gx * vy - gy * vx) / det
-        m[j] = (ux * gy - uy * gx) / det
-    elif len(active) == 3:
-        sxx = sum(ux * ux for ux, _ in normals)
-        sxy = sum(ux * uy for ux, uy in normals)
-        syy = sum(uy * uy for _, uy in normals)
-        det = sxx * syy - sxy * sxy
-        zx = (gx * syy - gy * sxy) / det
-        zy = (sxx * gy - sxy * gx) / det
-        m = [ux * zx + uy * zy for ux, uy in normals]
-    return m
-
-
 def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
-    """First-order certificate at a feasible point.
+    """First-order certificate at a feasible point, in slack coordinates.
 
-    A constraint is active when its slack, the distance to its side, is at
-    most the tolerance tol = 1e-9 * a, also the feasibility margin; the
-    active multipliers solve the stationarity equations over the sides'
-    unit normals, exactly for one or two, minimum-norm for three. The
-    verdict is judged in ratio units, over the gradient scale
-    G = n * max_i d_i^(n-1), so that it depends neither on the unit of
-    length nor on whether G is a double: the stationarity residual and
-    each multiplier over G must be within 1e-9, and complementary
-    slackness over G (a length) within tol. Signs are judged
-    first: an edge point with a descent direction into the interior
-    reports MULTIPLIER_NEGATIVE even though its Lagrangian is stationary.
+    Over the gradient scale G = n top^(n-1), top = max_i s_i, the system
+    reads r_i^(n-1) = mu rho_i + nu_i in the ratios r_i = s_i / top and
+    rho_i = L_i / L_max. Each slack is known only to within the point's own
+    rounding: delta_i = 8 eps (|u_ix| (b + c) + |u_iy| a) along side i's
+    unit normal u_i, about 8 eps times the diameter and far less across a
+    flat triangle. So r_i lies in its band [lo_i, hi_i] =
+    [max(s_i - delta_i, 0), s_i + delta_i] / top, and the verdict is
+    SATISFIED iff one mu fits every band:
+    max_i (n-1) log lo_i - log rho_i <= min_i (n-1) log hi_i - log rho_i.
+    Neither the unit of length nor G being a double can sway it. A side
+    with lo_i = 0 is active, within rounding of the point, and leaving its
+    lower bound open is nu_i >= 0. For the least mu that every lower bound
+    allows, nu_i < 0 on each side whose upper bound falls short of it:
+    MULTIPLIER_NEGATIVE if one of them is active, else STATIONARITY_FAILED.
 
     The report's fields are the ratio-unit ones times G (or the Hessian's
     scale), in the triangle's own units: +-inf where that leaves the
-    doubles, and an exact 0 stays 0. Only PointNotFeasible is raised.
+    doubles, and an exact 0 stays 0. The stationarity residual is the
+    largest |nu_i| off the active set, complementary slackness the
+    largest |nu_i s_i|. Only PointNotFeasible is raised, for a slack
+    below -1e-9 * a.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a
-    _, slacks, top, _, _, e, w, normals = _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
+    frame = unit, a, b, c, p, q, normals = _frame(tri.a, tri.b, tri.c)
+    _, slacks, top, _, _, _, w, _ = _powers(frame, x, y, n)
     s1, s2, s3 = slacks
     # written so that a NaN slack fails it too
     if not (s1 >= -tol and s2 >= -tol and s3 >= -tol):
@@ -238,23 +207,47 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    gx, gy = _grad(normals, e)
-    active, labels = _ACTIVE[(s1 <= tol) + 2 * (s2 <= tol) + 4 * (s3 <= tol)]
-    m = _multipliers(normals, active, gx, gy)
-    rx, ry = gx, gy
-    for i in active:
-        rx -= m[i] * normals[i][0]
-        ry -= m[i] * normals[i][1]
-    stationarity = math.hypot(rx, ry)
-    m1, m2, m3 = m
-    comp_slack = max(abs(m1 * s1), abs(m2 * s2), abs(m3 * s3))
-
-    if min(m) < -1e-9:
-        verdict = Verdict.MULTIPLIER_NEGATIVE
-    elif stationarity > 1e-9 or comp_slack > tol:
+    l3 = b + c
+    longest = max(p, q, l3)
+    # the point's own rounding, eps (b + c) across and eps a up, along the
+    # sides' unit normals (a, -b) / p, (-a, -c) / q and (0, 1)
+    d3 = _ROUNDING * a / unit
+    d1, d2 = d3 * (l3 + b) / p, d3 * (l3 + c) / q
+    g1, g2, g3 = math.log(p / longest), math.log(q / longest), math.log(l3 / longest)
+    m, log, inf = n - 1.0, math.log, math.inf
+    # the bounds each band puts on log mu: (n-1) log r - log rho at r = lo
+    # and at r = hi, -inf at r = 0
+    lows = (
+        m * log((s1 - d1) / top) - g1 if s1 > d1 else -inf,
+        m * log((s2 - d2) / top) - g2 if s2 > d2 else -inf,
+        m * log((s3 - d3) / top) - g3 if s3 > d3 else -inf,
+    )
+    highs = (
+        m * log((s1 + d1) / top) - g1 if s1 > -d1 else -inf,
+        m * log((s2 + d2) / top) - g2 if s2 > -d2 else -inf,
+        m * log((s3 + d3) / top) - g3 if s3 > -d3 else -inf,
+    )
+    active = s1 <= d1, s2 <= d2, s3 <= d3
+    floor = max(lows)
+    nu = [0.0, 0.0, 0.0]
+    stationarity = comp_slack = 0.0
+    verdict = Verdict.SATISFIED
+    if floor > min(highs):
+        # mu = lo_k^(n-1) / rho_k is the least that every lower bound
+        # allows, and nu_i = hi_i^(n-1) - mu rho_i on each side whose upper
+        # bound falls short of it, mu rho_i = lo_k^(n-1) L_i / L_k
+        k = lows.index(floor)
+        lengths, deltas = (p, q, l3), (d1, d2, d3)
+        mu_per_length = _pow_or_inf((slacks[k] - deltas[k]) / top, m) / lengths[k]
         verdict = Verdict.STATIONARITY_FAILED
-    else:
-        verdict = Verdict.SATISFIED
+        for i in range(3):
+            if highs[i] < floor:
+                hi = max(slacks[i] + deltas[i], 0.0) / top
+                nu[i] = _pow_or_inf(hi, m) - mu_per_length * lengths[i]
+                if active[i]:
+                    verdict = Verdict.MULTIPLIER_NEGATIVE
+        stationarity = max((abs(v) for v, on in zip(nu, active) if not on), default=0.0)
+        comp_slack = max(abs(v * s) for v, s in zip(nu, slacks))
 
     # the scales of the Hessian and the gradient, n top^(n-2) and n top^(n-1)
     h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
@@ -265,8 +258,9 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
         g = h * top
     else:
         g = n * _pow_or_inf(top, n - 1.0)
+    m1, m2, m3 = nu
     return KktReport(
-        active_set=labels,
+        active_set=tuple(compress(_SIDE_LABELS, active)) if True in active else (),
         # in the triangle's units; an exact 0 stays 0 where g is inf
         multipliers=(m1 * g if m1 else m1, m2 * g if m2 else m2, m3 * g if m3 else m3),
         stationarity_residual=stationarity * g if stationarity else stationarity,

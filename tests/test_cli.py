@@ -290,6 +290,20 @@ def test_solve_verify_passes_at_the_ends_of_the_scale(canonical, n):
     assert doc["oracle"]["passed"] is True
 
 
+@pytest.mark.parametrize("n", ["1.000001", "1.001", "1e9"])
+def test_solve_verify_passes_at_the_ends_of_the_exponent_range(n):
+    # the Cartesian certificate read multiplier_negative at the vertex that
+    # n just above 1 rounds the minimizer onto, and stationarity_failed at
+    # n = 1e9, where rounding moves r_i^(n-1) by about n eps; both exited 3.
+    # n = 1e12 still exits 3, on the oracle's value tolerance
+    out = run_cli("solve", "--canonical", "3,1,2", "--n", n, "--format", "json",
+                  "--verify")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["kkt"]["verdict"] == "satisfied"
+    assert doc["oracle"]["passed"] is True
+
+
 @pytest.mark.parametrize("canonical", ["3,1,2", "0.003,0.001,0.002", "3000,1000,2000"])
 def test_solve_verify_verdicts_do_not_depend_on_the_unit(canonical):
     doc = run_json(

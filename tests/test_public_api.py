@@ -29,7 +29,7 @@ def test_dropped_names_stay_dropped():
     assert not hasattr(tripowmin.GeneralTriangle, "vertex_array")
     assert not hasattr(tripowmin.CanonicalTriangle, "p")
     assert not hasattr(tripowmin.CanonicalTriangle, "q")
-    # the certificate's tolerance is fixed at 1e-9 * a
+    # the certificate's band is fixed by the point's rounding, not a parameter
     assert list(inspect.signature(tripowmin.kkt_residual).parameters) == [
         "tri", "n", "point"
     ]

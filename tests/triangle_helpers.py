@@ -1,11 +1,11 @@
 """Helpers shared by the test modules: random triangles in the apex frame,
 side slacks, membership of the closed triangle, the gradient of F as the
-certificate reads it and the inverse of ``Isometry.to_original``."""
+descent reads it and the inverse of ``Isometry.to_original``."""
 
 import math
 
 from tripowmin.geometry import CanonicalTriangle, Point, _side_lengths, _slacks
-from tripowmin.kkt import _frame, _grad, _powers
+from tripowmin.kkt import _frame, _powers
 
 
 def side_slacks(a, b, c, x, y):
@@ -34,12 +34,14 @@ def contains(tri, point):
 
 
 def kernel_gradient(tri, n, point):
-    """grad F at a point, from the kernel's e_i and top as ``kkt_residual``
-    reads them (the one-sided derivative at a side)."""
+    """grad F = n top^(n-1) sum_i e_i u_i at a point, from the kernel's
+    e_i, top and unit normals u_i as the descent reads them (the one-sided
+    derivative at a side)."""
     x, y = float(point[0]), float(point[1])
     _, _, top, _, _, e, _, normals = _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
-    gx, gy = _grad(normals, e)
     g = n * top ** (n - 1.0)
+    gx = sum(ei * ux for ei, (ux, _) in zip(e, normals))
+    gy = sum(ei * uy for ei, (_, uy) in zip(e, normals))
     return Point(gx * g, gy * g)
 
 

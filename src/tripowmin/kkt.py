@@ -170,6 +170,18 @@ def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     return _value(_powers(frame, float(point[0]), float(point[1]), n))
 
 
+def _band(s, d, rho, top, m):
+    """One side's band [lo, hi] = [max(s - d, 0), max(s + d, 0)] / top,
+    the ratio r = s / top known to within the slack's rounding d, and the
+    bounds it puts on log mu: (n-1) log r - log rho at r = lo and at r = hi,
+    -inf at r = 0. ``m`` is n - 1."""
+    lo = (s - d) / top if s > d else 0.0
+    hi = (s + d) / top if s > -d else 0.0
+    g = math.log(rho)
+    low = m * math.log(lo) - g if lo else -math.inf
+    return lo, hi, low, m * math.log(hi) - g if hi else -math.inf
+
+
 def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     """First-order certificate at a feasible point, in slack coordinates.
 
@@ -207,44 +219,34 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    l3 = b + c
-    longest = max(p, q, l3)
+    lengths = p, q, b + c
+    longest = max(lengths)
     # the point's own rounding, eps (b + c) across and eps a up, along the
     # sides' unit normals (a, -b) / p, (-a, -c) / q and (0, 1)
     d3 = _ROUNDING * a / unit
-    d1, d2 = d3 * (l3 + b) / p, d3 * (l3 + c) / q
-    g1, g2, g3 = math.log(p / longest), math.log(q / longest), math.log(l3 / longest)
-    m, log, inf = n - 1.0, math.log, math.inf
-    # the bounds each band puts on log mu: (n-1) log r - log rho at r = lo
-    # and at r = hi, -inf at r = 0
-    lows = (
-        m * log((s1 - d1) / top) - g1 if s1 > d1 else -inf,
-        m * log((s2 - d2) / top) - g2 if s2 > d2 else -inf,
-        m * log((s3 - d3) / top) - g3 if s3 > d3 else -inf,
+    m = n - 1.0
+    bands = (
+        _band(s1, d3 * (lengths[2] + b) / p, p / longest, top, m),
+        _band(s2, d3 * (lengths[2] + c) / q, q / longest, top, m),
+        _band(s3, d3, lengths[2] / longest, top, m),
     )
-    highs = (
-        m * log((s1 + d1) / top) - g1 if s1 > -d1 else -inf,
-        m * log((s2 + d2) / top) - g2 if s2 > -d2 else -inf,
-        m * log((s3 + d3) / top) - g3 if s3 > -d3 else -inf,
-    )
-    active = s1 <= d1, s2 <= d2, s3 <= d3
-    floor = max(lows)
+    (lo1, _, low1, high1), (lo2, _, low2, high2), (lo3, _, low3, high3) = bands
+    active = not lo1, not lo2, not lo3
+    floor = max(low1, low2, low3)
     nu = [0.0, 0.0, 0.0]
     stationarity = comp_slack = 0.0
     verdict = Verdict.SATISFIED
-    if floor > min(highs):
+    if floor > min(high1, high2, high3):
         # mu = lo_k^(n-1) / rho_k is the least that every lower bound
         # allows, and nu_i = hi_i^(n-1) - mu rho_i on each side whose upper
         # bound falls short of it, mu rho_i = lo_k^(n-1) L_i / L_k
-        k = lows.index(floor)
-        lengths, deltas = (p, q, l3), (d1, d2, d3)
-        mu_per_length = _pow_or_inf((slacks[k] - deltas[k]) / top, m) / lengths[k]
+        k = (low1, low2, low3).index(floor)
+        mu_per_length = _pow_or_inf(bands[k][0], m) / lengths[k]
         verdict = Verdict.STATIONARITY_FAILED
-        for i in range(3):
-            if highs[i] < floor:
-                hi = max(slacks[i] + deltas[i], 0.0) / top
+        for i, (lo, hi, _, high) in enumerate(bands):
+            if high < floor:
                 nu[i] = _pow_or_inf(hi, m) - mu_per_length * lengths[i]
-                if active[i]:
+                if not lo:
                     verdict = Verdict.MULTIPLIER_NEGATIVE
         stationarity = max((abs(v) for v, on in zip(nu, active) if not on), default=0.0)
         comp_slack = max(abs(v * s) for v, s in zip(nu, slacks))
@@ -260,7 +262,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
         g = n * _pow_or_inf(top, n - 1.0)
     m1, m2, m3 = nu
     return KktReport(
-        active_set=tuple(compress(_SIDE_LABELS, active)) if True in active else (),
+        active_set=tuple(compress(_SIDE_LABELS, active)),
         # in the triangle's units; an exact 0 stays 0 where g is inf
         multipliers=(m1 * g if m1 else m1, m2 * g if m2 else m2, m3 * g if m3 else m3),
         stationarity_residual=stationarity * g if stationarity else stationarity,

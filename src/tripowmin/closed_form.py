@@ -103,7 +103,7 @@ def minimize_closed_form(
     a, b, c = tri.a, tri.b, tri.c
     inv = 1.0 / (n - 1.0)
     x, y, h, tot = _trilinear_point(a, b, c, _side_lengths(a, b, c), inv)
-    if not (math.isfinite(x) and math.isfinite(y)):
+    if not -math.inf < x < math.inf > y > -math.inf:  # both finite, neither NaN
         raise OverflowError(
             f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
         )

@@ -63,26 +63,22 @@ class Point(NamedTuple):
 _point = functools.partial(tuple.__new__, Point)
 
 
-def _as_point(value, name: str) -> Point:
-    """Any pair of numbers as a Point of floats, or ValueError naming it
-    (also for an int beyond the doubles, where ``float`` overflows)."""
+def _finite_point(value, name: str) -> Point:
+    """Any pair of finite numbers as a Point of floats, or ValueError
+    naming it (also for an int beyond the doubles, where ``float``
+    overflows)."""
     try:
         x, y = value
-        return _point((float(x), float(y)))
+        x, y = float(x), float(y)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be two numbers, got {value!r}") from None
     except OverflowError:
         raise ValueError(
             f"{name} must be finite, got a coordinate beyond the doubles"
         ) from None
-
-
-def _finite_point(value, name: str) -> Point:
-    """``_as_point``, refused unless both coordinates are finite."""
-    x, y = point = _as_point(value, name)
     if not -_INF < x < _INF > y > -_INF:  # both finite, neither NaN
         raise ValueError(f"{name} must be finite, got {(x, y)!r}")
-    return point
+    return _point((x, y))
 
 
 def _finite(value, name: str) -> float:
@@ -273,10 +269,24 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
         ldexp(-(fx * ex0 + fy * ex1), -shift),
         ldexp(fx * ex1 - fy * ex0, -shift),
     ))
-    return (
-        CanonicalTriangle(a, b, c),
-        Isometry(math.atan2(-ex1, ex0), translation, apex),
-    )
+    if not (a and b and c):
+        # one underflowed to 0 scaling back: the constructor refuses it
+        # with the error it gives any side that is not positive
+        CanonicalTriangle(a, b, c)
+    # a, b, c > 0 were tested above and ldexp raises where they overflow,
+    # so both records are stored as their constructors would store them,
+    # without checking each field again
+    tri = object.__new__(CanonicalTriangle)
+    fields = tri.__dict__
+    fields["a"] = a
+    fields["b"] = b
+    fields["c"] = c
+    iso = object.__new__(Isometry)
+    fields = iso.__dict__
+    fields["angle"] = math.atan2(-ex1, ex0)
+    fields["translation"] = translation
+    fields["apex_index"] = apex
+    return tri, iso
 
 
 def _side_lengths(a, b, c):

@@ -25,13 +25,16 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from itertools import compress
 
 from .closed_form import _pow_or_inf
 from .errors import PointNotFeasible, _check_exponent
 from .geometry import CanonicalTriangle, _normals, _side_lengths, _slacks
 
-_SIDE_LABELS = ("AB", "AC", "BC")
+# the active set, indexed by which of AB, AC and BC (bits 4, 2, 1) are active
+_ACTIVE_SETS = (
+    (), ("BC",), ("AC",), ("AC", "BC"),
+    ("AB",), ("AB", "BC"), ("AB", "AC"), ("AB", "AC", "BC"),
+)
 
 # the certificate's band: a point's slack is known to within this times
 # the scale of its coordinates, seen along the side's normal
@@ -126,10 +129,11 @@ def _powers(frame, x, y, n):
     d1, d2, d3 = abs(s1), abs(s2), abs(s3)
     top = max(d1, d2, d3)
     r1, r2, r3 = d1 / top, d2 / top, d3 / top
-    p1, p2, p3 = r1 ** (n - 1.0), r2 ** (n - 1.0), r3 ** (n - 1.0)
+    m = n - 1.0
+    p1, p2, p3 = r1 ** m, r2 ** m, r3 ** m
     w = None
     if s1 > 0.0 and s2 > 0.0 and s3 > 0.0 and r1 > 0.0 and r2 > 0.0 and r3 > 0.0:
-        w = (n - 1.0) * p1 / r1, (n - 1.0) * p2 / r2, (n - 1.0) * p3 / r3
+        w = m * p1 / r1, m * p2 / r2, m * p3 / r3
     return (
         n,
         (s1 / unit, s2 / unit, s3 / unit),
@@ -204,8 +208,10 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     scale), in the triangle's own units: +-inf where that leaves the
     doubles, and an exact 0 stays 0. The stationarity residual is the
     largest |nu_i| off the active set, complementary slackness the
-    largest |nu_i s_i|. Only PointNotFeasible is raised, for a slack
-    below -1e-9 * a.
+    largest |nu_i s_i|. The multipliers and both residuals are computed
+    only when the verdict fails; a SATISFIED report carries them as the
+    exact zeros they would come to. Only PointNotFeasible is raised, for a
+    slack below -1e-9 * a.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
@@ -219,55 +225,55 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
             f"point {(x, y)} violates a side constraint by more than {tol}"
         )
 
-    lengths = p, q, b + c
-    longest = max(lengths)
+    base = b + c
+    longest = max(p, q, base)
     # the point's own rounding, eps (b + c) across and eps a up, along the
     # sides' unit normals (a, -b) / p, (-a, -c) / q and (0, 1)
     d3 = _ROUNDING * a / unit
     m = n - 1.0
-    bands = (
-        _band(s1, d3 * (lengths[2] + b) / p, p / longest, top, m),
-        _band(s2, d3 * (lengths[2] + c) / q, q / longest, top, m),
-        _band(s3, d3, lengths[2] / longest, top, m),
-    )
-    (lo1, _, low1, high1), (lo2, _, low2, high2), (lo3, _, low3, high3) = bands
-    active = not lo1, not lo2, not lo3
-    floor = max(low1, low2, low3)
-    nu = [0.0, 0.0, 0.0]
-    stationarity = comp_slack = 0.0
-    verdict = Verdict.SATISFIED
-    if floor > min(high1, high2, high3):
-        # mu = lo_k^(n-1) / rho_k is the least that every lower bound
-        # allows, and nu_i = hi_i^(n-1) - mu rho_i on each side whose upper
-        # bound falls short of it, mu rho_i = lo_k^(n-1) L_i / L_k
-        k = (low1, low2, low3).index(floor)
-        mu_per_length = _pow_or_inf(bands[k][0], m) / lengths[k]
-        verdict = Verdict.STATIONARITY_FAILED
-        for i, (lo, hi, _, high) in enumerate(bands):
-            if high < floor:
-                nu[i] = _pow_or_inf(hi, m) - mu_per_length * lengths[i]
-                if not lo:
-                    verdict = Verdict.MULTIPLIER_NEGATIVE
-        stationarity = max((abs(v) for v, on in zip(nu, active) if not on), default=0.0)
-        comp_slack = max(abs(v * s) for v, s in zip(nu, slacks))
+    lo1, hi1, low1, high1 = _band(s1, d3 * (base + b) / p, p / longest, top, m)
+    lo2, hi2, low2, high2 = _band(s2, d3 * (base + c) / q, q / longest, top, m)
+    lo3, hi3, low3, high3 = _band(s3, d3, base / longest, top, m)
 
-    # the scales of the Hessian and the gradient, n top^(n-2) and n top^(n-1)
+    # the scale of the Hessian, n top^(n-2)
     h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
     if w is not None:
         h = n * _pow_or_inf(top, n - 2.0)
         h_fxx, h_det = _hessian(normals, w)
         h_fxx, h_det = h_fxx * h if h_fxx else h_fxx, h_det * h * h if h_det else h_det
-        g = h * top
-    else:
-        g = n * _pow_or_inf(top, n - 1.0)
+    active = _ACTIVE_SETS[(not lo1) * 4 + (not lo2) * 2 + (not lo3)]
+    floor = max(low1, low2, low3)
+    if floor <= min(high1, high2, high3):
+        # one mu fits every band: nu = 0, and so are both residuals
+        return KktReport(
+            active, (0.0, 0.0, 0.0), 0.0, 0.0, h_fxx, h_det, Verdict.SATISFIED
+        )
+
+    # mu = lo_k^(n-1) / rho_k is the least that every lower bound allows,
+    # and nu_i = hi_i^(n-1) - mu rho_i on each side whose upper bound falls
+    # short of it, mu rho_i = lo_k^(n-1) L_i / L_k
+    lengths = p, q, base
+    bands = (lo1, hi1, high1), (lo2, hi2, high2), (lo3, hi3, high3)
+    k = (low1, low2, low3).index(floor)
+    mu_per_length = _pow_or_inf(bands[k][0], m) / lengths[k]
+    nu = [0.0, 0.0, 0.0]
+    verdict = Verdict.STATIONARITY_FAILED
+    for i, (lo, hi, high) in enumerate(bands):
+        if high < floor:
+            nu[i] = _pow_or_inf(hi, m) - mu_per_length * lengths[i]
+            if not lo:
+                verdict = Verdict.MULTIPLIER_NEGATIVE
+    stationarity = max((abs(v) for v, (lo, _, _) in zip(nu, bands) if lo), default=0.0)
+    comp_slack = max(abs(v * s) for v, s in zip(nu, slacks))
+    # the gradient's scale, n top^(n-1); an exact 0 stays 0 where it is inf
+    g = h * top if w is not None else n * _pow_or_inf(top, n - 1.0)
     m1, m2, m3 = nu
     return KktReport(
-        active_set=tuple(compress(_SIDE_LABELS, active)),
-        # in the triangle's units; an exact 0 stays 0 where g is inf
-        multipliers=(m1 * g if m1 else m1, m2 * g if m2 else m2, m3 * g if m3 else m3),
-        stationarity_residual=stationarity * g if stationarity else stationarity,
-        complementary_slackness_residual=comp_slack * g if comp_slack else comp_slack,
-        hessian_fxx=h_fxx,
-        hessian_det=h_det,
-        verdict=verdict,
+        active,
+        (m1 * g if m1 else m1, m2 * g if m2 else m2, m3 * g if m3 else m3),
+        stationarity * g if stationarity else stationarity,
+        comp_slack * g if comp_slack else comp_slack,
+        h_fxx,
+        h_det,
+        verdict,
     )

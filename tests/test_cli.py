@@ -203,11 +203,16 @@ def test_tolerance_must_be_a_non_negative_number(command, flag, value):
 
 @pytest.mark.parametrize(
     "args",
-    # OverflowError: the base b + c overflows, so the point is NaN
-    [["solve", "--canonical", "1,1e308,1e308", "--n", "2"]],
-    # the id it had among the commands that the certificate and the
-    # descent refused before they worked in ratio units
-    ids=["args1"],
+    [
+        # OverflowError: the base b + c overflows, so the point is NaN
+        ["solve", "--canonical", "1,1e308,1e308", "--n", "2"],
+        # OverflowError: canonicalize's frame has a base of about 3.4e308
+        ["solve", "--vertices", "0,1.7e308 -1.7e308,-1.7e308 1.7e308,-1.7e308",
+         "--n", "2"],
+    ],
+    # args1 is the id it had among the commands that the certificate and
+    # the descent refused before they worked in ratio units
+    ids=["args1", "frame-beyond-the-doubles"],
 )
 def test_arithmetic_error_exits_2_without_traceback(args):
     out = run_cli(*args)
@@ -302,6 +307,16 @@ def test_solve_verify_passes_at_the_ends_of_the_exponent_range(n):
     doc = json.loads(out.stdout)
     assert doc["kkt"]["verdict"] == "satisfied"
     assert doc["oracle"]["passed"] is True
+
+
+@pytest.mark.parametrize("canonical", ["1,1,1", "3,1,2"])
+def test_solve_verify_names_an_exponent_beyond_the_descent(canonical):
+    # the Newton determinant read 0.0 (1,1,1) or inf (3,1,2), refused as
+    # "outside the double range" although the input is in range
+    out = run_cli("solve", "--canonical", canonical, "--n", "1e300", "--verify")
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: exponent 1e+300 is beyond the descent oracle")
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("canonical", ["3,1,2", "0.003,0.001,0.002", "3000,1000,2000"])

@@ -270,6 +270,33 @@ def test_canonicalize_is_scale_free(scale):
         assert v == pytest.approx(half_diag, rel=1e-15)
 
 
+def test_canonicalize_stores_what_the_constructors_would():
+    # canonicalize stores its records without running their checks again;
+    # repr tells the bits of each float and the type of each field
+    rng = np.random.default_rng(23)
+    for verts in random_vertices(rng, 300):
+        verts = verts * 10.0 ** rng.uniform(-300.0, 300.0)
+        tri, iso = canonicalize(GeneralTriangle(*verts))
+        assert repr(tri) == repr(CanonicalTriangle(tri.a, tri.b, tri.c))
+        assert repr(iso) == repr(Isometry(iso.angle, iso.translation, iso.apex_index))
+
+
+def test_canonicalize_refuses_a_frame_beyond_the_doubles():
+    # the base, about 3.4e308, overflows scaling back to the triangle's units
+    with pytest.raises(OverflowError):
+        canonicalize(
+            GeneralTriangle((0.0, 1.7e308), (-1.7e308, -1.7e308), (1.7e308, -1.7e308))
+        )
+
+
+def test_canonicalize_refuses_a_height_that_underflows_to_zero():
+    # a is about 1e-12 of the base here, and below the least subnormal
+    verts = ((-5.4930016e-317, -1.490926e-317), (-8.43071785e-316, 8.71187984e-316),
+             (-4.490009e-316, 4.28139364e-316))
+    with pytest.raises(ValueError, match=r"^a must be finite and positive, got 0\.0$"):
+        canonicalize(GeneralTriangle(*verts))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_general_triangle_rejects_non_finite_vertex(bad, position):

@@ -16,42 +16,12 @@ import pytest
 from tripowmin import closed_form
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import PointNotFeasible
-from tripowmin.geometry import GeneralTriangle, _trilinear_point, canonicalize
+from tripowmin.geometry import _trilinear_point
 from tripowmin.kkt import Verdict, kkt_residual
+from triangle_helpers import seeded_triangles
 
 EPS = sys.float_info.epsilon
 EXPONENTS = (1.01, 2.0, 5.0, 10.0)
-PER_CLASS = 64
-
-
-def _thinness(v):
-    (x1, y1), (x2, y2), (x3, y3) = v
-    longest = max(math.dist(v[i], v[i - 1]) for i in range(3))
-    return abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)) / longest**2
-
-
-def triangles():
-    """(class, canonical triangle) pairs: regular ones with vertices uniform
-    in [-1, 1]^2 and thinness 2 area / diameter^2 >= 1e-2, thin ones of
-    thinness in [1e-3, 1e-2], each rotated, and scaled log-uniformly in
-    [1e-3, 1e3]."""
-    rng = np.random.default_rng(2024)
-    out = []
-    for thin in (False, True):
-        while len(out) < PER_CLASS * (1 + thin):
-            if thin:
-                tau = 10.0 ** rng.uniform(-3.0, -2.0)
-                foot = rng.uniform(0.05, 0.95)
-                v = np.array([(0.0, 0.0), (1.0, 0.0), (foot, tau)])
-                t = rng.uniform(0.0, 2.0 * math.pi)
-                v = v @ np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
-            else:
-                v = rng.uniform(-1.0, 1.0, size=(3, 2))
-                if _thinness(v.tolist()) < 1e-2:
-                    continue
-            v *= 10.0 ** rng.uniform(-3.0, 3.0)
-            out.append((thin, canonicalize(GeneralTriangle(*map(tuple, v.tolist())))[0]))
-    return out
 
 
 def swapped_sides(a, b, c, lengths, root):
@@ -121,7 +91,7 @@ def caught():
         if not hit:
             misses.append((name, n, tri, right, point))
 
-    for thin, tri in triangles():
+    for thin, tri in seeded_triangles():
         cls = "thin" if thin else "regular"
         for n in EXPONENTS:
             right = minimize_closed_form(tri, n).point_canonical
@@ -141,6 +111,10 @@ def caught():
 
 def test_mutant_catch_counts_are_pinned(caught):
     table, _ = caught
+    # one line per mutant, n and class, shown in the log under `pytest -s`
+    for (name, n), classes in table.items():
+        for cls, (hit, moved) in classes.items():
+            print(f"MUTANTS {name} n={n:g} {cls}: caught {hit} of {moved} moved")
     assert table == PINNED
 
 

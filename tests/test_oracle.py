@@ -254,6 +254,15 @@ def test_grid_finds_the_minimizer_at_large_n(scale, n):
 _OFFSETS = ((0.0, 1.0), (-0.5 * math.sqrt(3.0), -0.5), (0.5 * math.sqrt(3.0), -0.5))
 
 
+@pytest.mark.parametrize("m", [1, 42, 96])
+def test_lattice_work_arrays_start_on_a_cache_line(m):
+    weights, s, r = _lattice(m)
+    for work in (s, r):
+        assert work.__array_interface__["data"][0] % 64 == 0
+        assert work.shape == weights.shape and work.flags.c_contiguous
+    assert not np.shares_memory(s, r)
+
+
 def _zoom_scan(a, b, c, n, m, passes):
     # The zoom schedule as a plain loop over oracle._lattice_best and
     # geometry._projector, in the units of a, b, c: m lattice steps a pass,
@@ -608,6 +617,19 @@ def test_descent_rejects_subunit_exponent():
         projected_gradient(WORKED, 1.0)
     with pytest.raises(InvalidExponent):
         projected_gradient(WORKED, 0.5)
+
+
+def test_descent_answers_up_to_the_exponent_it_can_represent():
+    # at the incenter of 1,1,1 every ratio is 1 within rounding, and a
+    # weight (1 - eps)^(n-1) is still a normal double at n = 1e18
+    tri = CanonicalTriangle(1.0, 1.0, 1.0)
+    res = projected_gradient(tri, 1e18)
+    assert math.dist(res.point, minimize_closed_form(tri, 1e18).point_canonical) <= 1e-12
+    # from about 3.2e18 it is not, and the Newton determinant read 0 or inf
+    for n in (3.3e18, 1e300):
+        with pytest.raises(InvalidExponent, match="beyond the descent") as exc:
+            projected_gradient(tri, n)
+        assert str(exc.value).startswith(f"exponent {n!r} ")
 
 
 def test_descent_reports_exhausted_budget():

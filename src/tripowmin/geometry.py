@@ -269,10 +269,11 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
         ldexp(-(fx * ex0 + fy * ex1), -shift),
         ldexp(fx * ex1 - fy * ex0, -shift),
     ))
-    if not (a and b and c):
-        # one underflowed to 0 scaling back: the constructor refuses it
-        # with the error it gives any side that is not positive
-        CanonicalTriangle(a, b, c)
+    if not (a and b and c):  # one rounded to 0 scaling back
+        raise ValueError(
+            f"apex frame (a, b, c) = ({a!r}, {b!r}, {c!r}) underflows below "
+            "the least subnormal double, 5e-324"
+        )
     # a, b, c > 0 were tested above and ldexp raises where they overflow,
     # so both records are stored as their constructors would store them,
     # without checking each field again

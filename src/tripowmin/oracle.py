@@ -24,9 +24,6 @@ from .kkt import _crosses, _frame, _over, _powers, _value
 
 
 ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
-# thinness 2 * area / diameter^2 from which the grid scan's zoom passes
-# take the coarser lattice (see grid_search)
-_THIN = 0.05
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
 
@@ -36,17 +33,14 @@ class OracleConfig:
     """Knobs for both oracles; each must be an integer.
 
     ``grid_resolution`` (m) is the number of lattice steps along each side
-    of a grid pass's window, so a pass scans (m + 1)(m + 2)/2 points: 4753
-    at the default 96. ``zoom_iterations`` counts the window-shrink steps
-    after the initial full-triangle scan. Every pass on a thin triangle
-    scans m steps; on a triangle that is not thin every pass, the first
-    too, scans max(1, 7m // 16) steps (946 points at the default) and
-    there is one zoom pass more, as ``grid_search`` explains. 64 and 80
-    steps resolve the height of a 1e160 sliver too coarsely.
+    of a grid pass's window, so every pass scans (m + 1)(m + 2)/2 points:
+    946 at the default 42. ``zoom_iterations`` counts the window-shrink
+    steps after the initial full-triangle scan, so a scan makes
+    zoom_iterations + 1 passes: 12 at the default 11.
     """
 
-    grid_resolution: int = 96
-    zoom_iterations: int = 10
+    grid_resolution: int = 42
+    zoom_iterations: int = 11
     # the descent stops within tens of steps; the cap only bounds a run
     # that cannot meet its stopping rule
     pg_max_iters: int = 200_000
@@ -187,27 +181,30 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     """Deterministic zooming lattice scan for n >= 1; returns (point, value).
 
     The first pass scans a barycentric lattice over the whole triangle.
-    Every later pass scans an equilateral window centred on the winner of
-    the pass just scanned, with the window radius shrinking by ZOOM_FACTOR
-    per pass; window corners are projected onto the triangle, which keeps
-    the lattice feasible when the minimizer sits on the boundary, as at
-    n = 1. The returned point is the winner of the pass with the lowest
-    lattice value (the earliest on ties), so the value is monotone in
-    zoom_iterations. Ties within a pass go to the lowest lattice index and
-    nothing depends on thread count, so reruns are bit-identical.
+    Every later pass scans a window centred on the winner of the pass
+    just scanned, with the window radius shrinking by ZOOM_FACTOR per
+    pass; window corners are projected onto the triangle, which keeps the
+    lattice feasible when the minimizer sits on the boundary, as at
+    n = 1. Every pass scans m = ``grid_resolution`` lattice steps, and
+    there are ``zoom_iterations`` + 1 of them. The returned point is the
+    winner of the pass with the lowest lattice value (the earliest on
+    ties), so the value is monotone in zoom_iterations. Ties within a
+    pass go to the lowest lattice index and nothing depends on thread
+    count, so reruns are bit-identical.
 
     Centring on the pass's winner rather than on the running best keeps
     the windows in the valley of a thin triangle, where an early
     full-height pass that has moved towards the minimizer can still score
-    worse than a staler point; equilateral windows leave room along the
-    valley's short direction, which a window shaped like the triangle
-    walls off. Only thin triangles need m = ``grid_resolution`` steps a
-    pass: from thinness 2 * area / diameter^2 = 0.05 up every pass, the
-    first too, scans max(1, 7m // 16) steps, 42 at the default, and there
-    is one zoom pass more, which keeps the last lattice step no coarser:
-    diameter / (42 * 4^11) against diameter / (96 * 4^10). The first
-    window, of radius diameter / 4, still spans about ten steps of the
-    first lattice.
+    worse than a staler point. The window's corners sit at the radius
+    times (0, sigma), (-sqrt(3)/2, -sigma/2) and (sqrt(3)/2, -sigma/2),
+    with sigma = min(1, 2a / max(b, c)) in the scan's units. F's
+    curvature along the base is about (a / max(b, c))^2 times its
+    curvature across it, as the unit normals (a, -b)/p, (-a, -c)/q and
+    (0, 1) show, so on a thin triangle an equilateral window sees a long,
+    flat valley; a window sigma times as tall is about equilateral in F's
+    own units, the affine invariance that makes the descent Newton's
+    (Boyd & Vandenberghe, Convex Optimization, 9.5). Where
+    2a >= max(b, c) the windows are equilateral.
 
     The scan runs on a, b, c scaled by the power of two that puts the
     inradius in [0.5, 1), exactly. F is at least inradius^n everywhere
@@ -227,7 +224,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     its terms are normal doubles in both units.
 
     A pass is one matrix product, one block power and two adds over a
-    3 x N block (``_lattice_best``; N = 4753 at m = 96, 946 at 42). The
+    3 x N block (``_lattice_best``; N = 946 at the default m = 42). The
     power's plan, the lattice and its work arrays are set up once per scan
     and belong to this call, so concurrent scans share nothing.
     """
@@ -241,18 +238,15 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
     p, q, base = _side_lengths(a, b, c)
     radius = max(p, q, base)
-    m, zooms = cfg.grid_resolution, cfg.zoom_iterations
-    if a / radius * (base / radius) >= _THIN:
-        m, zooms = max(1, 7 * m // 16), zooms + 1
-    lattice, power = _lattice(m), _block_power(n)
+    lattice, power = _lattice(cfg.grid_resolution), _block_power(n)
     ab, ac = a * b, a * c
     window = [(0.0, a), (-b, 0.0), (c, 0.0)]
     corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
-    half_rt3 = 0.5 * math.sqrt(3.0)
-    offsets = (0.0, 1.0), (-half_rt3, -0.5), (half_rt3, -0.5)
+    half_rt3, sigma = 0.5 * math.sqrt(3.0), min(1.0, 2.0 * a / max(b, c))
+    offsets = (0.0, sigma), (-half_rt3, -0.5 * sigma), (half_rt3, -0.5 * sigma)
     project = _projector(a, b, c)
     with np.errstate(over="ignore"):
-        for k in range(zooms + 1):
+        for k in range(cfg.zoom_iterations + 1):
             if k:
                 radius /= ZOOM_FACTOR
                 for j, (ox, oy) in enumerate(offsets):

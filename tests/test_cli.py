@@ -223,6 +223,21 @@ def test_arithmetic_error_exits_2_without_traceback(args):
     assert "out of range" not in out.stderr
 
 
+def test_a_frame_below_the_least_subnormal_exits_2_naming_it():
+    # a valid triangle whose height, about 1e-12 of its base, rounds to 0
+    # in the apex frame: the message names the frame, not a parameter the
+    # caller never gave
+    verts = ("-5.4930016e-317,-1.490926e-317 -8.43071785e-316,8.71187984e-316 "
+             "-4.490009e-316,4.28139364e-316")
+    out = run_cli("solve", "--vertices", verts, "--n", "2")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: apex frame (a, b, c) = (0.0, 5.92945143e-316, 5.9294515e-316) "
+        "underflows below the least subnormal double, 5e-324\n"
+    )
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize(
     "triangle",

@@ -293,7 +293,12 @@ def test_canonicalize_refuses_a_height_that_underflows_to_zero():
     # a is about 1e-12 of the base here, and below the least subnormal
     verts = ((-5.4930016e-317, -1.490926e-317), (-8.43071785e-316, 8.71187984e-316),
              (-4.490009e-316, 4.28139364e-316))
-    with pytest.raises(ValueError, match=r"^a must be finite and positive, got 0\.0$"):
+    # the refusal names the frame, not a parameter the caller never gave
+    with pytest.raises(
+        ValueError,
+        match=r"^apex frame \(a, b, c\) = \(0\.0, 5\.92945143e-316, 5\.9294515e-316\) "
+        r"underflows below the least subnormal double",
+    ):
         canonicalize(GeneralTriangle(*verts))
 
 

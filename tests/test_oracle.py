@@ -27,7 +27,7 @@ from tripowmin.oracle import (
     _log_F, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
-from triangle_helpers import contains
+from triangle_helpers import contains, grid_meets
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 ISOSCELES = CanonicalTriangle(2.0, 1.0, 1.0)
@@ -178,9 +178,25 @@ def test_grid_on_a_sliver_of_scale_1e160_stays_in_the_triangle():
         warnings.simplefilter("error")
         pt, value = grid_search(tri, 5.0)
     assert contains(tri, pt) and math.isfinite(value)
-    # a lattice over a 2e160-wide triangle resolves the height only coarsely
+    # windows squeezed to 2e-160 of their height resolve it as finely as
+    # the base
     truth = minimize_closed_form(tri, 5.0).value
-    assert truth <= value < truth * (1.0 + 1e-3)
+    assert truth <= value < truth * (1.0 + 1e-8)
+
+
+@pytest.mark.parametrize("abc", [(1e-300, 1.0, 1.0), (1e-150, 1e150, 1e150)])
+@pytest.mark.parametrize("n", [1.01, 2.0, 5.0])
+def test_grid_on_a_sliver_of_aspect_1e_300_stays_in_the_triangle(abc, n):
+    # a / max(b, c) = 1e-300: the windows are 2e-300 times as tall as wide
+    tri = CanonicalTriangle(*abc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pt, value = grid_search(tri, n)
+    assert contains(tri, pt)
+    # F underflows to 0 at n = 2 and 5 on the first sliver, log F does not
+    truth = minimize_closed_form(tri, n)
+    assert value == truth.value or abs(value - truth.value) <= 1e-8 * truth.value
+    assert abs(_log_F(tri, n, pt) - truth.log_value) <= 1e-8
 
 
 def test_grid_follows_the_valley_of_a_thin_triangle():
@@ -197,9 +213,8 @@ def test_grid_follows_the_valley_of_a_thin_triangle():
 
 def test_grid_misses_few_thin_triangles():
     # thinness (height over base) 1e-3..1e-2, where each early pass is a
-    # full-height slab; 92 of these 800 miss, against 147 with windows
-    # centred on the running best and 128 lattice steps
-    # verify's tolerances, applied to the grid alone
+    # full-height slab; at verify's tolerances, applied to the grid alone,
+    # 27 of these 800 miss, against 92 with equilateral windows
     rng = random.Random(15)
     misses = 0
     for k in range(800):
@@ -208,13 +223,8 @@ def test_grid_misses_few_thin_triangles():
         b = rng.uniform(0.05, 0.95)
         tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
         n = (1.01, 2.0, 5.0, 10.0)[k % 4]
-        (x, y), value = grid_search(tri, n)
-        truth = minimize_closed_form(tri, n)
-        misses += (
-            math.dist((x, y), truth.point_canonical) > 1e-5 * tri.diameter()
-            or abs(value - truth.value) > 1e-8 * truth.value
-        )
-    assert misses <= 110
+        misses += not grid_meets(tri, n, *grid_search(tri, n))
+    assert misses <= 35
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1e-60, 1e60, 1e100])
@@ -251,7 +261,10 @@ def test_grid_finds_the_minimizer_at_large_n(scale, n):
     assert abs(_log_F(tri, n, pt) - truth.log_value) <= 1e-8
 
 
-_OFFSETS = ((0.0, 1.0), (-0.5 * math.sqrt(3.0), -0.5), (0.5 * math.sqrt(3.0), -0.5))
+def _offsets(sigma):
+    # the window corners' offsets per unit radius
+    half_rt3 = 0.5 * math.sqrt(3.0)
+    return (0.0, sigma), (-half_rt3, -0.5 * sigma), (half_rt3, -0.5 * sigma)
 
 
 @pytest.mark.parametrize("m", [1, 42, 96])
@@ -263,7 +276,7 @@ def test_lattice_work_arrays_start_on_a_cache_line(m):
     assert not np.shares_memory(s, r)
 
 
-def _zoom_scan(a, b, c, n, m, passes):
+def _zoom_scan(a, b, c, n, m, passes, offsets):
     # The zoom schedule as a plain loop over oracle._lattice_best and
     # geometry._projector, in the units of a, b, c: m lattice steps a pass,
     # every window corner projected and its slacks formed by _slacks, each
@@ -280,84 +293,118 @@ def _zoom_scan(a, b, c, n, m, passes):
             if k == 0 or lf < best_f:
                 best_x, best_y, best_f = lx, ly, lf
             radius /= ZOOM_FACTOR
-            window = [project(lx + radius * ox, ly + radius * oy) for ox, oy in _OFFSETS]
+            window = [project(lx + radius * ox, ly + radius * oy) for ox, oy in offsets]
     return best_x, best_y
 
 
-def _dense_grid_search(tri, n, m=96, zooms=10):
-    # Reference for grid_search's gate: the same scan with m lattice steps
-    # on every pass, on every triangle, in the triangle's own units.
-    x, y = _zoom_scan(tri.a, tri.b, tri.c, n, m, zooms + 1)
+def _dense_grid_search(tri, n):
+    # A denser reference scan: 11 passes of 96 lattice steps with
+    # equilateral windows, on every triangle, in the triangle's own units.
+    x, y = _zoom_scan(tri.a, tri.b, tri.c, n, 96, 11, _offsets(1.0))
     return (x, y), evaluate_F(tri, n, (x, y))
 
 
 def _reference_grid_search(tri, n):
     # grid_search as its docstring tells it, at the default config: on the
     # triangle scaled by the power of two that puts the inradius in
-    # [0.5, 1), 12 passes of 42 steps from thinness 0.05 up and 11 of 96
-    # below.
+    # [0.5, 1), 12 passes of 42 steps, the windows sigma times as tall as
+    # equilateral ones, sigma = min(1, 2a / max(b, c)).
     p, q, base = _side_lengths(tri.a, tri.b, tri.c)
     shift = -math.frexp(tri.a * (base / (p + q + base)))[1]
     a, b, c = (math.ldexp(v, shift) for v in (tri.a, tri.b, tri.c))
-    d = max(_side_lengths(a, b, c))
-    m, passes = (42, 12) if a / d * ((b + c) / d) >= 0.05 else (96, 11)
-    x, y = (math.ldexp(v, -shift) for v in _zoom_scan(a, b, c, n, m, passes))
+    offsets = _offsets(min(1.0, 2.0 * a / max(b, c)))
+    x, y = (math.ldexp(v, -shift) for v in _zoom_scan(a, b, c, n, 42, 12, offsets))
     return (x, y), evaluate_F(tri, n, (x, y))
 
 
-def _grid_meets(tri, n, point, value):
-    # verify's tolerances, applied to the grid alone
-    truth = minimize_closed_form(tri, n)
-    return (
-        math.dist(point, truth.point_canonical) <= 1e-5 * tri.diameter()
-        and abs(value - truth.value) <= 1e-8 * truth.value
-    )
-
-
 def test_coarse_zoom_lattice_misses_nothing_the_dense_one_meets():
-    # thinness 2 * area / diameter^2 from 0.05 up, where the zoom passes
-    # scan the coarser lattice; the base is the longest side, so the
-    # thinness is the height over the base
+    # thinness 2 * area / diameter^2 from 1e-3 to 0.85, with the base the
+    # longest side, so the thinness is the height over the base: 42
+    # steps a pass on windows stretched along the base lose no case that
+    # 96 steps on equilateral windows meet
     rng = random.Random(16)
     lost = []
-    for k in range(400):
-        scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        tau = 10.0 ** rng.uniform(math.log10(0.05), math.log10(0.85))
-        half = math.sqrt(1.0 - tau * tau)
-        b = rng.uniform(1.0 - half, half)
-        tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
-        n = (1.01, 2.0, 5.0, 10.0)[k % 4]
-        if _grid_meets(tri, n, *_dense_grid_search(tri, n)) and not _grid_meets(
-            tri, n, *grid_search(tri, n)
-        ):
-            lost.append((tri, n))
+    for low, high in ((1e-3, 0.05), (0.05, 0.85)):
+        for k in range(400):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            tau = 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+            half = math.sqrt(1.0 - tau * tau)
+            b = rng.uniform(1.0 - half, half)
+            tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
+            n = (1.01, 2.0, 5.0, 10.0)[k % 4]
+            if grid_meets(tri, n, *_dense_grid_search(tri, n)) and not grid_meets(
+                tri, n, *grid_search(tri, n)
+            ):
+                lost.append((tri, n))
     assert not lost, lost
 
 
-def test_thin_triangles_keep_the_dense_zoom_lattice():
-    # thinness a / (b + c) = 0.05 exactly in doubles at a = 0.4; the scan
-    # runs on the triangle scaled by 4, which puts the inradius, 0.1995, in
-    # [0.5, 1), and at integral n that scaling changes no bit of the scan,
-    # so the dense path matches the reference in the triangle's own units
-    # bit for bit
-    below = CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5)
-    at = CanonicalTriangle(0.4, 3.5, 4.5)
-    for n in (2.0, 5.0):
-        assert _bits(grid_search(below, n)) == _bits(_dense_grid_search(below, n))
-        assert _bits(grid_search(at, n)) != _bits(_dense_grid_search(at, n))
+# (x, y, F) at n = 1.01, 2, 5, 10 where 2a >= max(b, c), so that every
+# window is equilateral: the bits of the scan with unstretched windows;
+# 2a = max(b, c) on the second triangle
+EQUILATERAL_WINDOW_BITS = {
+    (3.0, 1.0, 2.0): [
+        ("-0x1.ffff4ee39e2f4p-1", "0x1.5fa08959f817cp-26", "0x1.4271833adb1d5p+1"),
+        ("0x1.c0000074a05e4p-3", "0x1.affffffbf842ap-1", "0x1.43fffffffffffp+1"),
+        ("0x1.0e33e99203a67p-2", "0x1.cdc0e3946a8e3p-1", "0x1.fc1177efd8ed9p+0"),
+        ("0x1.167be871eaf2dp-2", "0x1.d34df05f288f2p-1", "0x1.518b5b258835ap+0"),
+    ],
+    (1.0, 0.5, 2.0): [
+        ("-0x1.ac7857e287982p-18", "0x1.fffe5387a81d8p-1", "0x1.fffffbb7714c9p-1"),
+        ("0x1.008bc05ab3560p-27", "0x1.000000239a855p-1", "0x1.0000000000000p-1"),
+        ("0x1.0fa50dab62207p-3", "0x1.ca0e1233157a0p-2", "0x1.47fd6cf65831ep-5"),
+        ("0x1.501d81c7d40ecp-3", "0x1.beb30463d8864p-2", "0x1.2bebe98929e53p-11"),
+    ],
+}
+
+
+@pytest.mark.parametrize("abc", sorted(EQUILATERAL_WINDOW_BITS))
+def test_grid_keeps_equilateral_windows_where_2a_reaches_max_b_c(abc):
+    tri = CanonicalTriangle(*abc)
+    got = [_bits(grid_search(tri, n)) for n in (1.01, 2.0, 5.0, 10.0)]
+    assert got == EQUILATERAL_WINDOW_BITS[abc]
+
+
+def test_grid_windows_on_a_thin_triangle_are_sigma_times_as_tall(monkeypatch):
+    # 2a / max(b, c) = 1e-3: every zoom window that no corner left is an
+    # equilateral one squeezed to 1e-3 of its height
+    tri = CanonicalTriangle(0.02, 1.3, 40.0)
+    sigma = 2.0 * tri.a / tri.c
+    passes = []
+
+    def recording(np_, corners, window, lattice, power):
+        best = _lattice_best(np_, corners, window, lattice, power)
+        passes.append((list(window), best))
+        return best
+
+    monkeypatch.setattr(oracle, "_lattice_best", recording)
+    grid_search(tri, 2.0)
+    inside = 0
+    for (_, (lx, ly, _)), ((top, left, right), _) in zip(passes, passes[1:]):
+        if left[1] != right[1] or top[0] != 0.5 * (left[0] + right[0]):
+            continue  # a corner was projected
+        inside += 1
+        width, height = right[0] - left[0], top[1] - left[1]
+        assert height / width == pytest.approx(sigma * math.sqrt(3.0) / 2.0, rel=1e-9)
+        # centred on the last pass's winner
+        assert top[0] == lx
+        assert (top[1] + left[1] + right[1]) / 3.0 == pytest.approx(ly, rel=1e-12)
+    # the first five zoom windows reach past a side
+    assert inside == 6
 
 
 @pytest.mark.parametrize(
     "tri, passes",
     [
         (WORKED, [946] * 12),
-        (CanonicalTriangle(0.4, 3.5, 4.5), [946] * 12),  # thinness 0.05
-        (CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5), [4753] * 11),
-        (CanonicalTriangle(1.0, 1e160, 1e160), [4753] * 11),
+        (CanonicalTriangle(0.4, 3.5, 4.5), [946] * 12),
+        (CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5), [946] * 12),
+        (CanonicalTriangle(1.0, 1e160, 1e160), [946] * 12),
     ],
 )
 def test_grid_pass_schedule(monkeypatch, tri, passes):
-    # the points each pass scans: a change that adds work fails here
+    # the points each pass scans, the same on every triangle: a change
+    # that adds work fails here
     seen = []
 
     def recording(np_, corners, window, lattice, power):
@@ -872,5 +919,5 @@ def test_config_validation(kwargs):
 
 def test_default_config_is_usable():
     cfg = OracleConfig()
-    assert cfg.grid_resolution == 96
-    assert cfg.zoom_iterations == 10
+    assert cfg.grid_resolution == 42
+    assert cfg.zoom_iterations == 11

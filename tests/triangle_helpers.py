@@ -8,7 +8,7 @@ from itertools import compress
 
 import numpy as np
 
-from tripowmin.closed_form import _pow_or_inf
+from tripowmin.closed_form import _pow_or_inf, minimize_closed_form
 from tripowmin.errors import PointNotFeasible, _check_exponent
 from tripowmin.geometry import (
     CanonicalTriangle, GeneralTriangle, Point, _side_lengths, _slacks, canonicalize,
@@ -24,13 +24,12 @@ def _thinness(v):
     return abs((x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)) / longest**2
 
 
-def seeded_triangles():
-    """(class, canonical triangle) pairs: regular ones with vertices uniform
-    in [-1, 1]^2 and thinness 2 area / diameter^2 >= 1e-2, thin ones of
-    thinness in [1e-3, 1e-2], each rotated, and scaled log-uniformly in
-    [1e-3, 1e3]."""
+def seeded_triangles(per_class=64):
+    """(class, canonical triangle) pairs, ``per_class`` of each: regular
+    ones with vertices uniform in [-1, 1]^2 and thinness
+    2 area / diameter^2 >= 1e-2, thin ones of thinness in [1e-3, 1e-2],
+    each rotated, and scaled log-uniformly in [1e-3, 1e3]."""
     rng = np.random.default_rng(2024)
-    per_class = 64
     out = []
     for thin in (False, True):
         while len(out) < per_class * (1 + thin):
@@ -57,6 +56,16 @@ def side_slacks(a, b, c, x, y):
     """
     p, q, _ = _side_lengths(a, b, c)
     return _slacks(a, b, c, p, q, x, y)
+
+
+def grid_meets(tri, n, point, value):
+    """Whether an oracle's point and value meet the closed form's at
+    ``verify``'s tolerances: within 1e-5 diameter and 1e-8 of the value."""
+    truth = minimize_closed_form(tri, n)
+    return (
+        math.dist(point, truth.point_canonical) <= 1e-5 * tri.diameter()
+        and abs(value - truth.value) <= 1e-8 * truth.value
+    )
 
 
 def random_canonical_triangle(rng):

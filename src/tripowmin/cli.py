@@ -25,8 +25,8 @@ from .geometry import (
     canonicalize,
     incenter,
 )
-from .kkt import Verdict, kkt_residual
-from .oracle import _discrepancy, _log_F, compare, grid_search
+from .kkt import Verdict, _log_value, _value, kkt_residual
+from .oracle import _discrepancy, _grid, compare
 from .sampling import random_general_triangle
 
 # output names of DerivedConstants' fields, in order
@@ -113,10 +113,10 @@ def cmd_solve(args) -> int:
         if args.verify:
             # tied altitudes make a whole side minimize, so only the value
             # is unique: the point gap is reported but not judged
-            gp, gv = grid_search(tri, n)
+            gx, gy, grid = _grid(tri, n, None)
             oracle_report = _discrepancy(
-                point_c, value, math.log(value), gp, gv, _log_F(tri, n, gp),
-                math.inf, args.tol_value,
+                point_c, value, math.log(value), (gx, gy), _value(grid),
+                _log_value(grid), math.inf, args.tol_value,
             )
     else:
         res = minimize_closed_form(tri, n, isometry=iso)

@@ -66,9 +66,7 @@ class MinimizerResult:
     def log_value(self) -> float:
         """log of ``value`` as n log h + log tot (see
         ``minimize_closed_form``), finite where the value is 0 or inf."""
-        tri, n = self.triangle, self.exponent
-        lengths = _side_lengths(tri.a, tri.b, tri.c)
-        _, _, h, tot = _trilinear_point(tri.a, tri.b, tri.c, lengths, 1.0 / (n - 1.0))
+        n, _, _, h, tot = _trilinear(self.triangle, self.exponent)
         return n * math.log(h) + math.log(tot)
 
 
@@ -86,6 +84,18 @@ def _pow_or_inf(base: float, n: float) -> float:
         return math.inf
 
 
+def _trilinear(tri: CanonicalTriangle, n):
+    """The checked n and ``minimize_closed_form``'s x, y, h and tot."""
+    n = _check_exponent(n)
+    a, b, c = tri.a, tri.b, tri.c
+    x, y, h, tot = _trilinear_point(a, b, c, _side_lengths(a, b, c), 1.0 / (n - 1.0))
+    if not -math.inf < x < math.inf > y > -math.inf:  # both finite, neither NaN
+        raise OverflowError(
+            f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
+        )
+    return n, x, y, h, tot
+
+
 def minimize_closed_form(
     tri: CanonicalTriangle, n, isometry: Optional[Isometry] = None
 ) -> MinimizerResult:
@@ -99,14 +109,7 @@ def minimize_closed_form(
     or inf when it leaves the double range. A point that itself leaves the
     range (a side length overflows) raises OverflowError, not NaN.
     """
-    n = _check_exponent(n)
-    a, b, c = tri.a, tri.b, tri.c
-    inv = 1.0 / (n - 1.0)
-    x, y, h, tot = _trilinear_point(a, b, c, _side_lengths(a, b, c), inv)
-    if not -math.inf < x < math.inf > y > -math.inf:  # both finite, neither NaN
-        raise OverflowError(
-            f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
-        )
+    n, x, y, h, tot = _trilinear(tri, n)
     point = _point((x, y))
     original = point if isometry is None else isometry.to_original(point)
     return MinimizerResult(tri, point, original, _pow_or_inf(h, n) * tot, n)

@@ -90,6 +90,12 @@ def _value(k):
     return _pow_or_inf(top, n) * total
 
 
+def _log_value(k):
+    """log F from the kernel's result, finite where F leaves the doubles."""
+    n, _, top, _, total, _, _, _ = k
+    return n * math.log(top) + math.log(total)
+
+
 def _over(k, base):
     """F at the kernel's result ``k`` over F at ``base``, in ratio units."""
     n, _, top, _, total, _, _, _ = k
@@ -127,7 +133,9 @@ def _powers(frame, x, y, n):
     unit, a, b, c, p, q, normals = frame
     s1, s2, s3 = _slacks(a, b, c, p, q, x * unit, y * unit)
     d1, d2, d3 = abs(s1), abs(s2), abs(s3)
-    top = max(d1, d2, d3)
+    # max(d1, d2, d3) inlined: a NaN d1 stays top, a NaN d2 or d3 is passed over
+    top = d2 if d2 > d1 else d1
+    top = d3 if d3 > top else top
     r1, r2, r3 = d1 / top, d2 / top, d3 / top
     m = n - 1.0
     p1, p2, p3 = r1 ** m, r2 ** m, r3 ** m

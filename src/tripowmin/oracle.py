@@ -14,18 +14,20 @@ import functools
 import math
 import operator
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .closed_form import minimize_closed_form
+from .closed_form import _pow_or_inf, _trilinear
 from .errors import DidNotConverge, InvalidExponent, PointNotInterior, _check_exponent
 from .geometry import CanonicalTriangle, Point, _projector, _side_lengths, _slacks
-from .kkt import _crosses, _frame, _over, _powers, _value
+from .kkt import _crosses, _frame, _log_value, _over, _powers, _value
 
 
 ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
+_THREAD = threading.local()  # each thread's lattices, by m
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class DiscrepancyReport:
 @functools.lru_cache(maxsize=None)
 def _bary_weights(m):
     """The (3, N) matrix of the lattice's barycentric weights, rows wa, wb,
-    wc, N = (m + 1)(m + 2)/2; shared between calls, so read-only."""
+    wc, N = (m + 1)(m + 2)/2, and its columns as tuples; read-only."""
     import numpy as np
 
     counts = np.arange(m + 1, 0, -1)
@@ -86,33 +88,37 @@ def _bary_weights(m):
     weights = np.stack((ii, jj, m - ii - jj)).astype(np.float64)
     weights *= 1.0 / m
     weights.flags.writeable = False
-    return weights
+    return weights, tuple(map(tuple, weights.T.tolist()))
 
 
 def _lattice(m):
-    """The lattice of resolution m for ``_lattice_best``: its weights
-    (``_bary_weights(m)``) and two (3, N) work arrays, the caller's own.
+    """The lattice of resolution m for ``_lattice_best``, made once per
+    thread: ``_bary_weights(m)``; ``slack``, a memoryview of the 3 x 3
+    block whose row j holds the sides' slacks at window corner j, and its
+    transpose; two (3, N) work arrays; and the rows of both, as views.
 
-    Both work arrays come from one block, and each starts on a 64-byte
+    All three arrays come from one block, and each starts on a 64-byte
     boundary, a cache line. The heap promises only 16 bytes, so otherwise
     the alignment, and with it the speed of every pass, hung on what the
     process had allocated before: with arrays at 48 bytes past a line,
     oracle-compare's 90th-percentile operation took 16% longer than with
-    them at 32 bytes (2-core Xeon, numpy 2.4). Aligning costs about 2 us
-    a scan.
+    them at 32 bytes (2-core Xeon, numpy 2.4).
     """
-    import numpy as np
+    lattices = _THREAD.__dict__
+    if m not in lattices:
+        import numpy as np
 
-    weights = _bary_weights(m)
-    size = weights.size
-    stride = -(-size // 8) * 8  # whole cache lines of doubles
-    block = np.empty(2 * stride + 8)
-    start = -block.__array_interface__["data"][0] % 64 // 8
-    return (
-        weights,
-        block[start:start + size].reshape(weights.shape),
-        block[start + stride:start + stride + size].reshape(weights.shape),
-    )
+        weights, columns = _bary_weights(m)
+        size = weights.size
+        stride = -(-size // 8) * 8  # whole cache lines of doubles
+        block = np.empty(2 * stride + 16)
+        start = -block.__array_interface__["data"][0] % 64 // 8
+        s, r = (block[k:k + size].reshape(3, -1) for k in (start, start + stride))
+        corners = block[start + 2 * stride:][:9].reshape(3, 3)
+        lattices[m] = (
+            weights, columns, memoryview(corners), corners.T, s, r, (tuple(s), tuple(r))
+        )
+    return lattices[m]
 
 
 def _block_power(n):
@@ -152,26 +158,26 @@ def _block_power(n):
     return power
 
 
-def _lattice_best(np, corners, window, lattice, power):
+def _lattice_best(np, window, lattice, power):
     """Best point of a barycentric lattice over the window triangle whose
     vertices are the three (x, y) pairs of ``window``; returns the winner's
-    x, y and lattice value F, lowest lattice index on ties. ``corners``
-    holds the three sides' slacks at each window vertex, as ``_slacks``
-    gives them; ``lattice`` comes from ``_lattice(m)``, whose work arrays
-    are overwritten, and ``power`` from ``_block_power(n)``. ``np`` is
-    numpy, which the scan imports once rather than once a pass.
+    x, y and lattice value F, lowest lattice index on ties. ``lattice``
+    comes from ``_lattice(m)``, its ``slack`` holding the three sides'
+    slacks at each window vertex, as ``_slacks`` gives them, and its work
+    arrays are overwritten; ``power`` comes from ``_block_power(n)``.
+    ``np`` is numpy, which the scan imports once rather than once a pass.
 
     A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
     one 3x3 by 3xN product of the corners' slacks gives every side's slack
     at every point; one power over the block and two in-place adds give F.
     """
-    weights, s, r = lattice
-    np.matmul(np.array(corners).T, weights, out=s)
-    f, r2, r3 = power(s, r)
+    weights, columns, _, corners, s, r, rows = lattice
+    np.dot(corners, weights, out=s)
+    f, r2, r3 = rows[power(s, r) is r]  # the rows of the array power wrote
     f += r2
     f += r3
     best = f.argmin()
-    ka, kb, kc = weights[:, best].tolist()
+    ka, kb, kc = columns[best]
     (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
     x = ka * w1x + kb * w2x + kc * w3x
     return x, ka * w1y + kb * w2y + kc * w3y, f.item(best)
@@ -224,10 +230,16 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     its terms are normal doubles in both units.
 
     A pass is one matrix product, one block power and two adds over a
-    3 x N block (``_lattice_best``; N = 946 at the default m = 42). The
-    power's plan, the lattice and its work arrays are set up once per scan
-    and belong to this call, so concurrent scans share nothing.
+    3 x N block (``_lattice_best``; N = 946 at the default m = 42) that
+    allocates no array: the power's plan is set up once per scan, and the
+    lattice and its work arrays once per thread, so threads share none.
     """
+    x, y, k = _grid(tri, n, config)
+    return Point(x, y), _value(k)
+
+
+def _grid(tri, n, config):
+    """``grid_search``'s scan: (x, y, the kernel's read there)."""
     import numpy as np
 
     n = _check_exponent(n, allow_one=True)
@@ -239,9 +251,11 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     p, q, base = _side_lengths(a, b, c)
     radius = max(p, q, base)
     lattice, power = _lattice(cfg.grid_resolution), _block_power(n)
+    slack = lattice[2]
     ab, ac = a * b, a * c
     window = [(0.0, a), (-b, 0.0), (c, 0.0)]
-    corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
+    for j, (x, y) in enumerate(window):
+        slack[j, 0], slack[j, 1], slack[j, 2] = _slacks(a, b, c, p, q, x, y)
     half_rt3, sigma = 0.5 * math.sqrt(3.0), min(1.0, 2.0 * a / max(b, c))
     offsets = (0.0, sigma), (-half_rt3, -0.5 * sigma), (half_rt3, -0.5 * sigma)
     project = _projector(a, b, c)
@@ -257,21 +271,31 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
                     e2 = 1e-14 * (ac + abs(ax) + abs(cy))
                     # an overflowed product makes a margin inf, which g >= -e passes
                     if g1 >= -e1 and g2 >= -e2 and y >= 0.0 and e1 + e2 < math.inf:
-                        corners[j] = g1 / p, g2 / q, y
+                        slacks = g1 / p, g2 / q, y
                     else:
                         x, y = project(x, y)
-                        corners[j] = _slacks(a, b, c, p, q, x, y)
+                        slacks = _slacks(a, b, c, p, q, x, y)
+                    slack[j, 0], slack[j, 1], slack[j, 2] = slacks
                     window[j] = x, y
-            lx, ly, lf = _lattice_best(np, corners, window, lattice, power)
+            lx, ly, lf = _lattice_best(np, window, lattice, power)
             # the first pass seeds the best, even where all its values are inf
             if k == 0 or lf < best_f:
                 best_x, best_y, best_f = lx, ly, lf
     x, y = ldexp(best_x, -shift), ldexp(best_y, -shift)
-    return Point(x, y), _value(_powers(_frame(tri.a, tri.b, tri.c), x, y, n))
+    return x, y, _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
 
 
-def _newton(a, b, c, n, x, y, max_iters):
-    """Damped Newton descent on F from the interior point (x, y), n > 1.
+def _incenter(a, b, c):
+    """The incenter, from vertex weights proportional to the opposite
+    sides' lengths, each divided by their sum before it multiplies a
+    coordinate: c * p itself overflows from side lengths of about 1e154."""
+    p, q, base = _side_lengths(a, b, c)
+    per = p + q + base
+    return c * (p / per) - b * (q / per), a * (base / per)
+
+
+def _descent(tri, n, start, config):
+    """Damped Newton descent on F from ``start`` for ``projected_gradient``.
 
     F is convex, so no iterate needs projecting, and Newton's method is
     affine-invariant (Boyd & Vandenberghe, Convex Optimization, 9.5), so
@@ -292,9 +316,19 @@ def _newton(a, b, c, n, x, y, max_iters):
     of the way to the nearest side and halved until Armijo's condition
     (1e-4) holds. Stops once lambda^2 / F <= 2e-13, after one more full
     step if that lowers F, or once a step lowers F by at most 1e-13 * F;
-    returns (x, y, F, iterations)."""
+    returns (x, y, the kernel's read there, iterations)."""
+    n = _check_exponent(n)
+    if (1.0 - _EPS) ** (n - 1.0) < _TINY:
+        raise InvalidExponent(
+            f"exponent {n!r} is beyond the descent oracle, which needs "
+            "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
+        )
+    max_iters = (config if config is not None else OracleConfig()).pg_max_iters
+    if start is None:
+        start = _incenter(tri.a, tri.b, tri.c)
+    x, y = float(start[0]), float(start[1])
     ldexp = math.ldexp
-    frame = _frame(a, b, c)
+    frame = _frame(tri.a, tri.b, tri.c)
     k = _powers(frame, x, y, n)
     if k[6] is None:  # w, None off the open triangle
         raise PointNotInterior(f"start {(x, y)} is not strictly inside the triangle")
@@ -331,11 +365,12 @@ def _newton(a, b, c, n, x, y, max_iters):
         ds = [ux * dx + uy * dy for ux, uy in u]
         slope = -lam2
         i, j = ((1, 2), (0, 2), (0, 1))[r.index(1.0)]
-        if ds[i] < -0.9 * r[i] or ds[j] < -0.9 * r[j]:
-            # the step that moves s_i and s_j as Newton's does, but
-            # shrinks neither below a tenth of itself
+        di, dj, floor_i, floor_j = ds[i], ds[j], -0.9 * r[i], -0.9 * r[j]
+        if di < floor_i or dj < floor_j:
+            # the step that moves s_i and s_j as Newton's does, but shrinks
+            # neither below a tenth of itself (max inlined: a NaN di is kept)
             (uix, uiy), (ujx, ujy) = u[i], u[j]
-            di, dj = max(ds[i], -0.9 * r[i]), max(ds[j], -0.9 * r[j])
+            di, dj = floor_i if floor_i > di else di, floor_j if floor_j > dj else dj
             cij = uix * ujy - uiy * ujx
             vx, vy = (di * ujy - dj * uiy) / cij, (dj * uix - di * ujx) / cij
             vs = [ux * vx + uy * vy for ux, uy in u]
@@ -346,8 +381,9 @@ def _newton(a, b, c, n, x, y, max_iters):
             raise FloatingPointError(f"Newton step ({dx!r}, {dy!r}) is not finite")
         step = 1.0
         for ri, dsi in zip(r, ds):
-            if dsi < 0.0:
-                step = min(step, -0.99 * ri / dsi)
+            # min(step, cut) inlined, and as there a NaN cut is passed over
+            if dsi < 0.0 and (cut := -0.99 * ri / dsi) < step:
+                step = cut
         while True:
             nx, ny = x + step * top * dx, y + step * top * dy
             nk = _powers(frame, nx, ny, n)
@@ -360,22 +396,13 @@ def _newton(a, b, c, n, x, y, max_iters):
         it += 1
         if 1.0 - ratio <= 1e-13:
             break
-    return x, y, _value(k), it
-
-
-def _incenter(a, b, c):
-    """The incenter, from vertex weights proportional to the opposite
-    sides' lengths, each divided by their sum before it multiplies a
-    coordinate: c * p itself overflows from side lengths of about 1e154."""
-    p, q, base = _side_lengths(a, b, c)
-    per = p + q + base
-    return c * (p / per) - b * (q / per), a * (base / per)
+    return x, y, k, it
 
 
 def projected_gradient(
     tri: CanonicalTriangle, n, start=None, config: Optional[OracleConfig] = None
 ) -> PgResult:
-    """Descent oracle: damped Newton descent on F (``_newton``) from
+    """Descent oracle: damped Newton descent on F (``_descent``) from
     ``start``, n > 1. No iterate leaves the open triangle, so nothing is
     projected; the name is kept for its callers.
 
@@ -393,26 +420,8 @@ def projected_gradient(
     DidNotConverge when ``pg_max_iters`` steps end before the stopping
     rule holds.
     """
-    n = _check_exponent(n)
-    if (1.0 - _EPS) ** (n - 1.0) < _TINY:
-        raise InvalidExponent(
-            f"exponent {n!r} is beyond the descent oracle, which needs "
-            "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
-        )
-    cfg = config if config is not None else OracleConfig()
-    if start is None:
-        start = _incenter(tri.a, tri.b, tri.c)
-    x, y, f, iters = _newton(
-        tri.a, tri.b, tri.c, n, float(start[0]), float(start[1]), cfg.pg_max_iters
-    )
-    return PgResult(Point(x, y), f, iters)
-
-
-def _log_F(tri: CanonicalTriangle, n, point) -> float:
-    """log F at ``point`` from the kernel, finite where F leaves the doubles."""
-    frame = _frame(tri.a, tri.b, tri.c)
-    _, _, top, _, total, _, _, _ = _powers(frame, float(point[0]), float(point[1]), n)
-    return n * math.log(top) + math.log(total)
+    x, y, k, iters = _descent(tri, n, start, config)
+    return PgResult(Point(x, y), _value(k), iters)
 
 
 def compare(
@@ -424,16 +433,16 @@ def compare(
 ) -> DiscrepancyReport:
     """Closed form vs both oracles; gaps measured against the better
     oracle, the one of lower log F at its point (the grid on ties)."""
-    closed = minimize_closed_form(tri, n)
-    grid_point, grid_value = grid_search(tri, n, config)
-    pg = projected_gradient(tri, n, None, config)
-    grid_log, pg_log = _log_F(tri, n, grid_point), _log_F(tri, n, pg.point)
+    n, x, y, h, tot = _trilinear(tri, n)
+    grid_x, grid_y, grid = _grid(tri, n, config)
+    pg_x, pg_y, pg, _ = _descent(tri, n, None, config)
+    grid_log, pg_log = _log_value(grid), _log_value(pg)
     if grid_log <= pg_log:
-        oracle = grid_point, grid_value, grid_log
+        oracle = (grid_x, grid_y), _value(grid), grid_log
     else:
-        oracle = pg.point, pg.value, pg_log
+        oracle = (pg_x, pg_y), _value(pg), pg_log
     return _discrepancy(
-        closed.point_canonical, closed.value, closed.log_value, *oracle,
+        (x, y), _pow_or_inf(h, n) * tot, n * math.log(h) + math.log(tot), *oracle,
         point_tol, value_tol,
     )
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from tripowmin.closed_form import minimize_closed_form
-from tripowmin.errors import InvalidExponent, PointNotFeasible
+from tripowmin.errors import InvalidExponent, PointNotFeasible, PointNotInterior
 from tripowmin.geometry import CanonicalTriangle, incenter
 from tripowmin.kkt import Verdict, evaluate_F, kkt_residual
+from tripowmin.oracle import projected_gradient
 from triangle_helpers import (
     kernel_gradient, random_canonical_triangle, reference_kkt, seeded_triangles,
     side_slacks,
@@ -319,6 +320,12 @@ def test_nan_point_is_not_feasible(point):
     # such a point was certified SATISFIED with a residual of 0
     with pytest.raises(PointNotFeasible):
         kkt_residual(WORKED, 2.0, point)
+    # the kernel's largest slack keeps max()'s rule, a NaN first slack
+    # stays and a later one is passed over: F reads NaN, and the descent
+    # refuses the point as a start
+    assert math.isnan(evaluate_F(WORKED, 2.0, point))
+    with pytest.raises(PointNotInterior):
+        projected_gradient(WORKED, 2.0, point)
 
 
 def _bits(report):

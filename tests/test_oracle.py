@@ -1,6 +1,7 @@
 """Grid and descent oracles: accuracy against the closed form, determinism,
 and honest failure when an iteration budget is too small."""
 
+import dataclasses
 import json
 import math
 import os
@@ -21,16 +22,24 @@ from tripowmin.errors import (
 from tripowmin.geometry import (
     CanonicalTriangle, GeneralTriangle, _projector, _side_lengths, _slacks, canonicalize
 )
-from tripowmin.kkt import evaluate_F
+from tripowmin.kkt import _frame, _log_value, _powers, _value, evaluate_F
 from tripowmin.oracle import (
-    ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _lattice, _lattice_best,
-    _log_F, compare, grid_search, projected_gradient,
+    ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _grid, _lattice, _lattice_best,
+    compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
-from triangle_helpers import contains, grid_meets
+from triangle_helpers import (
+    contains, frozen_compare, frozen_grid_search, frozen_log_F, frozen_projected_gradient,
+    grid_meets, seeded_triangles,
+)
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 ISOSCELES = CanonicalTriangle(2.0, 1.0, 1.0)
+
+
+def _log_F(tri, n, point):
+    # log F at a point from the kernel, finite where F leaves the doubles
+    return _log_value(_powers(_frame(tri.a, tri.b, tri.c), point[0], point[1], n))
 
 
 # grid_search ----------------------------------------------------------------
@@ -267,13 +276,53 @@ def _offsets(sigma):
     return (0.0, sigma), (-half_rt3, -0.5 * sigma), (half_rt3, -0.5 * sigma)
 
 
+def _lattice_arrays(m):
+    # _lattice(m)'s arrays: the corners' 3 x 3 block of slacks under its
+    # memoryview, and the two work arrays
+    _, _, slack, _, s, r, _ = _lattice(m)
+    return np.asarray(slack), s, r
+
+
 @pytest.mark.parametrize("m", [1, 42, 96])
 def test_lattice_work_arrays_start_on_a_cache_line(m):
-    weights, s, r = _lattice(m)
+    weights, columns, slack, corners, s, r, rows = _lattice(m)
+    block = np.asarray(slack)
+    assert np.shares_memory(block, corners) and np.array_equal(block.T, corners)
+    assert block.shape == (3, 3) and block.flags.c_contiguous
     for work in (s, r):
-        assert work.__array_interface__["data"][0] % 64 == 0
         assert work.shape == weights.shape and work.flags.c_contiguous
-    assert not np.shares_memory(s, r)
+    for array in (block, s, r):
+        assert array.__array_interface__["data"][0] % 64 == 0
+    assert not any(np.shares_memory(x, y) for x, y in ((block, s), (block, r), (s, r)))
+    assert columns == tuple(map(tuple, weights.T.tolist()))
+    # each work array's rows, as views made once
+    for work, views in zip((s, r), rows):
+        assert len(views) == 3
+        for view, row in zip(views, work):
+            assert view.__array_interface__ == row.__array_interface__
+
+
+@pytest.mark.parametrize("m", [1, 42])
+def test_lattice_is_made_once_per_thread(m):
+    # a thread's later scans reuse its first scan's arrays; another thread
+    # gets arrays of its own
+    mine = _lattice_arrays(m)
+    assert _lattice(m) is _lattice(m)
+    assert all(np.shares_memory(x, y) for x, y in zip(mine, _lattice_arrays(m)))
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.extend(_lattice_arrays(m)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(theirs) == 3
+    assert not any(np.shares_memory(x, y) for x in mine for y in theirs)
+
+
+def _pass(window, corners, lattice, power):
+    # one lattice pass over the window whose corners have these slacks
+    slack = lattice[2]
+    for j, corner in enumerate(corners):
+        slack[j, 0], slack[j, 1], slack[j, 2] = corner
+    return _lattice_best(np, window, lattice, power)
 
 
 def _zoom_scan(a, b, c, n, m, passes, offsets):
@@ -289,7 +338,7 @@ def _zoom_scan(a, b, c, n, m, passes, offsets):
     with np.errstate(over="ignore"):
         for k in range(passes):
             corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
-            lx, ly, lf = _lattice_best(np, corners, window, lattice, power)
+            lx, ly, lf = _pass(window, corners, lattice, power)
             if k == 0 or lf < best_f:
                 best_x, best_y, best_f = lx, ly, lf
             radius /= ZOOM_FACTOR
@@ -372,8 +421,8 @@ def test_grid_windows_on_a_thin_triangle_are_sigma_times_as_tall(monkeypatch):
     sigma = 2.0 * tri.a / tri.c
     passes = []
 
-    def recording(np_, corners, window, lattice, power):
-        best = _lattice_best(np_, corners, window, lattice, power)
+    def recording(np_, window, lattice, power):
+        best = _lattice_best(np_, window, lattice, power)
         passes.append((list(window), best))
         return best
 
@@ -407,9 +456,9 @@ def test_grid_pass_schedule(monkeypatch, tri, passes):
     # that adds work fails here
     seen = []
 
-    def recording(np_, corners, window, lattice, power):
+    def recording(np_, window, lattice, power):
         seen.append(lattice[0].shape[1])
-        return _lattice_best(np_, corners, window, lattice, power)
+        return _lattice_best(np_, window, lattice, power)
 
     monkeypatch.setattr(oracle, "_lattice_best", recording)
     grid_search(tri, 2.0)
@@ -557,7 +606,7 @@ def assert_lattice_matches_loop(args):
     lx, ly, lf = _lattice_best_loop(*args)
     p, q, _ = _side_lengths(a, b, c)
     corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
-    vx, vy, vf = _lattice_best(np, corners, window, _lattice(m), _block_power(n))
+    vx, vy, vf = _pass(window, corners, _lattice(m), _block_power(n))
     assert (vx, vy) == (lx, ly)
     # The interpolated slacks differ from those of the returned point by
     # roundoff on the scale of the window's corner slacks; to first order
@@ -854,6 +903,71 @@ def test_value_gap_stays_relative_below_1e300():
 def test_compare_rejects_n1():
     with pytest.raises(InvalidExponent):
         compare(WORKED, 1.0)
+
+
+def _hexed(value):
+    # every float as its hex string, through tuples and dataclasses
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, tuple):
+        return type(value).__name__, tuple(map(_hexed, value))
+    return value
+
+
+def _outcome(f, *args):
+    # the result in hex, or the type and message of the error raised
+    try:
+        return _hexed(f(*args))
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _n1_grid(tri):
+    # solve --verify's grid oracle at n = 1: point, value and log F
+    x, y, k = _grid(tri, 1.0, None)
+    return (x, y), _value(k), _log_value(k)
+
+
+def _frozen_n1_grid(tri):
+    point, value = frozen_grid_search(tri, 1.0)
+    return tuple(point), value, frozen_log_F(tri, 1.0, point)
+
+
+def test_oracles_match_their_frozen_copy_bit_for_bit():
+    # each answer's value and log F now come from one kernel read, the
+    # closed form's from one _trilinear_point call, and a grid pass
+    # allocates nothing; none of it may move a bit or change an error
+    cases = [(tri, n) for _, tri in seeded_triangles() for n in (1.01, 2.0, 5.0, 10.0)]
+    for abc in ((1.0, 1e160, 1e160), (1e-160, 1.0, 1.0)):  # slivers
+        cases += [(CanonicalTriangle(*abc), n) for n in (1.01, 5.0)]
+    for k in (-600, 600):
+        tri = CanonicalTriangle(*(math.ldexp(v, k) for v in (WORKED.a, WORKED.b, WORKED.c)))
+        cases += [(tri, n) for n in (1.01, 2.0, 10.0)]
+    # errors: n out of range for the closed form and for the descent, a
+    # minimizer beyond the doubles and a descent out of steps
+    cases += [(WORKED, n) for n in (1.0, 0.5, math.nan, math.inf, 1e19)]
+    cases += [(CanonicalTriangle(1e308, 1e308, 1.7e308), 2.0)]
+    few_steps = OracleConfig(grid_resolution=8, zoom_iterations=1, pg_max_iters=1)
+    for tri, n in cases:
+        for new, old in (
+            (compare, frozen_compare),
+            (grid_search, frozen_grid_search),
+            (projected_gradient, frozen_projected_gradient),
+        ):
+            assert _outcome(new, tri, n) == _outcome(old, tri, n), (new, tri, n)
+        assert _outcome(compare, tri, n, few_steps) == _outcome(
+            frozen_compare, tri, n, few_steps
+        ), (tri, n)
+    # the grid alone at n = 1, as solve --verify runs it
+    for _, tri in seeded_triangles(16):
+        assert _outcome(_n1_grid, tri) == _outcome(_frozen_n1_grid, tri), tri
+    # a start off the open triangle
+    start = (0.0, 0.0)
+    assert _outcome(projected_gradient, WORKED, 2.0, start) == _outcome(
+        frozen_projected_gradient, WORKED, 2.0, start
+    )
 
 
 PROBE = r"""

@@ -113,7 +113,7 @@ def cmd_solve(args) -> int:
         if args.verify:
             # tied altitudes make a whole side minimize, so only the value
             # is unique: the point gap is reported but not judged
-            gx, gy, grid = _grid(tri, n, None)
+            gx, gy, grid = _grid(tri, n)
             oracle_report = _discrepancy(
                 point_c, value, math.log(value), (gx, gy), _value(grid),
                 _log_value(grid), math.inf, args.tol_value,

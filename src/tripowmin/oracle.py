@@ -1,44 +1,40 @@
 """Brute-force minimizers used to certify the closed form.
 
 Two independent numeric routes that never touch the closed-form formulas:
-a zooming barycentric grid scan and a damped Newton descent. ``compare``
-runs both against the closed form and reports the gaps.
-
-Only the lattice scan uses numpy, imported inside the functions that need
-it, so ``import tripowmin`` and the descent run without it.
+a nested line search over chords of the triangle (``grid_search``) and a
+damped Newton descent. ``compare`` runs both against the closed form and
+reports the gaps. Both run on the standard library alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import sys
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .closed_form import _pow_or_inf, _trilinear
 from .errors import DidNotConverge, InvalidExponent, PointNotInterior, _check_exponent
-from .geometry import CanonicalTriangle, Point, _projector, _side_lengths, _slacks
+from .geometry import CanonicalTriangle, Point, _side_lengths
 from .kkt import _crosses, _frame, _log_value, _over, _powers, _value
 
 
-ZOOM_FACTOR = 4.0  # window radius shrink per zoom pass of the grid scan
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
-_THREAD = threading.local()  # each thread's lattices, by m
+_LINE_TOL = 1e-7  # a line search ends within this share of its interval
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # the golden section's smaller part
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Knobs for both oracles; each must be an integer.
+    """Knobs for the oracles; each must be an integer.
 
-    ``grid_resolution`` (m) is the number of lattice steps along each side
-    of a grid pass's window, so every pass scans (m + 1)(m + 2)/2 points:
-    946 at the default 42. ``zoom_iterations`` counts the window-shrink
-    steps after the initial full-triangle scan, so a scan makes
-    zoom_iterations + 1 passes: 12 at the default 11.
+    ``pg_max_iters`` caps the descent's Newton steps. ``grid_resolution``
+    and ``zoom_iterations`` were the lattice scan's steps per pass and its
+    passes after the first; they are still validated, but ``grid_search``
+    no longer reads them, and they go once the benchmark stops reporting
+    its lattice points from them.
     """
 
     grid_resolution: int = 42
@@ -76,212 +72,138 @@ class DiscrepancyReport:
     passed: bool
 
 
-@functools.lru_cache(maxsize=None)
-def _bary_weights(m):
-    """The (3, N) matrix of the lattice's barycentric weights, rows wa, wb,
-    wc, N = (m + 1)(m + 2)/2, and its columns as tuples; read-only."""
-    import numpy as np
+def _line_min(f, lo, hi):
+    """The least of a convex f on [lo, hi] by Brent's bounded search
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5),
+    parabolic steps safeguarded by golden sections, to within _LINE_TOL of
+    the interval; returns (x, f(x)).
 
-    counts = np.arange(m + 1, 0, -1)
-    ii = np.repeat(np.arange(m + 1), counts)
-    jj = np.concatenate([np.arange(k) for k in counts])
-    weights = np.stack((ii, jj, m - ii - jj)).astype(np.float64)
-    weights *= 1.0 / m
-    weights.flags.writeable = False
-    return weights, tuple(map(tuple, weights.T.tolist()))
-
-
-def _lattice(m):
-    """The lattice of resolution m for ``_lattice_best``, made once per
-    thread: ``_bary_weights(m)``; ``slack``, a memoryview of the 3 x 3
-    block whose row j holds the sides' slacks at window corner j, and its
-    transpose; two (3, N) work arrays; and the rows of both, as views.
-
-    All three arrays come from one block, and each starts on a 64-byte
-    boundary, a cache line. The heap promises only 16 bytes, so otherwise
-    the alignment, and with it the speed of every pass, hung on what the
-    process had allocated before: with arrays at 48 bytes past a line,
-    oracle-compare's 90th-percentile operation took 16% longer than with
-    them at 32 bytes (2-core Xeon, numpy 2.4).
+    The ends are checked first, hi then lo: where f(hi - tol) >= f(hi),
+    convexity puts the minimizer within tol of hi, and hi itself is
+    returned; the same holds at lo. An end where f is inf never passes,
+    and an exact tie, as along an isosceles triangle's base at n = 1,
+    goes to hi. Near n = 1, where F along a line is almost a kink at a
+    side, this ends the search within four evaluations, and at n = 1,
+    where F is affine, it returns the end exactly.
     """
-    lattices = _THREAD.__dict__
-    if m not in lattices:
-        import numpy as np
-
-        weights, columns = _bary_weights(m)
-        size = weights.size
-        stride = -(-size // 8) * 8  # whole cache lines of doubles
-        block = np.empty(2 * stride + 16)
-        start = -block.__array_interface__["data"][0] % 64 // 8
-        s, r = (block[k:k + size].reshape(3, -1) for k in (start, start + stride))
-        corners = block[start + 2 * stride:][:9].reshape(3, 3)
-        lattices[m] = (
-            weights, columns, memoryview(corners), corners.T, s, r, (tuple(s), tuple(r))
-        )
-    return lattices[m]
-
-
-def _block_power(n):
-    """The function ``power(s, out)`` that returns |s| ** n elementwise for
-    an array s, in ``out`` unless n = 1 (then in s); it may overwrite s.
-    Everything that depends on n alone is settled here, once per scan.
-
-    Integral n up to 64 goes by repeated squaring, left to right over the
-    bits of n: n = 5 takes three multiplies and n = 10 four, each far
-    cheaper than a ``pow``, and the rounding error grows only linearly in
-    their number. Any other n takes one ``np.power``. The ``abs`` that
-    folds roundoff-negative slacks is skipped for even n up to 64, whose
-    repeated squaring ends in a square and so gives (-s)^n == s^n bit for
-    bit.
-    """
-    import numpy as np
-
-    k = int(n)
-    times_s = None  # np.power
-    if k == n and 1 <= k <= 64:
-        times_s = [bit == "1" for bit in bin(k)[3:]]  # the bits after the leading one
-    fold = times_s is None or k % 2 == 1
-
-    def power(s, out):
-        if fold:
-            np.abs(s, out=s)
-        if times_s is None:
-            return np.power(s, n, out=out)
-        result = s
-        for odd in times_s:
-            np.multiply(result, result, out=out)
-            result = out
-            if odd:
-                np.multiply(out, s, out=out)
-        return result
-
-    return power
-
-
-def _lattice_best(np, window, lattice, power):
-    """Best point of a barycentric lattice over the window triangle whose
-    vertices are the three (x, y) pairs of ``window``; returns the winner's
-    x, y and lattice value F, lowest lattice index on ties. ``lattice``
-    comes from ``_lattice(m)``, its ``slack`` holding the three sides'
-    slacks at each window vertex, as ``_slacks`` gives them, and its work
-    arrays are overwritten; ``power`` comes from ``_block_power(n)``.
-    ``np`` is numpy, which the scan imports once rather than once a pass.
-
-    A lattice point is wa*V1 + wb*V2 + wc*V3 and each slack is affine, so
-    one 3x3 by 3xN product of the corners' slacks gives every side's slack
-    at every point; one power over the block and two in-place adds give F.
-    """
-    weights, columns, _, corners, s, r, rows = lattice
-    np.dot(corners, weights, out=s)
-    f, r2, r3 = rows[power(s, r) is r]  # the rows of the array power wrote
-    f += r2
-    f += r3
-    best = f.argmin()
-    ka, kb, kc = columns[best]
-    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
-    x = ka * w1x + kb * w2x + kc * w3x
-    return x, ka * w1y + kb * w2y + kc * w3y, f.item(best)
+    tol = _LINE_TOL * (hi - lo)
+    f_hi = f(hi)
+    if f(hi - tol) >= f_hi < math.inf:
+        return hi, f_hi
+    f_lo = f(lo)
+    if f(lo + tol) >= f_lo < math.inf:
+        return lo, f_lo
+    tol2 = 2.0 * tol
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol:
+            # the parabola through (v, fv), (w, fw) and (x, fx)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+            # taken where it moves less than half the step before last and
+            # lands inside (a, b)
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol if x < mid else -tol
+                golden = False
+        if golden:
+            e = (a if x >= mid else b) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= tol else tol if d > 0.0 else -tol)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
-    """Deterministic zooming lattice scan for n >= 1; returns (point, value).
+    """Deterministic search oracle for n >= 1; returns (point, value).
 
-    The first pass scans a barycentric lattice over the whole triangle.
-    Every later pass scans a window centred on the winner of the pass
-    just scanned, with the window radius shrinking by ZOOM_FACTOR per
-    pass; window corners are projected onto the triangle, which keeps the
-    lattice feasible when the minimizer sits on the boundary, as at
-    n = 1. Every pass scans m = ``grid_resolution`` lattice steps, and
-    there are ``zoom_iterations`` + 1 of them. The returned point is the
-    winner of the pass with the lowest lattice value (the earliest on
-    ties), so the value is monotone in zoom_iterations. Ties within a
-    pass go to the lowest lattice index and nothing depends on thread
-    count, so reruns are bit-identical.
+    F is convex, so its least value on the horizontal chord at height y
+    is a convex function of y (partial minimization; Boyd & Vandenberghe,
+    Convex Optimization, 3.2.5). Two nested line searches (``_line_min``)
+    therefore find the minimizer: the outer one over y in [0, a], the
+    inner one over x along each chord. Both read F alone, never the
+    closed form or a gradient, and no point leaves the triangle, so
+    nothing is projected. The search is deterministic and holds no state
+    between calls, so reruns and threads give the same bits. The name,
+    from the lattice scan the search replaced, is kept for its callers;
+    ``config`` is accepted and not read.
 
-    Centring on the pass's winner rather than on the running best keeps
-    the windows in the valley of a thin triangle, where an early
-    full-height pass that has moved towards the minimizer can still score
-    worse than a staler point. The window's corners sit at the radius
-    times (0, sigma), (-sqrt(3)/2, -sigma/2) and (sqrt(3)/2, -sigma/2),
-    with sigma = min(1, 2a / max(b, c)) in the scan's units. F's
-    curvature along the base is about (a / max(b, c))^2 times its
-    curvature across it, as the unit normals (a, -b)/p, (-a, -c)/q and
-    (0, 1) show, so on a thin triangle an equilateral window sees a long,
-    flat valley; a window sigma times as tall is about equilateral in F's
-    own units, the affine invariance that makes the descent Newton's
-    (Boyd & Vandenberghe, Convex Optimization, 9.5). Where
-    2a >= max(b, c) the windows are equilateral.
-
-    The scan runs on a, b, c scaled by the power of two that puts the
-    inradius in [0.5, 1), exactly. F is at least inradius^n everywhere
-    (Hoelder's inequality gives F >= (2 area)^n / ||L||_q^n, which is at
-    least inradius^n), so no lattice value underflows up to n = 1022, and
-    all passes are compared on this one scale. Values far from the
-    minimizer may overflow to inf, with numpy's warning off; where
-    n * log2(2h / inradius) <= 1022, h the largest altitude, none does. The
+    The search runs on a, b, c scaled by the power of two that puts the
+    inradius in [0.5, 1), exactly, so a triangle scaled by a power of two
+    gives the same point scaled. On each chord the slacks are measured in
+    the unit m = max(y, a (xr - xl) / (p + q)), the least max_i s_i
+    anywhere on the chord, so F / m^n lies in [1, 3] at the chord's
+    minimizer and can overflow, to inf, only far from it; the outer search
+    compares n log m + log(F / m^n), which stays finite for every n. The
     best point is scaled back exactly, and its value, from the kernel
     ``kkt._powers``, is in the triangle's own units: 0 or inf where F
     leaves the doubles.
-
-    A new window corner is kept where ``geometry._projector``'s inside
-    test passes, and that test's terms over p and q are its slacks; only a
-    corner outside, or whose products overflow, is projected. The test
-    runs in the scan's units, so it agrees with the projector's wherever
-    its terms are normal doubles in both units.
-
-    A pass is one matrix product, one block power and two adds over a
-    3 x N block (``_lattice_best``; N = 946 at the default m = 42) that
-    allocates no array: the power's plan is set up once per scan, and the
-    lattice and its work arrays once per thread, so threads share none.
     """
-    x, y, k = _grid(tri, n, config)
+    x, y, k = _grid(tri, n)
     return Point(x, y), _value(k)
 
 
-def _grid(tri, n, config):
-    """``grid_search``'s scan: (x, y, the kernel's read there)."""
-    import numpy as np
-
+def _grid(tri, n):
+    """``grid_search``'s search: (x, y, the kernel's read there)."""
     n = _check_exponent(n, allow_one=True)
-    cfg = config if config is not None else OracleConfig()
-    ldexp = math.ldexp
+    ldexp, log = math.ldexp, math.log
     p, q, base = _side_lengths(tri.a, tri.b, tri.c)
     shift = -math.frexp(tri.a * (base / (p + q + base)))[1]  # the inradius
     a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
-    p, q, base = _side_lengths(a, b, c)
-    radius = max(p, q, base)
-    lattice, power = _lattice(cfg.grid_resolution), _block_power(n)
-    slack = lattice[2]
-    ab, ac = a * b, a * c
-    window = [(0.0, a), (-b, 0.0), (c, 0.0)]
-    for j, (x, y) in enumerate(window):
-        slack[j, 0], slack[j, 1], slack[j, 2] = _slacks(a, b, c, p, q, x, y)
-    half_rt3, sigma = 0.5 * math.sqrt(3.0), min(1.0, 2.0 * a / max(b, c))
-    offsets = (0.0, sigma), (-half_rt3, -0.5 * sigma), (half_rt3, -0.5 * sigma)
-    project = _projector(a, b, c)
-    with np.errstate(over="ignore"):
-        for k in range(cfg.zoom_iterations + 1):
-            if k:
-                radius /= ZOOM_FACTOR
-                for j, (ox, oy) in enumerate(offsets):
-                    x, y = lx + radius * ox, ly + radius * oy
-                    ax, by, cy = a * x, b * y, c * y
-                    g1, g2 = ax - by + ab, -ax - cy + ac
-                    e1 = 1e-14 * (ab + abs(ax) + abs(by))
-                    e2 = 1e-14 * (ac + abs(ax) + abs(cy))
-                    # an overflowed product makes a margin inf, which g >= -e passes
-                    if g1 >= -e1 and g2 >= -e2 and y >= 0.0 and e1 + e2 < math.inf:
-                        slacks = g1 / p, g2 / q, y
-                    else:
-                        x, y = project(x, y)
-                        slacks = _slacks(a, b, c, p, q, x, y)
-                    slack[j, 0], slack[j, 1], slack[j, 2] = slacks
-                    window[j] = x, y
-            lx, ly, lf = _lattice_best(np, window, lattice, power)
-            # the first pass seeds the best, even where all its values are inf
-            if k == 0 or lf < best_f:
-                best_x, best_y, best_f = lx, ly, lf
-    x, y = ldexp(best_x, -shift), ldexp(best_y, -shift)
+    p, q, _ = _side_lengths(a, b, c)
+    pq = p + q
+    best_x = {}  # each chord's minimizer, by its height
+
+    def chord(y):
+        # s1 = a (x - xl) / p and s2 = a (xr - x) / q along the chord, each
+        # exact 0 at its end
+        xl, xr = b * ((y - a) / a), c * ((a - y) / a)
+        m = a * ((xr - xl) / pq)
+        m = y if y > m else m
+        k1, k2, k3 = a / p / m, a / q / m, (y / m) ** n
+
+        def f(x):
+            try:
+                return (k1 * (x - xl)) ** n + (k2 * (xr - x)) ** n + k3
+            except OverflowError:
+                return math.inf
+
+        x, g = _line_min(f, xl, xr)
+        best_x[y] = x
+        return n * log(m) + log(g)
+
+    y, _ = _line_min(chord, 0.0, a)
+    x, y = ldexp(best_x[y], -shift), ldexp(y, -shift)
     return x, y, _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
 
 
@@ -434,7 +356,7 @@ def compare(
     """Closed form vs both oracles; gaps measured against the better
     oracle, the one of lower log F at its point (the grid on ties)."""
     n, x, y, h, tot = _trilinear(tri, n)
-    grid_x, grid_y, grid = _grid(tri, n, config)
+    grid_x, grid_y, grid = _grid(tri, n)
     pg_x, pg_y, pg, _ = _descent(tri, n, None, config)
     grid_log, pg_log = _log_value(grid), _log_value(pg)
     if grid_log <= pg_log:

@@ -1,6 +1,7 @@
-"""The certify path and `solve` without `--verify` run on the standard
-library: a child interpreter in which importing numpy raises must give the
-same output as one with numpy available."""
+"""The certify path, both oracles and `solve`, with or without `--verify`,
+run on the standard library: a child interpreter in which importing numpy
+raises must give the same output as one with numpy available. Only
+`verify` draws its triangles with numpy."""
 
 import subprocess
 import sys
@@ -21,6 +22,9 @@ print(tp.kkt_residual(tri, 2.0, res.point_canonical))
 print(tp.incenter(tri))
 print(tp.minimize_n1(tri))
 print(tp.projected_gradient(tri, 2.0))
+print(tp.grid_search(tri, 2.0))
+print(tp.grid_search(tri, 1.0))
+print(tp.compare(tri, 2.0))
 """
 
 CLI = """
@@ -54,4 +58,13 @@ def test_library_certify_path_runs_without_numpy():
 def test_solve_runs_without_numpy(n, fmt):
     assert_same_without_numpy(
         CLI, "solve", "--vertices", "0,3 -1,0 2,0", "--n", n, "--format", fmt
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("n", ["2", "1"])
+def test_solve_verify_runs_without_numpy(n, fmt):
+    assert_same_without_numpy(
+        CLI, "solve", "--vertices", "0,3 -1,0 2,0", "--n", n, "--format", fmt,
+        "--verify",
     )

@@ -4,7 +4,6 @@ and honest failure when an iteration budget is too small."""
 import dataclasses
 import json
 import math
-import os
 import random
 import subprocess
 import sys
@@ -14,23 +13,19 @@ import warnings
 import numpy as np
 import pytest
 
-from tripowmin import oracle
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import (
     DidNotConverge, InvalidExponent, PointNotInterior
 )
-from tripowmin.geometry import (
-    CanonicalTriangle, GeneralTriangle, _projector, _side_lengths, _slacks, canonicalize
-)
-from tripowmin.kkt import _frame, _log_value, _powers, _value, evaluate_F
+from tripowmin.geometry import CanonicalTriangle, _projector, canonicalize
+from tripowmin.kkt import _frame, _log_value, _powers, evaluate_F
 from tripowmin.oracle import (
-    ZOOM_FACTOR, OracleConfig, _block_power, _discrepancy, _grid, _lattice, _lattice_best,
-    compare, grid_search, projected_gradient,
+    OracleConfig, _discrepancy, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
 from triangle_helpers import (
-    contains, frozen_compare, frozen_grid_search, frozen_log_F, frozen_projected_gradient,
-    grid_meets, seeded_triangles,
+    contains, frozen_minimize_closed_form, frozen_projected_gradient, grid_meets,
+    seeded_triangles,
 )
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
@@ -51,8 +46,8 @@ def test_grid_finds_worked_minimizer():
 
 
 def test_grid_handles_n1_vertex_minimum():
-    # for n = 1 the minimum sits at the smallest-altitude vertex, which is
-    # a lattice corner, so the scan lands on it exactly
+    # for n = 1 F is affine, so the minimum sits at the smallest-altitude
+    # vertex, and each line search's end check returns that end exactly
     pt, value = grid_search(WORKED, 1.0)
     assert pt[0] == -1.0 and pt[1] == 0.0
     assert value == pytest.approx(9.0 / math.sqrt(13.0), rel=1e-12)
@@ -67,8 +62,8 @@ def test_grid_rejects_exponents_outside_its_domain(n):
 
 
 def test_grid_keeps_isosceles_symmetry():
-    # window recentering can pass through off-axis lattice points, so the
-    # scan recovers the axis only to roundoff, not bitwise
+    # the chord's line search lands on the axis only to roundoff, not
+    # bitwise
     pt, _ = grid_search(ISOSCELES, 2.0)
     assert abs(pt[0]) < 1e-15
     assert abs(pt[1] - 4.0 / 7.0) < 1e-6
@@ -82,30 +77,10 @@ def test_grid_point_is_feasible():
         assert contains(tri, pt)
 
 
-def test_grid_zoom_prefixes_never_get_worse():
-    values = []
-    for k in range(9):
-        _, v = grid_search(WORKED, 3.0, OracleConfig(zoom_iterations=k))
-        values.append(v)
-    for earlier, later in zip(values, values[1:]):
-        assert later <= earlier
-    # and the deepest zoom is close to the truth
-    truth = minimize_closed_form(WORKED, 3.0).value
-    assert values[-1] == pytest.approx(truth, rel=1e-9)
-
-
-def test_grid_coarse_run_matches_lattice_resolution():
-    cfg = OracleConfig(zoom_iterations=0, grid_resolution=64)
-    pt, _ = grid_search(WORKED, 2.0)
-    coarse_pt, _ = grid_search(WORKED, 2.0, cfg)
-    spacing = WORKED.diameter() / 64.0
-    assert np.linalg.norm(coarse_pt - pt) < 2.0 * spacing
-
-
 def test_grid_ties_go_to_lowest_lattice_index():
     # for n = 1 every point of an isosceles triangle's base ties exactly;
-    # the lattice enumeration starts at the right-hand vertex (c, 0), so
-    # the lowest-index rule keeps the scan on the right half
+    # a line search checks its upper end first, so the search keeps to the
+    # right-hand vertex (c, 0)
     pt, _ = grid_search(ISOSCELES, 1.0)
     assert pt[0] > 0.0 and pt[1] == 0.0
 
@@ -122,9 +97,8 @@ def _bits(result):
 
 
 def test_grid_search_is_reentrant():
-    # numpy releases the GIL inside its ufuncs, and a short switch interval
-    # interleaves the threads between them, so two scans that shared work
-    # arrays would overwrite each other's values
+    # a short switch interval interleaves the threads mid-search, so two
+    # searches that shared any state would overwrite each other's values
     jobs = ((WORKED, 3.0), (CanonicalTriangle(1.0, 0.3, 2.5), 5.0))
     serial = [_bits(grid_search(tri, n)) for tri, n in jobs]
     results = [[], []]
@@ -146,36 +120,6 @@ def test_grid_search_is_reentrant():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert results == [[serial[0]] * 20, [serial[1]] * 20]
-
-
-GRID_BITS = r"""
-import json, sys
-from tripowmin.geometry import CanonicalTriangle
-from tripowmin.oracle import OracleConfig, grid_search
-
-out = []
-for m in (128, 256):
-    for tri, n in ((CanonicalTriangle(3.0, 1.0, 2.0), 5.0),
-                   (CanonicalTriangle(0.02, 1.3, 40.0), 1.01)):
-        (x, y), f = grid_search(tri, n, OracleConfig(grid_resolution=m))
-        out.append([x.hex(), y.hex(), f.hex()])
-print(json.dumps(out))
-"""
-
-
-def test_grid_bits_do_not_depend_on_the_blas_thread_count():
-    # the lattice's side slacks come from one BLAS matrix product, which
-    # OpenBLAS may split across threads once it is large enough (at m = 256
-    # it is 3 x 3 x 33153 multiply-adds); the split must not change a bit
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        out = subprocess.run(
-            [sys.executable, "-c", GRID_BITS], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        runs.append(json.loads(out.stdout))
-    assert runs[0] == runs[1]
 
 
 def test_grid_on_a_sliver_of_scale_1e160_stays_in_the_triangle():
@@ -220,10 +164,26 @@ def test_grid_follows_the_valley_of_a_thin_triangle():
     assert truth.value <= value <= truth.value * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize(
+    "abc, n",
+    [
+        # a sliver on which the lattice's stretched windows lost the
+        # valley, ending 2.3e-3 of the diameter off
+        ((6.299436429988343e-11, 5.633277347381022e-07, 2.3132742654516685e-06), 1.1),
+        # perfbench seed 0 case 144: the minimizer sits just below the apex
+        # and the lattice's winner stayed on a window corner pass after pass
+        ((1.537007197584256e-05, 0.00023584811747257996, 0.0018617735313103158), 1.01),
+    ],
+)
+def test_grid_meets_the_cases_the_lattice_missed(abc, n):
+    tri = CanonicalTriangle(*abc)
+    assert grid_meets(tri, n, grid_search(tri, n)[0])
+
+
 def test_grid_misses_few_thin_triangles():
-    # thinness (height over base) 1e-3..1e-2, where each early pass is a
-    # full-height slab; at verify's tolerances, applied to the grid alone,
-    # 27 of these 800 miss, against 92 with equilateral windows
+    # thinness (height over base) 1e-3..1e-2; at verify's tolerances,
+    # applied to the grid alone, none of these 800 misses, against 27 for
+    # the lattice scan with stretched windows and 92 with equilateral ones
     rng = random.Random(15)
     misses = 0
     for k in range(800):
@@ -232,8 +192,8 @@ def test_grid_misses_few_thin_triangles():
         b = rng.uniform(0.05, 0.95)
         tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
         n = (1.01, 2.0, 5.0, 10.0)[k % 4]
-        misses += not grid_meets(tri, n, *grid_search(tri, n))
-    assert misses <= 35
+        misses += not grid_meets(tri, n, grid_search(tri, n)[0])
+    assert misses == 0
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1e-60, 1e60, 1e100])
@@ -270,250 +230,6 @@ def test_grid_finds_the_minimizer_at_large_n(scale, n):
     assert abs(_log_F(tri, n, pt) - truth.log_value) <= 1e-8
 
 
-def _offsets(sigma):
-    # the window corners' offsets per unit radius
-    half_rt3 = 0.5 * math.sqrt(3.0)
-    return (0.0, sigma), (-half_rt3, -0.5 * sigma), (half_rt3, -0.5 * sigma)
-
-
-def _lattice_arrays(m):
-    # _lattice(m)'s arrays: the corners' 3 x 3 block of slacks under its
-    # memoryview, and the two work arrays
-    _, _, slack, _, s, r, _ = _lattice(m)
-    return np.asarray(slack), s, r
-
-
-@pytest.mark.parametrize("m", [1, 42, 96])
-def test_lattice_work_arrays_start_on_a_cache_line(m):
-    weights, columns, slack, corners, s, r, rows = _lattice(m)
-    block = np.asarray(slack)
-    assert np.shares_memory(block, corners) and np.array_equal(block.T, corners)
-    assert block.shape == (3, 3) and block.flags.c_contiguous
-    for work in (s, r):
-        assert work.shape == weights.shape and work.flags.c_contiguous
-    for array in (block, s, r):
-        assert array.__array_interface__["data"][0] % 64 == 0
-    assert not any(np.shares_memory(x, y) for x, y in ((block, s), (block, r), (s, r)))
-    assert columns == tuple(map(tuple, weights.T.tolist()))
-    # each work array's rows, as views made once
-    for work, views in zip((s, r), rows):
-        assert len(views) == 3
-        for view, row in zip(views, work):
-            assert view.__array_interface__ == row.__array_interface__
-
-
-@pytest.mark.parametrize("m", [1, 42])
-def test_lattice_is_made_once_per_thread(m):
-    # a thread's later scans reuse its first scan's arrays; another thread
-    # gets arrays of its own
-    mine = _lattice_arrays(m)
-    assert _lattice(m) is _lattice(m)
-    assert all(np.shares_memory(x, y) for x, y in zip(mine, _lattice_arrays(m)))
-    theirs = []
-    thread = threading.Thread(target=lambda: theirs.extend(_lattice_arrays(m)))
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and len(theirs) == 3
-    assert not any(np.shares_memory(x, y) for x in mine for y in theirs)
-
-
-def _pass(window, corners, lattice, power):
-    # one lattice pass over the window whose corners have these slacks
-    slack = lattice[2]
-    for j, corner in enumerate(corners):
-        slack[j, 0], slack[j, 1], slack[j, 2] = corner
-    return _lattice_best(np, window, lattice, power)
-
-
-def _zoom_scan(a, b, c, n, m, passes, offsets):
-    # The zoom schedule as a plain loop over oracle._lattice_best and
-    # geometry._projector, in the units of a, b, c: m lattice steps a pass,
-    # every window corner projected and its slacks formed by _slacks, each
-    # pass scored by its winner's lattice value; returns the best point.
-    p, q, base = _side_lengths(a, b, c)
-    project = _projector(a, b, c)
-    window = [(0.0, a), (-b, 0.0), (c, 0.0)]
-    radius = max(p, q, base)
-    lattice, power = _lattice(m), _block_power(n)
-    with np.errstate(over="ignore"):
-        for k in range(passes):
-            corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
-            lx, ly, lf = _pass(window, corners, lattice, power)
-            if k == 0 or lf < best_f:
-                best_x, best_y, best_f = lx, ly, lf
-            radius /= ZOOM_FACTOR
-            window = [project(lx + radius * ox, ly + radius * oy) for ox, oy in offsets]
-    return best_x, best_y
-
-
-def _dense_grid_search(tri, n):
-    # A denser reference scan: 11 passes of 96 lattice steps with
-    # equilateral windows, on every triangle, in the triangle's own units.
-    x, y = _zoom_scan(tri.a, tri.b, tri.c, n, 96, 11, _offsets(1.0))
-    return (x, y), evaluate_F(tri, n, (x, y))
-
-
-def _reference_grid_search(tri, n):
-    # grid_search as its docstring tells it, at the default config: on the
-    # triangle scaled by the power of two that puts the inradius in
-    # [0.5, 1), 12 passes of 42 steps, the windows sigma times as tall as
-    # equilateral ones, sigma = min(1, 2a / max(b, c)).
-    p, q, base = _side_lengths(tri.a, tri.b, tri.c)
-    shift = -math.frexp(tri.a * (base / (p + q + base)))[1]
-    a, b, c = (math.ldexp(v, shift) for v in (tri.a, tri.b, tri.c))
-    offsets = _offsets(min(1.0, 2.0 * a / max(b, c)))
-    x, y = (math.ldexp(v, -shift) for v in _zoom_scan(a, b, c, n, 42, 12, offsets))
-    return (x, y), evaluate_F(tri, n, (x, y))
-
-
-def test_coarse_zoom_lattice_misses_nothing_the_dense_one_meets():
-    # thinness 2 * area / diameter^2 from 1e-3 to 0.85, with the base the
-    # longest side, so the thinness is the height over the base: 42
-    # steps a pass on windows stretched along the base lose no case that
-    # 96 steps on equilateral windows meet
-    rng = random.Random(16)
-    lost = []
-    for low, high in ((1e-3, 0.05), (0.05, 0.85)):
-        for k in range(400):
-            scale = 10.0 ** rng.uniform(-3.0, 3.0)
-            tau = 10.0 ** rng.uniform(math.log10(low), math.log10(high))
-            half = math.sqrt(1.0 - tau * tau)
-            b = rng.uniform(1.0 - half, half)
-            tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
-            n = (1.01, 2.0, 5.0, 10.0)[k % 4]
-            if grid_meets(tri, n, *_dense_grid_search(tri, n)) and not grid_meets(
-                tri, n, *grid_search(tri, n)
-            ):
-                lost.append((tri, n))
-    assert not lost, lost
-
-
-# (x, y, F) at n = 1.01, 2, 5, 10 where 2a >= max(b, c), so that every
-# window is equilateral: the bits of the scan with unstretched windows;
-# 2a = max(b, c) on the second triangle
-EQUILATERAL_WINDOW_BITS = {
-    (3.0, 1.0, 2.0): [
-        ("-0x1.ffff4ee39e2f4p-1", "0x1.5fa08959f817cp-26", "0x1.4271833adb1d5p+1"),
-        ("0x1.c0000074a05e4p-3", "0x1.affffffbf842ap-1", "0x1.43fffffffffffp+1"),
-        ("0x1.0e33e99203a67p-2", "0x1.cdc0e3946a8e3p-1", "0x1.fc1177efd8ed9p+0"),
-        ("0x1.167be871eaf2dp-2", "0x1.d34df05f288f2p-1", "0x1.518b5b258835ap+0"),
-    ],
-    (1.0, 0.5, 2.0): [
-        ("-0x1.ac7857e287982p-18", "0x1.fffe5387a81d8p-1", "0x1.fffffbb7714c9p-1"),
-        ("0x1.008bc05ab3560p-27", "0x1.000000239a855p-1", "0x1.0000000000000p-1"),
-        ("0x1.0fa50dab62207p-3", "0x1.ca0e1233157a0p-2", "0x1.47fd6cf65831ep-5"),
-        ("0x1.501d81c7d40ecp-3", "0x1.beb30463d8864p-2", "0x1.2bebe98929e53p-11"),
-    ],
-}
-
-
-@pytest.mark.parametrize("abc", sorted(EQUILATERAL_WINDOW_BITS))
-def test_grid_keeps_equilateral_windows_where_2a_reaches_max_b_c(abc):
-    tri = CanonicalTriangle(*abc)
-    got = [_bits(grid_search(tri, n)) for n in (1.01, 2.0, 5.0, 10.0)]
-    assert got == EQUILATERAL_WINDOW_BITS[abc]
-
-
-def test_grid_windows_on_a_thin_triangle_are_sigma_times_as_tall(monkeypatch):
-    # 2a / max(b, c) = 1e-3: every zoom window that no corner left is an
-    # equilateral one squeezed to 1e-3 of its height
-    tri = CanonicalTriangle(0.02, 1.3, 40.0)
-    sigma = 2.0 * tri.a / tri.c
-    passes = []
-
-    def recording(np_, window, lattice, power):
-        best = _lattice_best(np_, window, lattice, power)
-        passes.append((list(window), best))
-        return best
-
-    monkeypatch.setattr(oracle, "_lattice_best", recording)
-    grid_search(tri, 2.0)
-    inside = 0
-    for (_, (lx, ly, _)), ((top, left, right), _) in zip(passes, passes[1:]):
-        if left[1] != right[1] or top[0] != 0.5 * (left[0] + right[0]):
-            continue  # a corner was projected
-        inside += 1
-        width, height = right[0] - left[0], top[1] - left[1]
-        assert height / width == pytest.approx(sigma * math.sqrt(3.0) / 2.0, rel=1e-9)
-        # centred on the last pass's winner
-        assert top[0] == lx
-        assert (top[1] + left[1] + right[1]) / 3.0 == pytest.approx(ly, rel=1e-12)
-    # the first five zoom windows reach past a side
-    assert inside == 6
-
-
-@pytest.mark.parametrize(
-    "tri, passes",
-    [
-        (WORKED, [946] * 12),
-        (CanonicalTriangle(0.4, 3.5, 4.5), [946] * 12),
-        (CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5), [946] * 12),
-        (CanonicalTriangle(1.0, 1e160, 1e160), [946] * 12),
-    ],
-)
-def test_grid_pass_schedule(monkeypatch, tri, passes):
-    # the points each pass scans, the same on every triangle: a change
-    # that adds work fails here
-    seen = []
-
-    def recording(np_, window, lattice, power):
-        seen.append(lattice[0].shape[1])
-        return _lattice_best(np_, window, lattice, power)
-
-    monkeypatch.setattr(oracle, "_lattice_best", recording)
-    grid_search(tri, 2.0)
-    assert seen == passes
-
-
-def test_grid_matches_its_plain_reference_bit_for_bit():
-    # grid_search forms each window corner's slacks from its own inside
-    # test and projects only the corners outside; the reference projects
-    # every corner and forms the slacks with _slacks
-    rng = random.Random(21)
-    cases = []
-    for k in range(48):
-        tau = 10.0 ** rng.uniform(-3.0, math.log10(0.85))  # thin and regular
-        half = math.sqrt(1.0 - tau * tau)
-        b = rng.uniform(1.0 - half, half)
-        scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
-        cases.append((tri, (1.01, 2.0, 5.0, 10.0)[k % 4]))
-    # at n = 1.01 the minimizer hugs a vertex and corners fall outside; on
-    # the last triangle one corner runs along the side AB, on it to roundoff
-    cases += [
-        (CanonicalTriangle(*abc), 1.01)
-        for abc in ((1.0, 0.1, 3.0), (0.3, 2.0, 0.5), (1.0, math.sqrt(3.0), 1.0))
-    ]
-    # slivers, where far corners' products overflow in the scan's units
-    for abc in ((1.0, 1e160, 1e160), (1e-160, 1.0, 1.0)):
-        cases += [(CanonicalTriangle(*abc), n) for n in (1.01, 5.0)]
-    for k in (-600, 600):
-        tri = CanonicalTriangle(*(math.ldexp(v, k) for v in (WORKED.a, WORKED.b, WORKED.c)))
-        cases += [(tri, n) for n in (1.01, 2.0, 10.0)]
-    projected = []
-
-    def counting(a, b, c):
-        project = _projector(a, b, c)
-
-        def wrapped(x, y):
-            out = project(x, y)
-            projected.append(out != (x, y))
-            return out
-
-        return wrapped
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for tri, n in cases:
-            want = _bits(_reference_grid_search(tri, n))
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(oracle, "_projector", counting)
-                got = _bits(grid_search(tri, n))
-            assert got == want, (tri, n)
-    # the projection's slow path ran, and only on corners outside
-    assert projected and all(projected)
-
-
 @pytest.mark.parametrize("n", [1.01, 2.0, 5.0, 10.0])
 def test_grid_point_scales_exactly_with_the_triangle(n):
     # the scan's one scale is the power of two that puts the inradius in
@@ -542,106 +258,6 @@ def test_projection_of_a_far_point_beyond_the_products_range():
     project = _projector(1.0, 1e160, 1e160)
     assert project(0.0, 1e160) == (0.0, 1.0)
     assert project(3e159, -5.0) == (3e159, 0.0)
-
-
-# lattice scan ---------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [*range(1, 66), 1.01, 4.5])
-def test_block_power_matches_pow_to_the_squarings_roundoff(n):
-    # repeated squaring for integral n <= 64 errs by at most about
-    # (n - 1) roundings relative; np.power is off by up to one more
-    s = np.random.default_rng(7).uniform(0.0, 3.0, (3, 50))
-    s[0, 0] = 0.0
-    got = _block_power(float(n))(s, np.empty_like(s))
-    want = np.power(s, float(n))
-    assert np.all(np.abs(got - want) <= (n + 1) * np.finfo(float).eps * want)
-    if n in (1, 2):
-        assert np.array_equal(got, want)
-
-
-def test_lattice_value_is_inf_where_the_winners_power_overflows():
-    # the winner's value is recomputed in the triangle's own units with
-    # Python's float power, which raises OverflowError bare; the scan must
-    # return inf instead
-    tri = CanonicalTriangle(3e100, 1e100, 2e100)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        (x, y), f = grid_search(tri, 5.0, OracleConfig(grid_resolution=8, zoom_iterations=1))
-    assert f == math.inf and math.isfinite(x) and math.isfinite(y)
-
-
-def _loop_slacks(a, b, c, x, y):
-    p = math.hypot(a, b)
-    q = math.hypot(a, c)
-    return (a * x - b * y + a * b) / p, (-a * x - c * y + a * c) / q, y
-
-
-def _lattice_best_loop(a, b, c, n, m, window):
-    # Scalar reference for oracle._lattice_best: the same barycentric
-    # enumeration one point at a time. Each slack is the lattice point's
-    # combination of the window corners' slacks, added in the kernel's
-    # order; strict < keeps the lowest lattice index on exact ties.
-    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
-    corners = list(zip(*(_loop_slacks(a, b, c, x, y) for x, y in window)))
-    inv = 1.0 / m
-    best_x, best_y, best_f = w1x, w1y, math.inf
-    for i in range(m + 1):
-        wa = i * inv
-        for j in range(m + 1 - i):
-            wb = j * inv
-            wc = (m - i - j) * inv
-            d1, d2, d3 = (abs(wa * s1 + wb * s2 + wc * s3) for s1, s2, s3 in corners)
-            f = d1 ** n + d2 ** n + d3 ** n
-            if f < best_f:
-                best_x = wa * w1x + wb * w2x + wc * w3x
-                best_y = wa * w1y + wb * w2y + wc * w3y
-                best_f = f
-    return best_x, best_y, best_f
-
-
-def assert_lattice_matches_loop(args):
-    # numpy's vectorized pow may round differently from libm's scalar pow,
-    # so the value may differ in the last bits; the chosen point may not
-    a, b, c, n, m, window = args
-    lx, ly, lf = _lattice_best_loop(*args)
-    p, q, _ = _side_lengths(a, b, c)
-    corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
-    vx, vy, vf = _pass(window, corners, _lattice(m), _block_power(n))
-    assert (vx, vy) == (lx, ly)
-    # The interpolated slacks differ from those of the returned point by
-    # roundoff on the scale of the window's corner slacks; to first order
-    # F moves by n * sum d_i^(n-1) times that.
-    d = [abs(s) for s in _loop_slacks(a, b, c, vx, vy)]
-    scale = max(abs(s) for corner in window for s in _loop_slacks(a, b, c, *corner))
-    bound = 8.0 * np.finfo(float).eps * scale * n * sum(di ** (n - 1.0) for di in d)
-    assert abs(lf - sum(di ** n for di in d)) <= bound + 4.0 * np.spacing(lf)
-    # the lattice value the scan scores its passes by
-    assert abs(vf - lf) <= bound + 4.0 * np.spacing(lf)
-
-
-def test_lattice_twins_agree():
-    rng = np.random.default_rng(33)
-    for _ in range(12):
-        tri, _ = canonicalize(random_general_triangle(rng))
-        for n in (1.0, 2.0, 4.5, 9.0):
-            for m in (7, 32, 64):
-                assert_lattice_matches_loop(
-                    (tri.a, tri.b, tri.c, float(n), m, tri.vertices())
-                )
-
-
-def test_lattice_twins_agree_on_shrunk_windows():
-    # windows produced by zooming are not in canonical position
-    window = np.array([[0.1, 0.7], [-0.4, 0.2], [0.8, 0.05]])
-    assert_lattice_matches_loop((WORKED.a, WORKED.b, WORKED.c, 5.0, 64, window))
-
-
-@pytest.mark.parametrize("n", [2.0, 10.0])
-def test_lattice_twins_agree_on_a_window_poking_out(n):
-    # a corner 1e-12 below the base gives lattice points a negative slack;
-    # even n skips the abs, and (-s)^n must still equal s^n bit for bit
-    window = np.array([[0.1, 0.7], [-0.4, 0.2], [0.8, -1e-12]])
-    assert_lattice_matches_loop((WORKED.a, WORKED.b, WORKED.c, n, 64, window))
 
 
 # projected_gradient ---------------------------------------------------------
@@ -924,21 +540,20 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
-def _n1_grid(tri):
-    # solve --verify's grid oracle at n = 1: point, value and log F
-    x, y, k = _grid(tri, 1.0, None)
-    return (x, y), _value(k), _log_value(k)
+def _closed_form(tri, n):
+    res = minimize_closed_form(tri, n)
+    return res.point_canonical, res.value, res.log_value
 
 
-def _frozen_n1_grid(tri):
-    point, value = frozen_grid_search(tri, 1.0)
-    return tuple(point), value, frozen_log_F(tri, 1.0, point)
+def _frozen_closed_form(tri, n):
+    res = frozen_minimize_closed_form(tri, n)
+    return res.point_canonical, res.value, res.log_value
 
 
 def test_oracles_match_their_frozen_copy_bit_for_bit():
-    # each answer's value and log F now come from one kernel read, the
-    # closed form's from one _trilinear_point call, and a grid pass
-    # allocates nothing; none of it may move a bit or change an error
+    # the descent's value now comes from one kernel read and the closed
+    # form's from one _trilinear_point call; neither may move a bit or
+    # change an error
     cases = [(tri, n) for _, tri in seeded_triangles() for n in (1.01, 2.0, 5.0, 10.0)]
     for abc in ((1.0, 1e160, 1e160), (1e-160, 1.0, 1.0)):  # slivers
         cases += [(CanonicalTriangle(*abc), n) for n in (1.01, 5.0)]
@@ -949,20 +564,16 @@ def test_oracles_match_their_frozen_copy_bit_for_bit():
     # minimizer beyond the doubles and a descent out of steps
     cases += [(WORKED, n) for n in (1.0, 0.5, math.nan, math.inf, 1e19)]
     cases += [(CanonicalTriangle(1e308, 1e308, 1.7e308), 2.0)]
-    few_steps = OracleConfig(grid_resolution=8, zoom_iterations=1, pg_max_iters=1)
+    few_steps = OracleConfig(pg_max_iters=1)
     for tri, n in cases:
         for new, old in (
-            (compare, frozen_compare),
-            (grid_search, frozen_grid_search),
+            (_closed_form, _frozen_closed_form),
             (projected_gradient, frozen_projected_gradient),
         ):
             assert _outcome(new, tri, n) == _outcome(old, tri, n), (new, tri, n)
-        assert _outcome(compare, tri, n, few_steps) == _outcome(
-            frozen_compare, tri, n, few_steps
+        assert _outcome(projected_gradient, tri, n, None, few_steps) == _outcome(
+            frozen_projected_gradient, tri, n, None, few_steps
         ), (tri, n)
-    # the grid alone at n = 1, as solve --verify runs it
-    for _, tri in seeded_triangles(16):
-        assert _outcome(_n1_grid, tri) == _outcome(_frozen_n1_grid, tri), tri
     # a start off the open triangle
     start = (0.0, 0.0)
     assert _outcome(projected_gradient, WORKED, 2.0, start) == _outcome(

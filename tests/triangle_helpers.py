@@ -2,8 +2,8 @@
 a seeded set of thin and regular ones, side slacks, membership of the
 closed triangle, the gradient of F as the descent reads it, the inverse of
 ``Isometry.to_original``, a reference copy of the KKT certificate and a
-frozen copy of the oracles as they were before each answer's kernel read
-was handed back (``frozen_compare`` and the functions it calls)."""
+frozen copy of the descent and the closed form as they were before each
+answer's kernel read was handed back."""
 
 import math
 from itertools import compress
@@ -17,16 +17,14 @@ from tripowmin.errors import (
     DidNotConverge, InvalidExponent, PointNotFeasible, PointNotInterior, _check_exponent,
 )
 from tripowmin.geometry import (
-    CanonicalTriangle, GeneralTriangle, Point, _point, _projector, _side_lengths, _slacks,
+    CanonicalTriangle, GeneralTriangle, Point, _point, _side_lengths, _slacks,
     _trilinear_point, canonicalize,
 )
 from tripowmin.kkt import (
-    _ROUNDING, KktReport, Verdict, _band, _crosses, _frame, _hessian, _over, _powers, _value,
+    _ROUNDING, KktReport, Verdict, _band, _crosses, _frame, _hessian, _log_value, _over,
+    _powers, _value,
 )
-from tripowmin.oracle import (
-    _EPS, _TINY, ZOOM_FACTOR, DiscrepancyReport, OracleConfig, PgResult, _bary_weights,
-    _block_power, _discrepancy, _incenter,
-)
+from tripowmin.oracle import _EPS, _TINY, OracleConfig, PgResult, _incenter
 
 _SIDE_LABELS = ("AB", "AC", "BC")
 
@@ -71,13 +69,17 @@ def side_slacks(a, b, c, x, y):
     return _slacks(a, b, c, p, q, x, y)
 
 
-def grid_meets(tri, n, point, value):
-    """Whether an oracle's point and value meet the closed form's at
-    ``verify``'s tolerances: within 1e-5 diameter and 1e-8 of the value."""
+def grid_meets(tri, n, point):
+    """Whether an oracle's point and its value meet the closed form's at
+    ``verify``'s tolerances: within 1e-5 diameter, and log F there, read by
+    the kernel, within 1e-8 relative of the closed form's, so that a value
+    of 0 or inf is judged too."""
     truth = minimize_closed_form(tri, n)
+    x, y = float(point[0]), float(point[1])
+    log_f = _log_value(_powers(_frame(tri.a, tri.b, tri.c), x, y, n))
     return (
         math.dist(point, truth.point_canonical) <= 1e-5 * tri.diameter()
-        and abs(value - truth.value) <= 1e-8 * truth.value
+        and -math.expm1(-abs(log_f - truth.log_value)) <= 1e-8
     )
 
 
@@ -186,83 +188,11 @@ def reference_kkt(tri, n, point):
     )
 
 
-# The oracles as they were before each answer's kernel read was handed back
-# and the grid's passes stopped allocating: verbatim but for their
-# docstrings, the names of the frozen functions they call, ``_bary_weights``'
-# tuple and ``log_value``, which ``frozen_minimize_closed_form`` returns
-# beside the point and value. The package's oracles must give the same
-# bits and raise the same errors.
-
-def frozen_lattice(m):
-    import numpy as np
-
-    weights = _bary_weights(m)[0]
-    size = weights.size
-    stride = -(-size // 8) * 8  # whole cache lines of doubles
-    block = np.empty(2 * stride + 8)
-    start = -block.__array_interface__["data"][0] % 64 // 8
-    return (
-        weights,
-        block[start:start + size].reshape(weights.shape),
-        block[start + stride:start + stride + size].reshape(weights.shape),
-    )
-
-
-def frozen_lattice_best(np, corners, window, lattice, power):
-    weights, s, r = lattice
-    np.matmul(np.array(corners).T, weights, out=s)
-    f, r2, r3 = power(s, r)
-    f += r2
-    f += r3
-    best = f.argmin()
-    ka, kb, kc = weights[:, best].tolist()
-    (w1x, w1y), (w2x, w2y), (w3x, w3y) = window
-    x = ka * w1x + kb * w2x + kc * w3x
-    return x, ka * w1y + kb * w2y + kc * w3y, f.item(best)
-
-
-def frozen_grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
-    import numpy as np
-
-    n = _check_exponent(n, allow_one=True)
-    cfg = config if config is not None else OracleConfig()
-    ldexp = math.ldexp
-    p, q, base = _side_lengths(tri.a, tri.b, tri.c)
-    shift = -math.frexp(tri.a * (base / (p + q + base)))[1]  # the inradius
-    a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
-    p, q, base = _side_lengths(a, b, c)
-    radius = max(p, q, base)
-    lattice, power = frozen_lattice(cfg.grid_resolution), _block_power(n)
-    ab, ac = a * b, a * c
-    window = [(0.0, a), (-b, 0.0), (c, 0.0)]
-    corners = [_slacks(a, b, c, p, q, x, y) for x, y in window]
-    half_rt3, sigma = 0.5 * math.sqrt(3.0), min(1.0, 2.0 * a / max(b, c))
-    offsets = (0.0, sigma), (-half_rt3, -0.5 * sigma), (half_rt3, -0.5 * sigma)
-    project = _projector(a, b, c)
-    with np.errstate(over="ignore"):
-        for k in range(cfg.zoom_iterations + 1):
-            if k:
-                radius /= ZOOM_FACTOR
-                for j, (ox, oy) in enumerate(offsets):
-                    x, y = lx + radius * ox, ly + radius * oy
-                    ax, by, cy = a * x, b * y, c * y
-                    g1, g2 = ax - by + ab, -ax - cy + ac
-                    e1 = 1e-14 * (ab + abs(ax) + abs(by))
-                    e2 = 1e-14 * (ac + abs(ax) + abs(cy))
-                    # an overflowed product makes a margin inf, which g >= -e passes
-                    if g1 >= -e1 and g2 >= -e2 and y >= 0.0 and e1 + e2 < math.inf:
-                        corners[j] = g1 / p, g2 / q, y
-                    else:
-                        x, y = project(x, y)
-                        corners[j] = _slacks(a, b, c, p, q, x, y)
-                    window[j] = x, y
-            lx, ly, lf = frozen_lattice_best(np, corners, window, lattice, power)
-            # the first pass seeds the best, even where all its values are inf
-            if k == 0 or lf < best_f:
-                best_x, best_y, best_f = lx, ly, lf
-    x, y = ldexp(best_x, -shift), ldexp(best_y, -shift)
-    return Point(x, y), _value(frozen_powers(_frame(tri.a, tri.b, tri.c), x, y, n))
-
+# The descent and the closed form as they were before each answer's kernel
+# read was handed back: verbatim but for their docstrings, the names of the
+# frozen functions they call and ``log_value``, which
+# ``frozen_minimize_closed_form`` returns beside the point and value. The
+# package's must give the same bits and raise the same errors.
 
 def frozen_newton(a, b, c, n, x, y, max_iters):
     ldexp = math.ldexp
@@ -351,33 +281,6 @@ def frozen_projected_gradient(
         tri.a, tri.b, tri.c, n, float(start[0]), float(start[1]), cfg.pg_max_iters
     )
     return PgResult(Point(x, y), f, iters)
-
-
-def frozen_log_F(tri: CanonicalTriangle, n, point) -> float:
-    frame = _frame(tri.a, tri.b, tri.c)
-    _, _, top, _, total, _, _, _ = frozen_powers(frame, float(point[0]), float(point[1]), n)
-    return n * math.log(top) + math.log(total)
-
-
-def frozen_compare(
-    tri: CanonicalTriangle,
-    n,
-    config: Optional[OracleConfig] = None,
-    point_tol: float = 1e-6,
-    value_tol: float = 1e-9,
-) -> DiscrepancyReport:
-    closed = frozen_minimize_closed_form(tri, n)
-    grid_point, grid_value = frozen_grid_search(tri, n, config)
-    pg = frozen_projected_gradient(tri, n, None, config)
-    grid_log, pg_log = frozen_log_F(tri, n, grid_point), frozen_log_F(tri, n, pg.point)
-    if grid_log <= pg_log:
-        oracle = grid_point, grid_value, grid_log
-    else:
-        oracle = pg.point, pg.value, pg_log
-    return _discrepancy(
-        closed.point_canonical, closed.value, closed.log_value, *oracle,
-        point_tol, value_tol,
-    )
 
 
 def frozen_powers(frame, x, y, n):

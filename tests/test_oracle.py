@@ -4,6 +4,7 @@ and honest failure when an iteration budget is too small."""
 import dataclasses
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -13,11 +14,12 @@ import warnings
 import numpy as np
 import pytest
 
+from tripowmin import oracle
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import (
     DidNotConverge, InvalidExponent, PointNotInterior
 )
-from tripowmin.geometry import CanonicalTriangle, _projector, canonicalize
+from tripowmin.geometry import CanonicalTriangle, _projector, _side_lengths, canonicalize
 from tripowmin.kkt import _frame, _log_value, _powers, evaluate_F
 from tripowmin.oracle import (
     OracleConfig, _discrepancy, compare, grid_search, projected_gradient,
@@ -242,6 +244,190 @@ def test_grid_point_scales_exactly_with_the_triangle(n):
         )
         (sx, sy), _ = grid_search(tri, n)
         assert (sx.hex(), sy.hex()) == (math.ldexp(x, k).hex(), math.ldexp(y, k).hex())
+
+
+def test_grid_zoom_prefixes_never_get_worse():
+    # the search reads no zoom setting, so every zoom_iterations gives the
+    # same value; a search that read it again must not get worse with more
+    values = []
+    for k in range(9):
+        _, v = grid_search(WORKED, 3.0, OracleConfig(zoom_iterations=k))
+        values.append(v)
+    for earlier, later in zip(values, values[1:]):
+        assert later <= earlier
+    # and the deepest zoom is close to the truth
+    truth = minimize_closed_form(WORKED, 3.0).value
+    assert values[-1] == pytest.approx(truth, rel=1e-9)
+
+
+def test_grid_coarse_run_matches_lattice_resolution():
+    # the config is accepted and not read: a coarse one gives the default's
+    # bits, so also a point within two steps of a 64-step lattice
+    cfg = OracleConfig(zoom_iterations=0, grid_resolution=64)
+    default, coarse = grid_search(WORKED, 2.0), grid_search(WORKED, 2.0, cfg)
+    assert _bits(coarse) == _bits(default)
+    spacing = WORKED.diameter() / 64.0
+    assert np.linalg.norm(coarse[0] - default[0]) < 2.0 * spacing
+
+
+GRID_BITS = r"""
+import json, sys
+from tripowmin.geometry import CanonicalTriangle
+from tripowmin.oracle import OracleConfig, grid_search
+
+out = []
+for m in (128, 256):
+    for tri, n in ((CanonicalTriangle(3.0, 1.0, 2.0), 5.0),
+                   (CanonicalTriangle(0.02, 1.3, 40.0), 1.01)):
+        (x, y), f = grid_search(tri, n, OracleConfig(grid_resolution=m))
+        out.append([x.hex(), y.hex(), f.hex()])
+print(json.dumps(out))
+"""
+
+
+def test_grid_bits_do_not_depend_on_the_blas_thread_count():
+    # the search is plain Python, so no BLAS thread count may change a bit;
+    # a search that brought a matrix product back, which OpenBLAS may split
+    # across threads, would have to keep it so
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-c", GRID_BITS], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, out.stderr
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]
+
+
+def _count_line_searches(monkeypatch):
+    # the F evaluations of each line search grid_search runs, in the order
+    # they end: every chord's inner search, then the outer search
+    seen = []
+    line_min = oracle._line_min
+
+    def recording(f, lo, hi):
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return f(x)
+
+        result = line_min(counted, lo, hi)
+        seen.append(calls[0])
+        return result
+
+    monkeypatch.setattr(oracle, "_line_min", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "tri, passes",
+    [
+        (WORKED, [2, 2] + [10] * 11 + [13]),
+        (CanonicalTriangle(0.4, 3.5, 4.5), [2, 2] + [10] * 11 + [13]),
+        (CanonicalTriangle(math.nextafter(0.4, 0.0), 3.5, 4.5), [2, 2] + [10] * 11 + [13]),
+        (
+            CanonicalTriangle(1.0, 1e160, 1e160),
+            [2, 2, 23, 23, 23, 22, 20, 21, 21, 21, 21, 21, 21, 13],
+        ),
+    ],
+)
+def test_grid_pass_schedule(monkeypatch, tri, passes):
+    # the F evaluations of each line search at n = 2: a change that adds
+    # work fails here. The chord at y = a is one point, and its end check
+    # ends after two evaluations; so does the chord just below it.
+    seen = _count_line_searches(monkeypatch)
+    grid_search(tri, 2.0)
+    assert seen == passes
+
+
+def _reference_grid_search(tri, n):
+    # grid_search as its docstring tells it, written plainly: on a, b, c
+    # scaled by the power of two that puts the inradius in [0.5, 1), the
+    # outer line search minimizes each chord's n log m + log(F / m^n) over
+    # y in [0, a]; the inner search is run once more at the winning height
+    # (grid_search keeps each chord's winner instead), the point is scaled
+    # back and F there is evaluated in the triangle's own units.
+    p, q, base = _side_lengths(tri.a, tri.b, tri.c)
+    shift = -math.frexp(tri.a * (base / (p + q + base)))[1]
+    a, b, c = (math.ldexp(v, shift) for v in (tri.a, tri.b, tri.c))
+    p, q, _ = _side_lengths(a, b, c)
+
+    def least_on_chord(y):
+        xl, xr = b * ((y - a) / a), c * ((a - y) / a)
+        m = max(y, a * ((xr - xl) / (p + q)))
+
+        def f(x):
+            try:
+                return (a / p / m * (x - xl)) ** n + (a / q / m * (xr - x)) ** n + (
+                    y / m
+                ) ** n
+            except OverflowError:
+                return math.inf
+
+        x, g = oracle._line_min(f, xl, xr)
+        return x, n * math.log(m) + math.log(g)
+
+    y, _ = oracle._line_min(lambda y: least_on_chord(y)[1], 0.0, a)
+    x, _ = least_on_chord(y)
+    x, y = math.ldexp(x, -shift), math.ldexp(y, -shift)
+    return (x, y), evaluate_F(tri, n, (x, y))
+
+
+def test_grid_matches_its_plain_reference_bit_for_bit():
+    # grid_search keeps each chord's winner by its height and reads the
+    # value from the kernel once; the reference searches the winning chord
+    # again and evaluates F there. Neither may move a bit, on the seeded
+    # triangles, slivers and triangles scaled 2^-600 and 2^600
+    cases = [(tri, n) for _, tri in seeded_triangles(8) for n in (1.01, 2.0, 5.0, 10.0)]
+    for abc in ((1.0, 1e160, 1e160), (1e-160, 1.0, 1.0)):
+        cases += [(CanonicalTriangle(*abc), n) for n in (1.0, 1.01, 5.0)]
+    for k in (-600, 600):
+        scaled = CanonicalTriangle(*(math.ldexp(v, k) for v in (3.0, 1.0, 2.0)))
+        cases += [(scaled, n) for n in (2.0, 10.0)]
+    for tri, n in cases:
+        assert _bits(grid_search(tri, n)) == _bits(_reference_grid_search(tri, n)), (tri, n)
+
+
+def _dense_grid_search(tri, n):
+    # the search with each line search a thousand times tighter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_LINE_TOL", oracle._LINE_TOL / 1000.0)
+        return grid_search(tri, n)
+
+
+def test_coarse_zoom_lattice_misses_nothing_the_dense_one_meets():
+    # thinness 2 * area / diameter^2 from 1e-3 to 0.85, with the base the
+    # longest side, so the thinness is the height over the base: line
+    # searches to 1e-7 of their interval lose no case that searches a
+    # thousand times tighter meet
+    rng = random.Random(16)
+    lost = []
+    for low, high in ((1e-3, 0.05), (0.05, 0.85)):
+        for k in range(400):
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            tau = 10.0 ** rng.uniform(math.log10(low), math.log10(high))
+            half = math.sqrt(1.0 - tau * tau)
+            b = rng.uniform(1.0 - half, half)
+            tri = CanonicalTriangle(scale * tau, scale * b, scale * (1.0 - b))
+            n = (1.01, 2.0, 5.0, 10.0)[k % 4]
+            if grid_meets(tri, n, _dense_grid_search(tri, n)[0]) and not grid_meets(
+                tri, n, grid_search(tri, n)[0]
+            ):
+                lost.append((tri, n))
+    assert not lost, lost
+
+
+def test_lattice_value_is_inf_where_the_winners_power_overflows():
+    # the winner's value is read in the triangle's own units, where Python's
+    # float power raises OverflowError bare; the search must return inf
+    # instead, and warn nothing
+    tri = CanonicalTriangle(3e100, 1e100, 2e100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (x, y), f = grid_search(tri, 5.0, OracleConfig(grid_resolution=8, zoom_iterations=1))
+    assert f == math.inf and math.isfinite(x) and math.isfinite(y)
 
 
 def test_projection_onto_a_side_too_short_to_square():

@@ -1,8 +1,13 @@
 """Brute-force minimizers used to certify the closed form.
 
 Two independent numeric routes that never touch the closed-form formulas:
-a nested line search over chords of the triangle (``grid_search``) and a
-damped Newton descent. ``compare`` runs both against the closed form and
+line searches on F (``grid_search``) and a damped Newton descent. On
+each horizontal chord the slacks to the two upper sides are both
+proportional to the chord's length, so s1^n + s2^n is homogeneous of
+degree n in it and every chord has its least F at the same fraction of
+its length: the minimizer lies on the cevian from the apex through that
+fraction, and ``grid_search`` finds the fraction once and then the height
+along the cevian. ``compare`` runs both against the closed form and
 reports the gaps. Both run on the standard library alone.
 """
 
@@ -73,18 +78,20 @@ class DiscrepancyReport:
 
 
 def _line_min(f, lo, hi):
-    """The least of a convex f on [lo, hi] by Brent's bounded search
-    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5),
-    parabolic steps safeguarded by golden sections, to within _LINE_TOL of
-    the interval; returns (x, f(x)).
+    """The least of a quasiconvex f on [lo, hi], such as a convex function
+    or its log, by Brent's bounded search (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), parabolic steps
+    safeguarded by golden sections, to within _LINE_TOL of the interval;
+    returns (x, f(x)).
 
     The ends are checked first, hi then lo: where f(hi - tol) >= f(hi),
-    convexity puts the minimizer within tol of hi, and hi itself is
+    quasiconvexity puts the minimizer within tol of hi, and hi itself is
     returned; the same holds at lo. An end where f is inf never passes,
     and an exact tie, as along an isosceles triangle's base at n = 1,
     goes to hi. Near n = 1, where F along a line is almost a kink at a
     side, this ends the search within four evaluations, and at n = 1,
-    where F is affine, it returns the end exactly.
+    where F is affine and so monotone along a line, it returns the end
+    exactly.
     """
     tol = _LINE_TOL * (hi - lo)
     f_hi = f(hi)
@@ -147,27 +154,35 @@ def _line_min(f, lo, hi):
 def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
     """Deterministic search oracle for n >= 1; returns (point, value).
 
-    F is convex, so its least value on the horizontal chord at height y
-    is a convex function of y (partial minimization; Boyd & Vandenberghe,
-    Convex Optimization, 3.2.5). Two nested line searches (``_line_min``)
-    therefore find the minimizer: the outer one over y in [0, a], the
-    inner one over x along each chord. Both read F alone, never the
-    closed form or a gradient, and no point leaves the triangle, so
-    nothing is projected. The search is deterministic and holds no state
-    between calls, so reruns and threads give the same bits. The name,
-    from the lattice scan the search replaced, is kept for its callers;
-    ``config`` is accepted and not read.
+    The chord at height y has length w = (b + c) (a - y) / a, and at the
+    fraction t of its length from its left end the slacks are
+    s1 = w t a / p, s2 = w (1 - t) a / q and s3 = y. s1^n + s2^n is
+    homogeneous of degree n in w, so F = w^n phi(t) + y^n with
+    phi(t) = (t a / p)^n + ((1 - t) a / q)^n, the same on every chord:
+    every chord has its least F at the fraction t* that minimizes phi,
+    and the minimizer lies on the cevian from the apex through t*. Two
+    line searches (``_line_min``) in turn therefore find it: one over t in
+    [0, 1] reading phi, then one over y in [0, a] along that cevian,
+    where F = (k (a - y))^n + y^n with k = phi(t*)^(1/n) (b + c) / a.
+    phi and F on a line are convex (Boyd & Vandenberghe, Convex
+    Optimization, 3.2), and each search compares the log of their n-th
+    root, log top + log(1 + (low / top)^n) / n with top the larger of
+    the two terms, which stays finite at any n; the log and the root are
+    increasing, so each search stays quasiconvex. Both read values of F
+    alone, never the closed form or a gradient, and no point leaves the
+    triangle, so nothing is projected. The search is deterministic and
+    holds no state between calls, so reruns and threads give the same
+    bits. The name, from the lattice scan the search replaced, is kept
+    for its callers; ``config`` is accepted and not read.
 
     The search runs on a, b, c scaled by the power of two that puts the
     inradius in [0.5, 1), exactly, so a triangle scaled by a power of two
-    gives the same point scaled. On each chord the slacks are measured in
-    the unit m = max(y, a (xr - xl) / (p + q)), the least max_i s_i
-    anywhere on the chord, so F / m^n lies in [1, 3] at the chord's
-    minimizer and can overflow, to inf, only far from it; the outer search
-    compares n log m + log(F / m^n), which stays finite for every n. The
-    best point is scaled back exactly, and its value, from the kernel
-    ``kkt._powers``, is in the triangle's own units: 0 or inf where F
-    leaves the doubles.
+    gives the same point scaled. The point's x is taken from the nearer
+    end of its chord, xl + t w for t <= 1/2 and xr - (1 - t) w above, so
+    that an end check's t = 0 or 1 gives a side's point exactly, and at
+    n = 1 a vertex. The point is scaled back exactly, and its value, from
+    the kernel ``kkt._powers``, is in the triangle's own units: 0 or inf
+    where F leaves the doubles.
     """
     x, y, k = _grid(tri, n)
     return Point(x, y), _value(k)
@@ -176,35 +191,28 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
 def _grid(tri, n):
     """``grid_search``'s search: (x, y, the kernel's read there)."""
     n = _check_exponent(n, allow_one=True)
-    ldexp, log = math.ldexp, math.log
+    ldexp = math.ldexp
     p, q, base = _side_lengths(tri.a, tri.b, tri.c)
     shift = -math.frexp(tri.a * (base / (p + q + base)))[1]  # the inradius
     a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
-    p, q, _ = _side_lengths(a, b, c)
-    pq = p + q
-    best_x = {}  # each chord's minimizer, by its height
-
-    def chord(y):
-        # s1 = a (x - xl) / p and s2 = a (xr - x) / q along the chord, each
-        # exact 0 at its end
-        xl, xr = b * ((y - a) / a), c * ((a - y) / a)
-        m = a * ((xr - xl) / pq)
-        m = y if y > m else m
-        k1, k2, k3 = a / p / m, a / q / m, (y / m) ** n
-
-        def f(x):
-            try:
-                return (k1 * (x - xl)) ** n + (k2 * (xr - x)) ** n + k3
-            except OverflowError:
-                return math.inf
-
-        x, g = _line_min(f, xl, xr)
-        best_x[y] = x
-        return n * log(m) + log(g)
-
-    y, _ = _line_min(chord, 0.0, a)
-    x, y = ldexp(best_x[y], -shift), ldexp(y, -shift)
+    p, q, base = _side_lengths(a, b, c)
+    ap, aq = a / p, a / q
+    t, g = _line_min(lambda t: _log_norm(t * ap, (1.0 - t) * aq, n), 0.0, 1.0)
+    k = math.exp(g) * (base / a)  # phi(t)^(1/n) (b + c) / a
+    y, _ = _line_min(lambda y: _log_norm(k * (a - y), y, n), 0.0, a)
+    xl, xr = b * ((y - a) / a), c * ((a - y) / a)
+    x = xl + t * (xr - xl) if t <= 0.5 else xr - (1.0 - t) * (xr - xl)
+    x, y = ldexp(x, -shift), ldexp(y, -shift)
     return x, y, _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
+
+
+def _log_norm(u, v, n):
+    """log (u^n + v^n)^(1/n) for u, v >= 0, not both 0, as log top +
+    log(1 + (low / top)^n) / n: finite at any n, where n log top is not
+    from about n = 1e306."""
+    if u < v:
+        u, v = v, u
+    return math.log(u) + math.log1p((v / u) ** n) / n
 
 
 def _incenter(a, b, c):

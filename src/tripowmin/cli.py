@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import math
+import random
 import sys
 
 from . import __version__
@@ -279,16 +280,14 @@ def _verify_trial(tri, n, tol_point_rel, tol_value):
 def cmd_verify(args) -> int:
     if args.trials <= 0:
         raise _CliInputError("--trials must be a positive integer")
-    import numpy as np
-
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     n_choices = [2.0, 3.0, 4.0, 5.0, 7.0, 10.0]
     passed = 0
     failures = []
     for trial in range(args.trials):
         general = random_general_triangle(rng)
         tri, _ = canonicalize(general)
-        n = float(rng.choice(n_choices))
+        n = rng.choice(n_choices)
         try:
             problems = _verify_trial(tri, n, args.tol_point, args.tol_value)
         except TriPowMinError as exc:
@@ -316,6 +315,18 @@ def _tolerance(text: str) -> float:
         value = math.nan
     if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """The --seed flag's value: a non-negative integer, since
+    ``random.Random(-s)`` draws the stream of ``random.Random(s)``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -374,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="randomized agreement and equivariance suites"
     )
     p_verify.add_argument("--trials", type=int, default=50)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     add_tolerance_flags(p_verify, 1e-5, 1e-8)
     p_verify.set_defaults(func=cmd_verify)
     return parser

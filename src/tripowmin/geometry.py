@@ -3,7 +3,7 @@
 The apex frame puts one vertex on the positive y-axis at (0, a) and the
 opposite side on the x-axis running from (-b, 0) to (c, 0), with a, b, c
 all positive. In that frame each side line has a fixed linear equation, so
-point-to-side distances, containment and projection are all closed-form.
+point-to-side distances and containment are closed-form.
 ``canonicalize`` carries an arbitrary triangle into the frame with a
 rotation plus translation (never a reflection).
 
@@ -319,61 +319,6 @@ def _slacks(a, b, c, p, q, x, y):
 
 def _normals(a, b, c, p, q):
     return (a / p, -b / p), (-a / q, -c / q), (0.0, 1.0)
-
-
-def _seg_closest(px, py, ax, ay, bx, by):
-    vx = bx - ax
-    vy = by - ay
-    length_sq = vx * vx + vy * vy
-    if not length_sq > 0.0:  # too short to square: its start is nearest
-        return ax, ay
-    t = ((px - ax) * vx + (py - ay) * vy) / length_sq
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return ax + t * vx, ay + t * vy
-
-
-def _projector(a, b, c):
-    """``project(x, y)``: the nearest point of the closed triangle as an
-    (x, y) pair; ties go to the first edge tried.
-
-    Points inside by a roundoff-level margin are returned unchanged, which
-    makes repeated projection bit-stable. The work runs on a, b, c, x, y
-    scaled by the power of two that puts the largest of a, b, c in [0.5, 1),
-    so that products such as b * y do not overflow; the scale is found once
-    here, not per point. A side below about 1e-154 of that squares to 0 and
-    projects to its start. The scaling and the scaling back are exact, but
-    for a coordinate hundreds of orders of magnitude below the triangle's
-    size, which is 0 against it anyway.
-    """
-    ldexp = math.ldexp
-    shift = -math.frexp(max(a, b, c))[1]
-    a, b, c = ldexp(a, shift), ldexp(b, shift), ldexp(c, shift)
-    ab, ac = a * b, a * c
-
-    def project(ox, oy):
-        x, y = ldexp(ox, shift), ldexp(oy, shift)
-        g1 = a * x - b * y + ab
-        g2 = -a * x - c * y + ac
-        e1 = 1e-14 * (ab + abs(a * x) + abs(b * y))
-        e2 = 1e-14 * (ac + abs(a * x) + abs(c * y))
-        if g1 >= -e1 and g2 >= -e2 and y >= 0.0:
-            return ox, oy
-        bx, by = _seg_closest(x, y, 0.0, a, -b, 0.0)
-        bd = (bx - x) * (bx - x) + (by - y) * (by - y)
-        cx, cy = _seg_closest(x, y, 0.0, a, c, 0.0)
-        d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
-        if d < bd:
-            bx, by, bd = cx, cy, d
-        cx, cy = _seg_closest(x, y, -b, 0.0, c, 0.0)
-        d = (cx - x) * (cx - x) + (cy - y) * (cy - y)
-        if d < bd:
-            bx, by, bd = cx, cy, d
-        return ldexp(bx, -shift), ldexp(by, -shift)
-
-    return project
 
 
 def incenter(tri: CanonicalTriangle) -> Point:

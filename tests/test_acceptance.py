@@ -13,14 +13,13 @@ from tripowmin.closed_form import minimize_closed_form, minimize_n1
 from tripowmin.geometry import (
     CanonicalTriangle,
     GeneralTriangle,
-    _projector,
     altitudes,
     canonicalize,
     incenter,
 )
 from tripowmin.kkt import Verdict, evaluate_F, kkt_residual
 from tripowmin.oracle import OracleConfig, grid_search, projected_gradient
-from triangle_helpers import contains, kernel_gradient, side_slacks
+from triangle_helpers import _projector, contains, kernel_gradient, side_slacks
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 ORACLE_CFG = OracleConfig(pg_max_iters=200_000)

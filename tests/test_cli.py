@@ -463,6 +463,16 @@ def test_verify_is_seed_deterministic():
     assert a.stdout == b.stdout and a.returncode == b.returncode
 
 
+@pytest.mark.parametrize("value", ["-1", "-7", "zebra"])
+def test_verify_seed_must_be_a_non_negative_integer(value):
+    # random.Random(-s) draws the stream of random.Random(s), so a negative
+    # seed would silently repeat a non-negative one
+    out = run_cli("verify", "--trials", "1", "--seed", value)
+    assert out.returncode == 2
+    assert "argument --seed: must be a non-negative integer" in out.stderr
+    assert out.stdout == ""
+
+
 def test_verify_impossible_tolerance_exits_3():
     # a zero point gap would need the oracle's point to the last bit; a
     # zero value gap, read from log values, does occur

@@ -13,12 +13,11 @@ from tripowmin.geometry import (
     GeneralTriangle,
     Isometry,
     Point,
-    _projector,
     altitudes,
     canonicalize,
     incenter,
 )
-from triangle_helpers import contains, side_slacks, to_canonical
+from triangle_helpers import _projector, contains, side_slacks, to_canonical
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
 

@@ -1,7 +1,7 @@
-"""The certify path, both oracles and `solve`, with or without `--verify`,
-run on the standard library: a child interpreter in which importing numpy
-raises must give the same output as one with numpy available. Only
-`verify` draws its triangles with numpy."""
+"""The package runs on the standard library: the certify path, both
+oracles, `solve`, with or without `--verify`, and `verify` must print the
+same in a child interpreter in which importing numpy raises as in one with
+numpy available."""
 
 import subprocess
 import sys
@@ -68,3 +68,7 @@ def test_solve_verify_runs_without_numpy(n, fmt):
         CLI, "solve", "--vertices", "0,3 -1,0 2,0", "--n", n, "--format", fmt,
         "--verify",
     )
+
+
+def test_verify_runs_without_numpy():
+    assert_same_without_numpy(CLI, "verify", "--trials", "5", "--seed", "7")

@@ -19,15 +19,15 @@ from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import (
     DidNotConverge, InvalidExponent, PointNotInterior
 )
-from tripowmin.geometry import CanonicalTriangle, _projector, _side_lengths, canonicalize
+from tripowmin.geometry import CanonicalTriangle, _side_lengths, canonicalize
 from tripowmin.kkt import _frame, _log_value, _powers, evaluate_F
 from tripowmin.oracle import (
     OracleConfig, _discrepancy, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
 from triangle_helpers import (
-    contains, frozen_minimize_closed_form, frozen_projected_gradient, grid_meets,
-    seeded_triangles,
+    _projector, contains, frozen_minimize_closed_form, frozen_projected_gradient,
+    grid_meets, seeded_triangles,
 )
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)

@@ -8,7 +8,10 @@ degree n in it and every chord has its least F at the same fraction of
 its length: the minimizer lies on the cevian from the apex through that
 fraction, and ``grid_search`` finds the fraction once and then the height
 along the cevian. ``compare`` runs both against the closed form and
-reports the gaps. Both run on the standard library alone.
+reports the gaps; it starts the descent from the better of the grid's
+answer and the incenter, so the descent reuses the grid's work, and
+neither oracle reads the closed form. Both run on the standard library
+alone.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ class OracleConfig:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
             object.__setattr__(self, name, value)
+
+
+_DEFAULT_CONFIG = OracleConfig()  # frozen, so built and validated once
 
 
 class PgResult(NamedTuple):
@@ -224,20 +230,59 @@ def _incenter(a, b, c):
     return c * (p / per) - b * (q / per), a * (base / per)
 
 
-def _descent(tri, n, start, config):
-    """Damped Newton descent on F from ``start`` for ``projected_gradient``.
+def _descent_start(tri, n, start, config):
+    """``projected_gradient``'s checks: the frame, the start (the incenter
+    unless given) and the kernel's read there, and the step cap, for
+    ``_newton``. Raises as ``projected_gradient`` says."""
+    n = _check_exponent(n)
+    if (1.0 - _EPS) ** (n - 1.0) < _TINY:
+        raise InvalidExponent(
+            f"exponent {n!r} is beyond the descent oracle, which needs "
+            "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
+        )
+    max_iters = (config if config is not None else _DEFAULT_CONFIG).pg_max_iters
+    if start is None:
+        start = _incenter(tri.a, tri.b, tri.c)
+    x, y = float(start[0]), float(start[1])
+    frame = _frame(tri.a, tri.b, tri.c)
+    k = _powers(frame, x, y, n)
+    if k[6] is None:  # w, None off the open triangle
+        raise PointNotInterior(f"start {(x, y)} is not strictly inside the triangle")
+    return frame, x, y, k, max_iters
+
+
+def _scaled_crosses(normals):
+    """The normals' crosses (``kkt._crosses``) scaled by the power of two
+    that puts the largest in [0.5, 1), so that a sliver's Newton
+    determinant stays normal, and that power's exponent."""
+    crosses = _crosses(normals)
+    shift = -math.frexp(max(map(abs, crosses)))[1]
+    return tuple(math.ldexp(cij, shift) for cij in crosses), shift
+
+
+def _det(w, crosses):
+    """The Newton determinant sum_{i<j} w_i w_j c_ij^2 on scaled crosses."""
+    w1, w2, w3 = w
+    c12, c13, c23 = crosses
+    return w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23
+
+
+def _newton(frame, x, y, k, max_iters):
+    """Damped Newton descent on F from (x, y), strictly inside, where the
+    kernel ``kkt._powers`` read ``k``; returns (x, y, the kernel's read
+    there, iterations).
 
     F is convex, so no iterate needs projecting, and Newton's method is
     affine-invariant (Boyd & Vandenberghe, Convex Optimization, 9.5), so
-    the long valleys of thin triangles cost it nothing. Every point is
-    read through the kernel ``kkt._powers``: in units of top = max s the
-    gradient and Hessian of F / (n top^n) are g = sum e_i u_i and
-    H = sum w_i u_i u_i^T, and F = top^n * ft, so nothing leaves the
-    doubles. The 2x2 system is solved from the crosses c_ij = u_i x u_j:
-    with det = sum_{i<j} w_i w_j c_ij^2 and t_i = rot(u_i) . g, the step is
-    -sum w_i t_i rot(u_i) / det and lambda^2 / F = n sum w_i t_i^2 /
-    (det ft), sums of one sign where hxx * hyy - hxy^2 cancels to a zero
-    step on the near-rank-1 Hessians of large n.
+    the long valleys of thin triangles cost it nothing. In units of
+    top = max s the gradient and Hessian of F / (n top^n) are
+    g = sum e_i u_i and H = sum w_i u_i u_i^T, and F = top^n * ft, so
+    nothing leaves the doubles. The 2x2 system is solved from the crosses
+    c_ij = u_i x u_j: with det = sum_{i<j} w_i w_j c_ij^2 and
+    t_i = rot(u_i) . g, the step is -sum w_i t_i rot(u_i) / det and
+    lambda^2 / F = n sum w_i t_i^2 / (det ft), sums of one sign where
+    hxx * hyy - hxy^2 cancels to a zero step on the near-rank-1 Hessians
+    of large n.
 
     Near n = 1 the minimizer sits by a vertex, orders of magnitude closer
     to two sides than the triangle is wide, and Newton overshoots them: no
@@ -245,33 +290,17 @@ def _descent(tri, n, start, config):
     itself, if the step so limited still descends. The step is cut to 0.99
     of the way to the nearest side and halved until Armijo's condition
     (1e-4) holds. Stops once lambda^2 / F <= 2e-13, after one more full
-    step if that lowers F, or once a step lowers F by at most 1e-13 * F;
-    returns (x, y, the kernel's read there, iterations)."""
-    n = _check_exponent(n)
-    if (1.0 - _EPS) ** (n - 1.0) < _TINY:
-        raise InvalidExponent(
-            f"exponent {n!r} is beyond the descent oracle, which needs "
-            "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
-        )
-    max_iters = (config if config is not None else OracleConfig()).pg_max_iters
-    if start is None:
-        start = _incenter(tri.a, tri.b, tri.c)
-    x, y = float(start[0]), float(start[1])
+    step if that lowers F, or once a step lowers F by at most 1e-13 * F."""
     ldexp = math.ldexp
-    frame = _frame(tri.a, tri.b, tri.c)
-    k = _powers(frame, x, y, n)
-    if k[6] is None:  # w, None off the open triangle
-        raise PointNotInterior(f"start {(x, y)} is not strictly inside the triangle")
+    n = k[0]
     u = (u1x, u1y), (u2x, u2y), (u3x, u3y) = k[7]
-    # the crosses scaled by the power of two that puts the largest in
-    # [0.5, 1), so that a sliver's determinant stays normal
-    crosses = _crosses(u)
-    cross_shift = -math.frexp(max(map(abs, crosses)))[1]
-    c12, c13, c23 = (ldexp(cij, cross_shift) for cij in crosses)
+    crosses, cross_shift = _scaled_crosses(u)
+    c12, c13, c23 = crosses
     it = 0
     while True:
-        _, _, top, r, ft, (e1, e2, e3), (w1, w2, w3), _ = k
-        det = w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23
+        _, _, top, r, ft, (e1, e2, e3), w, _ = k
+        w1, w2, w3 = w
+        det = _det(w, crosses)
         if not _TINY <= det < math.inf:
             raise FloatingPointError(
                 f"Newton determinant {det!r} is not a normal double"
@@ -332,7 +361,7 @@ def _descent(tri, n, start, config):
 def projected_gradient(
     tri: CanonicalTriangle, n, start=None, config: Optional[OracleConfig] = None
 ) -> PgResult:
-    """Descent oracle: damped Newton descent on F (``_descent``) from
+    """Descent oracle: damped Newton descent on F (``_newton``) from
     ``start``, n > 1. No iterate leaves the open triangle, so nothing is
     projected; the name is kept for its callers.
 
@@ -340,7 +369,8 @@ def projected_gradient(
     where all three ratios d_i / max d are 1: from there needles at large
     n take tens of steps, not the hundreds they took from the centroid.
     ``_incenter`` computes it, so the oracle shares no code with the
-    closed form.
+    closed form. ``compare`` runs the same loop from the better of the
+    grid's answer and the incenter.
 
     Raises InvalidExponent from about n = 3.2e18, where (1 - eps)^(n-1)
     falls below the least normal double: from there the Newton weight of
@@ -350,7 +380,7 @@ def projected_gradient(
     DidNotConverge when ``pg_max_iters`` steps end before the stopping
     rule holds.
     """
-    x, y, k, iters = _descent(tri, n, start, config)
+    x, y, k, iters = _newton(*_descent_start(tri, n, start, config))
     return PgResult(Point(x, y), _value(k), iters)
 
 
@@ -362,10 +392,33 @@ def compare(
     value_tol: float = 1e-9,
 ) -> DiscrepancyReport:
     """Closed form vs both oracles; gaps measured against the better
-    oracle, the one of lower log F at its point (the grid on ties)."""
+    oracle, the one of lower log F at its point (the grid on ties).
+
+    The descent starts from the better of two points, read through the
+    kernel: the grid's answer moved _LINE_TOL of the way toward the
+    incenter (an end check's side or vertex, where no descent can start,
+    so moves strictly inside), and the incenter. The grid's point is taken
+    where F is lower there and its Newton determinant is a normal double:
+    near n = 1 it is a step or two from the minimizer where the incenter
+    is about 14, at large n it can be far worse than the incenter, and on
+    needles at large n its small slack ratio underflows the Newton weight.
+    Otherwise, and wherever the incenter start raises, the descent runs as
+    ``projected_gradient`` does. Neither oracle reads the closed form, and
+    the descent stops by its own rule.
+    """
     n, x, y, h, tot = _trilinear(tri, n)
     grid_x, grid_y, grid = _grid(tri, n)
-    pg_x, pg_y, pg, _ = _descent(tri, n, None, config)
+    frame, sx, sy, start, max_iters = _descent_start(tri, n, None, config)
+    # the grid's point moved toward the incenter (sx, sy), if the better start
+    gx, gy = grid_x + _LINE_TOL * (sx - grid_x), grid_y + _LINE_TOL * (sy - grid_y)
+    k = _powers(frame, gx, gy, n)
+    if (
+        k[6] is not None
+        and _log_value(k) < _log_value(start)
+        and _TINY <= _det(k[6], _scaled_crosses(k[7])[0]) < math.inf
+    ):
+        sx, sy, start = gx, gy, k
+    pg_x, pg_y, pg, _ = _newton(frame, sx, sy, start, max_iters)
     grid_log, pg_log = _log_value(grid), _log_value(pg)
     if grid_log <= pg_log:
         oracle = (grid_x, grid_y), _value(grid), grid_log

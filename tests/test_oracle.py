@@ -745,6 +745,57 @@ def test_compare_rejects_n1():
         compare(WORKED, 1.0)
 
 
+# the extreme list of the grid's large-n test, two slivers and a needle,
+# and the n = 1.1 sliver of the grid's miss trace
+START_RULE_TRIANGLES = [
+    CanonicalTriangle(*abc) for abc in (
+        (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (1e-300, 1.0, 1.0),
+        (1e-150, 1e150, 1e150), (1e300, 1e300, 1e299), (1e-300, 1e-300, 2e-300),
+        (1.0, 1e160, 1e160), (1e-160, 1.0, 1.0), (1.0, 1e-200, 1e-200),
+        (6.299436429988343e-11, 5.633277347381022e-07, 2.3132742654516685e-06),
+    )
+]
+START_RULE_EXPONENTS = (
+    1.000001, 1.001, 1.01, 1.1, 2.0, 5.0, 200.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e18,
+)
+
+
+def _incenter_start_compare(tri, n, config, point_tol, value_tol):
+    # compare as it was with the descent always started at the incenter
+    n, x, y, h, tot = oracle._trilinear(tri, n)
+    grid_x, grid_y, grid = oracle._grid(tri, n)
+    pg = projected_gradient(tri, n, None, config)
+    grid_log, pg_log = _log_value(grid), _log_F(tri, n, pg.point)
+    if grid_log <= pg_log:
+        best = (grid_x, grid_y), oracle._value(grid), grid_log
+    else:
+        best = pg.point, pg.value, pg_log
+    value = oracle._pow_or_inf(h, n) * tot
+    log_value = n * math.log(h) + math.log(tot)
+    return _discrepancy((x, y), value, log_value, *best, point_tol, value_tol)
+
+
+def _passed_or_error(f, tri, n):
+    # at solve --verify's tolerances: on (1, 1e160, 1e160) F changes by
+    # less than its rounding over x spans of about 1e-17 of the diameter,
+    # so an absolute point tolerance would judge where the descent stopped
+    try:
+        return f(tri, n, None, 1e-6 * tri.diameter(), 1e-9).passed
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tri", START_RULE_TRIANGLES, ids=repr)
+def test_compare_starting_from_the_grid_keeps_every_incenter_start_outcome(tri):
+    # started at the grid's point itself, the descent raised
+    # FloatingPointError on the needle from n = 200 (a slack ratio of 1e-7
+    # underflows its Newton weight) and spun to DidNotConverge on (1,1,1)
+    # at n = 1e15 (a far worse start than the incenter)
+    for n in START_RULE_EXPONENTS:
+        want = _passed_or_error(_incenter_start_compare, tri, n)
+        assert _passed_or_error(compare, tri, n) == want, n
+
+
 def _hexed(value):
     # every float as its hex string, through tuples and dataclasses
     if isinstance(value, float):

@@ -26,7 +26,7 @@ from .geometry import (
     canonicalize,
     incenter,
 )
-from .kkt import Verdict, _log_value, _value, kkt_residual
+from .kkt import Verdict, _frame, _log_value, _value, kkt_residual
 from .oracle import _discrepancy, _grid, compare
 from .sampling import random_general_triangle
 
@@ -114,7 +114,7 @@ def cmd_solve(args) -> int:
         if args.verify:
             # tied altitudes make a whole side minimize, so only the value
             # is unique: the point gap is reported but not judged
-            gx, gy, grid = _grid(tri, n)
+            gx, gy, grid = _grid(_frame(tri.a, tri.b, tri.c), n)
             oracle_report = _discrepancy(
                 point_c, value, math.log(value), (gx, gy), _value(grid),
                 _log_value(grid), math.inf, args.tol_value,

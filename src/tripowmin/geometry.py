@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +26,7 @@ from .errors import DegenerateTriangle
 DEGENERACY_REL_TOL = 1e-12
 
 _INF = math.inf
+_TINY = sys.float_info.min
 
 
 class Point(NamedTuple):
@@ -299,8 +301,8 @@ def _side_lengths(a, b, c):
 
 def _trilinear_point(a, b, c, lengths, root):
     """The point at distances h * w_i from the sides AB, AC, BC, with
-    w_i = rho_i^root and rho_i = L_i / L_max for the side ``lengths``:
-    the incenter for root 0, the powered-sum minimizer for root 1/(n-1).
+    w_i = rho_i^root and rho_i = L_i / L_max for the side ``lengths``,
+    the powered-sum minimizer for root 1/(n-1) (the closed form's alone).
     Returns (x, y, h, tot), tot = sum rho_i * w_i. Each rho_i and w_i is
     at most 1, and h solves sum L_i * d_i = 2 * area = a * (b + c) in the
     ratios, so no term leaves the triangle's scale."""
@@ -321,16 +323,33 @@ def _normals(a, b, c, p, q):
     return (a / p, -b / p), (-a / q, -c / q), (0.0, 1.0)
 
 
+def _incenter(a, b, c):
+    """The incenter, from vertex weights proportional to the opposite
+    sides' lengths, each divided by their sum before it multiplies a
+    coordinate: c * p itself overflows from side lengths of about 1e154."""
+    p, q, base = _side_lengths(a, b, c)
+    per = p + q + base
+    return c * (p / per) - b * (q / per), a * (base / per)
+
+
 def incenter(tri: CanonicalTriangle) -> Point:
-    """The point at equal distance from all three sides: trilinears 1:1:1."""
-    a, b, c = tri.a, tri.b, tri.c
-    x, y, _, _ = _trilinear_point(a, b, c, _side_lengths(a, b, c), 0.0)
-    return _point((x, y))
+    """The point at equal distance from all three sides: trilinears 1:1:1.
+    The descent oracle starts from the same formula, which shares no code
+    with the closed form."""
+    return _point(_incenter(tri.a, tri.b, tri.c))
+
+
+def _altitude(a, base, side):
+    """Twice the area over ``side``, a * base / side, as a * (base / side),
+    since a * base leaves the doubles beyond scales of about 1e+-154; where
+    that quotient is not a normal double, as base * (a / side), a / side
+    being at most 1."""
+    ratio = base / side
+    return a * ratio if _TINY <= ratio < _INF else base * (a / side)
 
 
 def altitudes(tri: CanonicalTriangle) -> Altitudes:
     """Altitudes dropped from (0, a), (-b, 0) and (c, 0) respectively."""
-    a, b, c = tri.a, tri.b, tri.c
-    p, q, base = _side_lengths(a, b, c)
-    # as ratios: a * base leaves the doubles beyond scales of about 1e+-154
-    return Altitudes(a, a * (base / q), a * (base / p))
+    a = tri.a
+    p, q, base = _side_lengths(a, tri.b, tri.c)
+    return Altitudes(a, _altitude(a, base, q), _altitude(a, base, p))

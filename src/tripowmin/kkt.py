@@ -16,7 +16,12 @@ fxx and determinant, both positive for n > 1.
 Every scalar reader of F, here and in both oracles, goes through one
 kernel, ``_powers``. It works in the ratios r_i = d_i / max d, which never
 leave [0, 1], so no power leaves the doubles; a quantity in the
-triangle's own units is a ratio-unit one times a power of max d.
+triangle's own units is a ratio-unit one times a power of max d. The
+kernel reads the triangle in one unit, ``_frame``'s: the power of two
+that puts its inradius in [0.5, 1). Every operation of the kernel and the
+grid is homogeneous, so the rescale, exact, changes no result. ``_frame`` is
+also the one place that refuses a triangle for its size: where the
+inradius or a side in that unit is not a double, it raises OverflowError.
 """
 
 from __future__ import annotations
@@ -104,17 +109,29 @@ def _over(k, base):
 
 
 def _frame(a, b, c):
-    """The triangle as ``_powers`` reads it, formed once: a, b, c scaled
-    exactly by the power of two ``unit`` that puts a in [0.5, 1), so that
-    no slack or normal over- or underflows at any size (only an a below
-    2^-1023 is refused), with the side lengths p, q and unit normals."""
+    """The triangle as ``_powers`` and the grid read it, formed once:
+    (unit, a, b, c, p, q, normals), a, b, c scaled exactly by the power of
+    two ``unit`` that puts the inradius a (b + c) / (p + q + b + c) in
+    [0.5, 1), with the side lengths p, q and the unit normals in that unit.
+    Refuses, with an OverflowError naming the triangle and its inradius, a
+    triangle whose inradius is 0 or NaN, whose unit overflows (an inradius
+    below about 2^-1024) or whose scaled sides are not all finite: no
+    reader of F could answer on it."""
+    p, q, base = _side_lengths(a, b, c)
+    inradius = a * (base / (p + q + base))
     try:
-        unit = math.ldexp(1.0, -math.frexp(a)[1])
+        unit = math.ldexp(1.0, -math.frexp(inradius)[1])
     except OverflowError:
-        raise OverflowError(f"apex height a = {a!r} is below 2^-1023") from None
-    a, b, c = a * unit, b * unit, c * unit
-    p, q, _ = _side_lengths(a, b, c)
-    return unit, a, b, c, p, q, _normals(a, b, c, p, q)
+        unit = math.inf  # the scaled sides are inf and refused below
+    sa, sb, sc = a * unit, b * unit, c * unit
+    p, q, _ = _side_lengths(sa, sb, sc)
+    # written so that a NaN inradius or side fails it too; p >= b, q >= c
+    if not (0.0 < inradius and p < math.inf > q and sb + sc < math.inf):
+        raise OverflowError(
+            f"triangle a={a!r}, b={b!r}, c={c!r}, inradius {inradius!r}, "
+            "leaves the doubles in the unit that puts its inradius in [0.5, 1)"
+        )
+    return unit, sa, sb, sc, p, q, _normals(sa, sb, sc, p, q)
 
 
 def _powers(frame, x, y, n):
@@ -176,7 +193,8 @@ def _hessian(normals, w):
 
 def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     """Powered-distance sum at any planar point (n >= 1); 0 or inf where it
-    leaves the doubles."""
+    leaves the doubles. Raises ``_frame``'s OverflowError for a triangle
+    beyond the doubles."""
     n = _check_exponent(n, allow_one=True)
     frame = _frame(tri.a, tri.b, tri.c)
     return _value(_powers(frame, float(point[0]), float(point[1]), n))
@@ -218,8 +236,9 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     largest |nu_i| off the active set, complementary slackness the
     largest |nu_i s_i|. The multipliers and both residuals are computed
     only when the verdict fails; a SATISFIED report carries them as the
-    exact zeros they would come to. Only PointNotFeasible is raised, for a
-    slack below -1e-9 * a.
+    exact zeros they would come to. Raises PointNotFeasible for a slack
+    below -1e-9 * a, and ``_frame``'s OverflowError for a triangle beyond
+    the doubles.
     """
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
@@ -234,7 +253,12 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
         )
 
     base = b + c
-    longest = max(p, q, base)
+    # max and min inlined, keeping the first of equal extremes as they do
+    # (``.index(floor)`` below relies on it). No operand is NaN: the test
+    # above refuses NaN slacks and the frame non-finite sides, so each
+    # bound is finite or -inf
+    longest = q if q > p else p
+    longest = base if base > longest else longest
     # the point's own rounding, eps (b + c) across and eps a up, along the
     # sides' unit normals (a, -b) / p, (-a, -c) / q and (0, 1)
     d3 = _ROUNDING * a / unit
@@ -250,8 +274,10 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
         h_fxx, h_det = _hessian(normals, w)
         h_fxx, h_det = h_fxx * h if h_fxx else h_fxx, h_det * h * h if h_det else h_det
     active = _ACTIVE_SETS[(not lo1) * 4 + (not lo2) * 2 + (not lo3)]
-    floor = max(low1, low2, low3)
-    if floor <= min(high1, high2, high3):
+    floor = low2 if low2 > low1 else low1
+    floor = low3 if low3 > floor else floor
+    ceiling = high2 if high2 < high1 else high1
+    if floor <= (high3 if high3 < ceiling else ceiling):
         # one mu fits every band: nu = 0, and so are both residuals
         return KktReport(
             active, (0.0, 0.0, 0.0), 0.0, 0.0, h_fxx, h_det, Verdict.SATISFIED

@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional
 
 from .closed_form import _pow_or_inf, _trilinear
 from .errors import DidNotConverge, InvalidExponent, PointNotInterior, _check_exponent
-from .geometry import CanonicalTriangle, Point, _side_lengths
+# _incenter is the descent's start, from geometry; tests import it from here
+from .geometry import CanonicalTriangle, Point, _incenter
 from .kkt import _crosses, _frame, _log_value, _over, _powers, _value
 
 
@@ -181,35 +182,34 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     bits. The name, from the lattice scan the search replaced, is kept
     for its callers; ``config`` is accepted and not read.
 
-    The search runs on a, b, c scaled by the power of two that puts the
-    inradius in [0.5, 1), exactly, so a triangle scaled by a power of two
-    gives the same point scaled. The point's x is taken from the nearer
-    end of its chord, xl + t w for t <= 1/2 and xr - (1 - t) w above, so
-    that an end check's t = 0 or 1 gives a side's point exactly, and at
-    n = 1 a vertex. The point is scaled back exactly, and its value, from
-    the kernel ``kkt._powers``, is in the triangle's own units: 0 or inf
-    where F leaves the doubles.
+    The search reads the triangle as the kernel ``kkt._powers`` does, in
+    the frame of ``kkt._frame``: a, b, c scaled exactly by the power of two
+    that puts the inradius in [0.5, 1), so a triangle scaled by a power of
+    two gives the same point scaled, and a triangle the frame refuses
+    raises its OverflowError. The point's x is taken from the nearer end
+    of its chord, xl + t w for t <= 1/2 and xr - (1 - t) w above, so that
+    an end check's t = 0 or 1 gives a side's point exactly, and at n = 1 a
+    vertex. The point is scaled back exactly, and its value, from the
+    kernel, is in the triangle's own units: 0 or inf where F leaves the
+    doubles.
     """
-    x, y, k = _grid(tri, n)
+    n = _check_exponent(n, allow_one=True)
+    x, y, k = _grid(_frame(tri.a, tri.b, tri.c), n)
     return Point(x, y), _value(k)
 
 
-def _grid(tri, n):
-    """``grid_search``'s search: (x, y, the kernel's read there)."""
-    n = _check_exponent(n, allow_one=True)
-    ldexp = math.ldexp
-    p, q, base = _side_lengths(tri.a, tri.b, tri.c)
-    shift = -math.frexp(tri.a * (base / (p + q + base)))[1]  # the inradius
-    a, b, c = ldexp(tri.a, shift), ldexp(tri.b, shift), ldexp(tri.c, shift)
-    p, q, base = _side_lengths(a, b, c)
+def _grid(frame, n):
+    """``grid_search``'s search on the triangle of ``frame``
+    (``kkt._frame``) for a checked n: (x, y, the kernel's read there)."""
+    unit, a, b, c, p, q, _ = frame
     ap, aq = a / p, a / q
     t, g = _line_min(lambda t: _log_norm(t * ap, (1.0 - t) * aq, n), 0.0, 1.0)
-    k = math.exp(g) * (base / a)  # phi(t)^(1/n) (b + c) / a
+    k = math.exp(g) * ((b + c) / a)  # phi(t)^(1/n) (b + c) / a
     y, _ = _line_min(lambda y: _log_norm(k * (a - y), y, n), 0.0, a)
     xl, xr = b * ((y - a) / a), c * ((a - y) / a)
     x = xl + t * (xr - xl) if t <= 0.5 else xr - (1.0 - t) * (xr - xl)
-    x, y = ldexp(x, -shift), ldexp(y, -shift)
-    return x, y, _powers(_frame(tri.a, tri.b, tri.c), x, y, n)
+    x, y = x / unit, y / unit
+    return x, y, _powers(frame, x, y, n)
 
 
 def _log_norm(u, v, n):
@@ -221,34 +221,25 @@ def _log_norm(u, v, n):
     return math.log(u) + math.log1p((v / u) ** n) / n
 
 
-def _incenter(a, b, c):
-    """The incenter, from vertex weights proportional to the opposite
-    sides' lengths, each divided by their sum before it multiplies a
-    coordinate: c * p itself overflows from side lengths of about 1e154."""
-    p, q, base = _side_lengths(a, b, c)
-    per = p + q + base
-    return c * (p / per) - b * (q / per), a * (base / per)
-
-
-def _descent_start(tri, n, start, config):
-    """``projected_gradient``'s checks: the frame, the start (the incenter
-    unless given) and the kernel's read there, and the step cap, for
-    ``_newton``. Raises as ``projected_gradient`` says."""
+def _descent_limits(n, config):
+    """The descent's checked n, or InvalidExponent as ``projected_gradient``
+    says, and its step cap."""
     n = _check_exponent(n)
     if (1.0 - _EPS) ** (n - 1.0) < _TINY:
         raise InvalidExponent(
             f"exponent {n!r} is beyond the descent oracle, which needs "
             "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
         )
-    max_iters = (config if config is not None else _DEFAULT_CONFIG).pg_max_iters
-    if start is None:
-        start = _incenter(tri.a, tri.b, tri.c)
-    x, y = float(start[0]), float(start[1])
-    frame = _frame(tri.a, tri.b, tri.c)
+    return n, (config if config is not None else _DEFAULT_CONFIG).pg_max_iters
+
+
+def _descent_start(frame, x, y, n):
+    """The kernel's read at the descent's start (x, y), or PointNotInterior
+    unless it is strictly inside the triangle of ``frame``."""
     k = _powers(frame, x, y, n)
     if k[6] is None:  # w, None off the open triangle
         raise PointNotInterior(f"start {(x, y)} is not strictly inside the triangle")
-    return frame, x, y, k, max_iters
+    return k
 
 
 def _scaled_crosses(normals):
@@ -378,9 +369,15 @@ def projected_gradient(
     PointNotInterior for a start not strictly inside, FloatingPointError
     when the Newton system's determinant is not a normal double, and
     DidNotConverge when ``pg_max_iters`` steps end before the stopping
-    rule holds.
+    rule holds. A triangle that ``kkt._frame`` refuses raises its
+    OverflowError, after any of the exponent.
     """
-    x, y, k, iters = _newton(*_descent_start(tri, n, start, config))
+    n, max_iters = _descent_limits(n, config)
+    if start is None:
+        start = _incenter(tri.a, tri.b, tri.c)
+    x, y = float(start[0]), float(start[1])
+    frame = _frame(tri.a, tri.b, tri.c)
+    x, y, k, iters = _newton(frame, x, y, _descent_start(frame, x, y, n), max_iters)
     return PgResult(Point(x, y), _value(k), iters)
 
 
@@ -404,11 +401,18 @@ def compare(
     needles at large n its small slack ratio underflows the Newton weight.
     Otherwise, and wherever the incenter start raises, the descent runs as
     ``projected_gradient`` does. Neither oracle reads the closed form, and
-    the descent stops by its own rule.
+    the descent stops by its own rule. The kernel's frame (``kkt._frame``)
+    is formed once and serves the grid, the start rule and the descent; an
+    exponent either oracle refuses is reported before a triangle the frame
+    refuses.
     """
     n, x, y, h, tot = _trilinear(tri, n)
-    grid_x, grid_y, grid = _grid(tri, n)
-    frame, sx, sy, start, max_iters = _descent_start(tri, n, None, config)
+    # an exponent the descent refuses is reported before the frame
+    _, max_iters = _descent_limits(n, config)
+    frame = _frame(tri.a, tri.b, tri.c)
+    grid_x, grid_y, grid = _grid(frame, n)
+    sx, sy = _incenter(tri.a, tri.b, tri.c)
+    start = _descent_start(frame, sx, sy, n)
     # the grid's point moved toward the incenter (sx, sy), if the better start
     gx, gy = grid_x + _LINE_TOL * (sx - grid_x), grid_y + _LINE_TOL * (sy - grid_y)
     k = _powers(frame, gx, gy, n)

@@ -209,10 +209,17 @@ def test_tolerance_must_be_a_non_negative_number(command, flag, value):
         # OverflowError: canonicalize's frame has a base of about 3.4e308
         ["solve", "--vertices", "0,1.7e308 -1.7e308,-1.7e308 1.7e308,-1.7e308",
          "--n", "2"],
+        # the kernel's frame refuses the triangle: the certificate refused the
+        # closed form's right point with a PointNotFeasible traceback
+        ["solve", "--canonical", "1e-300,1e300,1e300", "--n", "2", "--verify"],
+        # the kernel's frame refuses the triangle: the grid's point, at
+        # x = 1e301, failed the right vertex (exit 3)
+        ["solve", "--canonical", "1,1e308,1e308", "--n", "1", "--verify"],
     ],
     # args1 is the id it had among the commands that the certificate and
     # the descent refused before they worked in ratio units
-    ids=["args1", "frame-beyond-the-doubles"],
+    ids=["args1", "frame-beyond-the-doubles", "certificate-beyond-the-inradius-unit",
+         "grid-beyond-the-inradius-unit"],
 )
 def test_arithmetic_error_exits_2_without_traceback(args):
     out = run_cli(*args)
@@ -356,6 +363,14 @@ def test_solve_n1_verify_passes_at_the_ends_of_the_scale(canonical, x):
     doc = json.loads(out.stdout)
     assert doc["minimizer"] == {"x": x, "y": 0.0}
     assert doc["oracle"]["passed"] is True
+
+
+def test_solve_n1_value_is_the_least_altitude_where_base_over_side_underflows():
+    # a * (base / q) read 0: base / q underflows, the altitude does not
+    doc = run_json("solve", "--canonical", "1e300,1e-300,1e-300", "--n", "1",
+                   "--format", "json")
+    assert doc["minimizer"] == {"x": -1e-300, "y": 0.0}
+    assert doc["value"] == pytest.approx(2e-300, rel=1e-15, abs=0.0)
 
 
 def test_solve_n1_verify_accepts_any_point_of_a_minimizing_side():

@@ -566,3 +566,17 @@ def test_altitudes_satisfy_area_identity():
         assert h.h_a * (tri.b + tri.c) == pytest.approx(area2, rel=1e-12)
         assert h.h_b * math.hypot(tri.a, tri.c) == pytest.approx(area2, rel=1e-12)
         assert h.h_c * math.hypot(tri.a, tri.b) == pytest.approx(area2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "abc, want",
+    [
+        # base / q underflowed: the least altitude, from B, read 0
+        ((1e300, 1e-300, 1e-300), (1e300, 2e-300, 2e-300)),
+        # base / q overflowed: the altitude from B, about 7.1e299, read inf
+        ((1e-300, 1e300, 1e-300), (1e-300, 1e300 / math.sqrt(2.0), 1e-300)),
+    ],
+)
+def test_altitudes_are_normal_where_base_over_side_leaves_the_doubles(abc, want):
+    h = altitudes(CanonicalTriangle(*abc))
+    assert h == pytest.approx(want, rel=1e-15, abs=0.0)

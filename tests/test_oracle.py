@@ -20,7 +20,7 @@ from tripowmin.errors import (
     DidNotConverge, InvalidExponent, PointNotInterior
 )
 from tripowmin.geometry import CanonicalTriangle, _side_lengths, canonicalize
-from tripowmin.kkt import _frame, _log_value, _powers, evaluate_F
+from tripowmin.kkt import _frame, _log_value, _powers, evaluate_F, kkt_residual
 from tripowmin.oracle import (
     OracleConfig, _discrepancy, compare, grid_search, projected_gradient,
 )
@@ -760,10 +760,44 @@ START_RULE_EXPONENTS = (
 )
 
 
+@pytest.mark.parametrize("n", [1.0, 1.01, 2.0, 1e6])
+@pytest.mark.parametrize(
+    "abc",
+    [(1e-300, 1e300, 1e300), (1e300, 1e-300, 1e-300), (1.0, 1e308, 1e308),
+     (1e-308, 1.0, 1.0), (1.0, 1e-310, 1e-310)],
+    ids=repr,
+)
+def test_only_the_frame_refuses_a_triangle_beyond_the_doubles(abc, n):
+    # every reader of F refuses in the kernel's frame, naming the inradius.
+    # Each used to fail its own way (ValueError, ZeroDivisionError,
+    # PointNotFeasible or PointNotInterior), or return NaN, a wrong grid
+    # point or, where the inradius is below the unit, an answer
+    tri = CanonicalTriangle(*abc)
+    point = (0.0, tri.a / 2)
+    calls = {
+        "grid_search": lambda: grid_search(tri, n),
+        "evaluate_F": lambda: evaluate_F(tri, n, point),
+    }
+    if n > 1.0:
+        calls.update({
+            "projected_gradient": lambda: projected_gradient(tri, n),
+            "compare": lambda: compare(tri, n, None, 1e-6 * tri.diameter(), 1e-9),
+            "kkt_residual": lambda: kkt_residual(tri, n, point),
+        })
+    for name, call in calls.items():
+        with pytest.raises(OverflowError) as err:
+            call()
+        if name == "compare" and abc == (1.0, 1e308, 1e308):
+            # the closed form's own refusal may come first: b + c overflows
+            assert "inradius" in str(err.value) or "is not finite" in str(err.value)
+        else:
+            assert "inradius" in str(err.value), name
+
+
 def _incenter_start_compare(tri, n, config, point_tol, value_tol):
     # compare as it was with the descent always started at the incenter
     n, x, y, h, tot = oracle._trilinear(tri, n)
-    grid_x, grid_y, grid = oracle._grid(tri, n)
+    grid_x, grid_y, grid = oracle._grid(oracle._frame(tri.a, tri.b, tri.c), n)
     pg = projected_gradient(tri, n, None, config)
     grid_log, pg_log = _log_value(grid), _log_F(tri, n, pg.point)
     if grid_log <= pg_log:

@@ -135,7 +135,10 @@ class CanonicalTriangle:
         return _point((0.0, self.a)), _point((-self.b, 0.0)), _point((self.c, 0.0))
 
     def diameter(self) -> float:
-        return max(_side_lengths(self.a, self.b, self.c))
+        p, q, base = _side_lengths(self.a, self.b, self.c)
+        # max(p, q, base) inlined, as in _trilinear_point
+        longest = q if q > p else p
+        return base if base > longest else longest
 
 
 @dataclass(frozen=True, init=False)
@@ -211,7 +214,16 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     # sign tests (collinearity, apex, orientation) do not depend on the unit
     # of length, and no square overflows or underflows. a, b, c and the
     # translation are scaled back at the end, exactly again.
-    shift = -math.frexp(max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3)))[1]
+    # max of the six |coordinates| and, below, of the three squares inlined,
+    # each as max takes it: the first of equal values is kept, and no operand
+    # is NaN, since GeneralTriangle refuses a coordinate that is not finite
+    ax1, ay1, ax2, ay2, ax3, ay3 = abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3)
+    big = ay1 if ay1 > ax1 else ax1
+    big = ax2 if ax2 > big else big
+    big = ay2 if ay2 > big else big
+    big = ax3 if ax3 > big else big
+    big = ay3 if ay3 > big else big
+    shift = -math.frexp(big)[1]
     x1, y1 = ldexp(x1, shift), ldexp(y1, shift)
     x2, y2 = ldexp(x2, shift), ldexp(y2, shift)
     x3, y3 = ldexp(x3, shift), ldexp(y3, shift)
@@ -220,7 +232,8 @@ def canonicalize(triangle: GeneralTriangle) -> tuple[CanonicalTriangle, Isometry
     e2x, e2y = x3 - x2, y3 - y2
     e3x, e3y = x1 - x3, y1 - y3
     s1, s2, s3 = e1x * e1x + e1y * e1y, e2x * e2x + e2y * e2y, e3x * e3x + e3y * e3y
-    longest_sq = max(s1, s2, s3)
+    longest_sq = s2 if s2 > s1 else s1
+    longest_sq = s3 if s3 > longest_sq else longest_sq
     doubled_area = e1x * (y3 - y1) - e1y * (x3 - x1)
     if longest_sq == 0.0 or abs(doubled_area) <= DEGENERACY_REL_TOL * longest_sq:
         raise DegenerateTriangle("vertices are collinear within tolerance")
@@ -307,7 +320,10 @@ def _trilinear_point(a, b, c, lengths, root):
     at most 1, and h solves sum L_i * d_i = 2 * area = a * (b + c) in the
     ratios, so no term leaves the triangle's scale."""
     l1, l2, l3 = lengths
-    longest = max(lengths)
+    # max(lengths) inlined, keeping the first of equal lengths; no length
+    # is NaN, and an infinite b + c stays the longest
+    longest = l2 if l2 > l1 else l1
+    longest = l3 if l3 > longest else longest
     r1, r2, r3 = l1 / longest, l2 / longest, l3 / longest
     w1, w2, w3 = r1 ** root, r2 ** root, r3 ** root
     tot = r1 * w1 + r2 * w2 + r3 * w3

@@ -75,13 +75,22 @@ class PgResult(NamedTuple):
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscrepancyReport:
     point_gap: float
     value_gap_rel: float
     oracle_value: float
     closed_form_value: float
     passed: bool
+
+    def __init__(self, point_gap, value_gap_rel, oracle_value, closed_form_value, passed):
+        # each field stored once, as in kkt.KktReport
+        fields = self.__dict__
+        fields["point_gap"] = point_gap
+        fields["value_gap_rel"] = value_gap_rel
+        fields["oracle_value"] = oracle_value
+        fields["closed_form_value"] = closed_form_value
+        fields["passed"] = passed
 
 
 def _line_min(f, lo, hi):
@@ -203,22 +212,30 @@ def _grid(frame, n):
     (``kkt._frame``) for a checked n: (x, y, the kernel's read there)."""
     unit, a, b, c, p, q, _ = frame
     ap, aq = a / p, a / q
-    t, g = _line_min(lambda t: _log_norm(t * ap, (1.0 - t) * aq, n), 0.0, 1.0)
+    t, g = _line_min(_log_norm(ap, aq, 1.0, n), 0.0, 1.0)
     k = math.exp(g) * ((b + c) / a)  # phi(t)^(1/n) (b + c) / a
-    y, _ = _line_min(lambda y: _log_norm(k * (a - y), y, n), 0.0, a)
+    y, _ = _line_min(_log_norm(1.0, k, a, n), 0.0, a)
     xl, xr = b * ((y - a) / a), c * ((a - y) / a)
     x = xl + t * (xr - xl) if t <= 0.5 else xr - (1.0 - t) * (xr - xl)
     x, y = x / unit, y / unit
     return x, y, _powers(frame, x, y, n)
 
 
-def _log_norm(u, v, n):
-    """log (u^n + v^n)^(1/n) for u, v >= 0, not both 0, as log top +
+def _log_norm(cu, cv, h, n):
+    """The function x -> log (u^n + v^n)^(1/n) with u = cu x and
+    v = cv (h - x), for u, v >= 0, not both 0, as log top +
     log(1 + (low / top)^n) / n: finite at any n, where n log top is not
-    from about n = 1e306."""
-    if u < v:
-        u, v = v, u
-    return math.log(u) + math.log1p((v / u) ** n) / n
+    from about n = 1e306. Each read is one call, which ``_line_min`` makes
+    about 14 times a search."""
+    log, log1p = math.log, math.log1p
+
+    def f(x):
+        u, v = cu * x, cv * (h - x)
+        if u < v:
+            u, v = v, u
+        return log(u) + log1p((v / u) ** n) / n
+
+    return f
 
 
 def _descent_limits(n, config):
@@ -246,9 +263,14 @@ def _scaled_crosses(normals):
     """The normals' crosses (``kkt._crosses``) scaled by the power of two
     that puts the largest in [0.5, 1), so that a sliver's Newton
     determinant stays normal, and that power's exponent."""
-    crosses = _crosses(normals)
-    shift = -math.frexp(max(map(abs, crosses)))[1]
-    return tuple(math.ldexp(cij, shift) for cij in crosses), shift
+    c12, c13, c23 = _crosses(normals)
+    # max of the three magnitudes inlined; the frame's normals are finite
+    big = abs(c12)
+    big = abs(c13) if abs(c13) > big else big
+    big = abs(c23) if abs(c23) > big else big
+    shift = -math.frexp(big)[1]
+    ldexp = math.ldexp
+    return (ldexp(c12, shift), ldexp(c13, shift), ldexp(c23, shift)), shift
 
 
 def _det(w, crosses):
@@ -258,10 +280,23 @@ def _det(w, crosses):
     return w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23
 
 
-def _newton(frame, x, y, k, max_iters):
+def _log_factor(lr, g, m, lfloor):
+    """For a slack ratio r = e^lr that Newton's step moves by g r / m, the
+    log of (1 + g)^(1/m): the factor that gives the ratio's power r^m the
+    value r^m (1 + g) that Newton's linear model asks of it, or -inf where
+    that power is not positive. Clamped so that the ratio stays in
+    [min(r, e^lfloor), 1]: no slack grows past the largest in one step,
+    and none is aimed below its floor."""
+    f = math.log1p(g) / m if g > -1.0 else -math.inf
+    low = lfloor - lr if lr > lfloor else 0.0
+    return -lr if f > -lr else low if f < low else f
+
+
+def _newton(frame, x, y, k, max_iters, crosses):
     """Damped Newton descent on F from (x, y), strictly inside, where the
-    kernel ``kkt._powers`` read ``k``; returns (x, y, the kernel's read
-    there, iterations).
+    kernel ``kkt._powers`` read ``k``; ``crosses`` is ``_scaled_crosses``
+    of the frame's normals. Returns (x, y, the kernel's read there,
+    iterations).
 
     F is convex, so no iterate needs projecting, and Newton's method is
     affine-invariant (Boyd & Vandenberghe, Convex Optimization, 9.5), so
@@ -276,16 +311,36 @@ def _newton(frame, x, y, k, max_iters):
     of large n.
 
     Near n = 1 the minimizer sits by a vertex, orders of magnitude closer
-    to two sides than the triangle is wide, and Newton overshoots them: no
-    step may shrink either of the two smallest slacks below a tenth of
-    itself, if the step so limited still descends. The step is cut to 0.99
-    of the way to the nearest side and halved until Armijo's condition
-    (1e-4) holds. Stops once lambda^2 / F <= 2e-13, after one more full
-    step if that lowers F, or once a step lowers F by at most 1e-13 * F."""
-    ldexp = math.ldexp
+    to two sides than the triangle is wide, and Newton's linear model is
+    far off there: it asks the two smaller slacks s_i and s_j to fall far
+    past their sides or, below their minimizer, to climb back a few times
+    over a step. Its step still sets each gradient power e_h + w_h ds_h,
+    that is e_h (1 + (n-1) ds_h / r_h), to one multiple of the side
+    lengths, as at the minimizer. So where it asks s_i or s_j to fall below
+    a tenth of itself, or one below a tenth of the top to grow past ten
+    times itself, s_i and s_j move along the curve r_h f_h^step
+    (``_log_factor``), whose end gives each the power Newton asks, however
+    many decades away: in the separable model of a vertex, s^n - c s per
+    slack, that end is the minimizer. No slack is aimed below its floor,
+    the point's rounding along its side's normal, where the computed slack
+    is noise; one asked a power of 0 or less is aimed at its floor. The
+    curve is taken where it descends at step 0; otherwise Newton's step is
+    cut to 0.99 of the way to the nearest side. Either is halved until
+    Armijo's condition (1e-4, on the slope at step 0) holds.
+
+    Newton's decrement bounds the gap only where F is near
+    self-concordant (Boyd & Vandenberghe 9.6.3): near n = 1 a slack far
+    below its minimizer has a tiny decrement and a gap of up to (n-1)
+    times its minimizer's ratio. So the run stops on lambda^2 / F <= 2e-13,
+    after one more full step, along the curve or Newton's, if that lowers
+    F, unless a slack climbs as above; and it stops once a step lowers F by
+    at most 1e-13 * F."""
+    ldexp, log, exp = math.ldexp, math.log, math.exp
     n = k[0]
+    m = n - 1.0
     u = (u1x, u1y), (u2x, u2y), (u3x, u3y) = k[7]
-    crosses, cross_shift = _scaled_crosses(u)
+    floors = None  # formed where the curve is first tried
+    crosses, cross_shift = crosses
     c12, c13, c23 = crosses
     it = 0
     while True:
@@ -300,48 +355,72 @@ def _newton(frame, x, y, k, max_iters):
         lam2 = n * (w1 * t1 * t1 + w2 * t2 * t2 + w3 * t3 * t3) / (det * ft)
         dx = ldexp((w1 * t1 * u1y + w2 * t2 * u2y + w3 * t3 * u3y) / det, cross_shift)
         dy = -ldexp((w1 * t1 * u1x + w2 * t2 * u2x + w3 * t3 * u3x) / det, cross_shift)
-        if lam2 <= 2e-13:
-            nx, ny = x + top * dx, y + top * dy
-            nk = _powers(frame, nx, ny, n)
-            if nk[6] is not None and _over(nk, k) < 1.0:
-                x, y, k = nx, ny, nk
-                it += 1
-            break
-        if it == max_iters:
-            raise DidNotConverge(
-                f"Newton descent hit {max_iters} iterations with "
-                f"lambda^2 / F = {lam2:.3e} > 2e-13"
-            )
         ds = [ux * dx + uy * dy for ux, uy in u]
         slope = -lam2
         i, j = ((1, 2), (0, 2), (0, 1))[r.index(1.0)]
-        di, dj, floor_i, floor_j = ds[i], ds[j], -0.9 * r[i], -0.9 * r[j]
-        if di < floor_i or dj < floor_j:
-            # the step that moves s_i and s_j as Newton's does, but shrinks
-            # neither below a tenth of itself (max inlined: a NaN di is kept)
+        ri, rj, di, dj = r[i], r[j], ds[i], ds[j]
+        curve = False
+        # a slack below a tenth of the top asked to grow past ten times itself
+        climb = (di > 9.0 * ri and ri < 0.1) or (dj > 9.0 * rj and rj < 0.1)
+        if di < -0.9 * ri or dj < -0.9 * rj or climb:
+            # the curve's tangent at step 0 moves s_h by r_h log f_h; b_h is
+            # r_h as the curve reads it, so that step 0 moves nothing
             (uix, uiy), (ujx, ujy) = u[i], u[j]
-            di, dj = floor_i if floor_i > di else di, floor_j if floor_j > dj else dj
             cij = uix * ujy - uiy * ujx
-            vx, vy = (di * ujy - dj * uiy) / cij, (dj * uix - di * ujx) / cij
+            li, lj = log(ri), log(rj)
+            if floors is None:
+                # the log of each slack's floor: the point's rounding along
+                # the side's normal, eps (|u_x| (b + c) + |u_y| a), in the
+                # triangle's units
+                unit, a, b, c = frame[:4]
+                floors = [
+                    log(_EPS * (abs(ux) * (b + c) + abs(uy) * a) / unit) for ux, uy in u
+                ]
+            lt = log(top)
+            fi = _log_factor(li, m * di / ri, m, floors[i] - lt)
+            fj = _log_factor(lj, m * dj / rj, m, floors[j] - lt)
+            bi, bj = exp(li), exp(lj)
+            ti, tj = bi * fi, bj * fj
+            vx, vy = (ti * ujy - tj * uiy) / cij, (tj * uix - ti * ujx) / cij
             vs = [ux * vx + uy * vy for ux, uy in u]
             vslope = n * (e1 * vs[0] + e2 * vs[1] + e3 * vs[2]) / ft
             if vslope < 0.0:
-                dx, dy, ds, slope = vx, vy, vs, vslope
-        if not abs(dx) + abs(dy) < math.inf:  # halving could never end
-            raise FloatingPointError(f"Newton step ({dx!r}, {dy!r}) is not finite")
+                curve, slope = True, vslope
+        # the last step: one more full step, taken if it lowers F
+        last = lam2 <= 2e-13 and not climb
+        if not last:
+            if it == max_iters:
+                raise DidNotConverge(
+                    f"Newton descent hit {max_iters} iterations with "
+                    f"lambda^2 / F = {lam2:.3e} > 2e-13"
+                )
+            if not abs(dx) + abs(dy) < math.inf:  # halving could never end
+                raise FloatingPointError(f"Newton step ({dx!r}, {dy!r}) is not finite")
         step = 1.0
-        for ri, dsi in zip(r, ds):
-            # min(step, cut) inlined, and as there a NaN cut is passed over
-            if dsi < 0.0 and (cut := -0.99 * ri / dsi) < step:
-                step = cut
+        if not (curve or last):
+            for rh, dsh in zip(r, ds):
+                # min(step, cut) inlined, and as there a NaN cut is passed over
+                if dsh < 0.0 and (cut := -0.99 * rh / dsh) < step:
+                    step = cut
         while True:
-            nx, ny = x + step * top * dx, y + step * top * dy
+            if curve:
+                # no ratio on the curve is above 1, so nothing overflows
+                gi, gj = exp(li + step * fi) - bi, exp(lj + step * fj) - bj
+                nx = x + top * ((gi * ujy - gj * uiy) / cij)
+                ny = y + top * ((gj * uix - gi * ujx) / cij)
+            else:
+                nx, ny = x + step * top * dx, y + step * top * dy
             nk = _powers(frame, nx, ny, n)
             ratio = _over(nk, k) if nk[6] is not None else math.inf
             # a step too short to move the point ends the run below
-            if ratio <= 1.0 + 1e-4 * step * slope or (nx == x and ny == y):
+            if last or ratio <= 1.0 + 1e-4 * step * slope or (nx == x and ny == y):
                 break
             step *= 0.5
+        if last:
+            if ratio < 1.0:
+                x, y, k = nx, ny, nk
+                it += 1
+            break
         x, y, k = nx, ny, nk
         it += 1
         if 1.0 - ratio <= 1e-13:
@@ -358,10 +437,11 @@ def projected_gradient(
 
     The default start is the incenter, the minimizer's limit as n grows,
     where all three ratios d_i / max d are 1: from there needles at large
-    n take tens of steps, not the hundreds they took from the centroid.
-    ``_incenter`` computes it, so the oracle shares no code with the
-    closed form. ``compare`` runs the same loop from the better of the
-    grid's answer and the incenter.
+    n take tens of steps, not the hundreds they took from the centroid,
+    and near n = 1 the power-model curve of ``_newton`` reaches the
+    vertex in three or four. ``_incenter`` computes it, so the oracle
+    shares no code with the closed form. ``compare`` runs the same loop
+    from the better of the grid's answer and the incenter.
 
     Raises InvalidExponent from about n = 3.2e18, where (1 - eps)^(n-1)
     falls below the least normal double: from there the Newton weight of
@@ -377,7 +457,8 @@ def projected_gradient(
         start = _incenter(tri.a, tri.b, tri.c)
     x, y = float(start[0]), float(start[1])
     frame = _frame(tri.a, tri.b, tri.c)
-    x, y, k, iters = _newton(frame, x, y, _descent_start(frame, x, y, n), max_iters)
+    k = _descent_start(frame, x, y, n)
+    x, y, k, iters = _newton(frame, x, y, k, max_iters, _scaled_crosses(frame[6]))
     return PgResult(Point(x, y), _value(k), iters)
 
 
@@ -397,12 +478,13 @@ def compare(
     so moves strictly inside), and the incenter. The grid's point is taken
     where F is lower there and its Newton determinant is a normal double:
     near n = 1 it is a step or two from the minimizer where the incenter
-    is about 14, at large n it can be far worse than the incenter, and on
-    needles at large n its small slack ratio underflows the Newton weight.
-    Otherwise, and wherever the incenter start raises, the descent runs as
-    ``projected_gradient`` does. Neither oracle reads the closed form, and
-    the descent stops by its own rule. The kernel's frame (``kkt._frame``)
-    is formed once and serves the grid, the start rule and the descent; an
+    is three or four, at large n it can be far worse than the incenter,
+    and on needles at large n its small slack ratio underflows the Newton
+    weight. Otherwise, and wherever the incenter start raises, the descent
+    runs as ``projected_gradient`` does. Neither oracle reads the closed
+    form, and the descent stops by its own rule. The kernel's frame
+    (``kkt._frame``) and the crosses of its normals (``_scaled_crosses``)
+    are formed once and serve the grid, the start rule and the descent; an
     exponent either oracle refuses is reported before a triangle the frame
     refuses.
     """
@@ -416,13 +498,14 @@ def compare(
     # the grid's point moved toward the incenter (sx, sy), if the better start
     gx, gy = grid_x + _LINE_TOL * (sx - grid_x), grid_y + _LINE_TOL * (sy - grid_y)
     k = _powers(frame, gx, gy, n)
+    crosses = _scaled_crosses(frame[6])
     if (
         k[6] is not None
         and _log_value(k) < _log_value(start)
-        and _TINY <= _det(k[6], _scaled_crosses(k[7])[0]) < math.inf
+        and _TINY <= _det(k[6], crosses[0]) < math.inf
     ):
         sx, sy, start = gx, gy, k
-    pg_x, pg_y, pg, _ = _newton(frame, sx, sy, start, max_iters)
+    pg_x, pg_y, pg, _ = _newton(frame, sx, sy, start, max_iters, crosses)
     grid_log, pg_log = _log_value(grid), _log_value(pg)
     if grid_log <= pg_log:
         oracle = (grid_x, grid_y), _value(grid), grid_log

@@ -25,9 +25,10 @@ from tripowmin.oracle import (
     OracleConfig, _discrepancy, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
+from descent_digest import DIGEST_FILE, digest_lines
 from triangle_helpers import (
-    _projector, contains, frozen_minimize_closed_form, frozen_projected_gradient,
-    grid_meets, seeded_triangles,
+    _projector, contains, extreme_case, frozen_minimize_closed_form, grid_meets,
+    seeded_triangles,
 )
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
@@ -548,6 +549,20 @@ def test_descent_converges_on_a_sliver_near_n1():
     assert abs(res.value - truth) <= 1e-12 * truth
 
 
+def test_descent_does_not_stop_on_a_slack_far_below_its_minimizer():
+    # near n = 1 Newton's decrement bounds no gap: started 1e-12 off a vertex
+    # of an equilateral triangle, whose minimizer is the incenter, the
+    # descent read lambda^2 / F = 7.6e-14 at n = 1.0001 and stopped after
+    # one step with F 1.1e-4 above the minimum
+    tri = CanonicalTriangle(math.sqrt(3.0), 1.0, 1.0)
+    for n in (1.0001, 1.001, 1.01):
+        truth = minimize_closed_form(tri, n).value
+        for d in (1e-6, 1e-9, 1e-12):
+            res = projected_gradient(tri, n, start=(-1.0 + 2.0 * d, d))
+            assert res.value <= truth * (1.0 + 1e-12), (n, d)
+            assert res.iterations <= 10, (n, d)
+
+
 def test_descent_rejects_subunit_exponent():
     with pytest.raises(InvalidExponent):
         projected_gradient(WORKED, 1.0)
@@ -646,23 +661,6 @@ def test_descent_reaches_the_closed_form(abc, n):
     assert math.dist(res.point, truth.point_canonical) <= 1e-10 * tri.diameter()
 
 
-def _extreme_case(rng):
-    # scales 1e-12..1e12; regular shapes, flat ones with apex height down
-    # to 1e-8 and needles with base down to 1e-6 of the height; n - 1
-    # log-uniform from 1e-4 to 59
-    scale = 10.0 ** rng.uniform(-12.0, 12.0)
-    kind = rng.randrange(3)
-    if kind == 0:
-        a, b, c = rng.uniform(0.2, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)
-    elif kind == 1:
-        a, b, c = 10.0 ** rng.uniform(-8.0, 0.0), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
-    else:
-        width = 10.0 ** rng.uniform(-6.0, 0.0)
-        a, b, c = 1.0, width * rng.uniform(0.05, 1.0), width * rng.uniform(0.05, 1.0)
-    n = 1.0 + 10.0 ** rng.uniform(-4.0, math.log10(59.0))
-    return CanonicalTriangle(scale * a, scale * b, scale * c), n
-
-
 def test_descent_on_extreme_inputs_is_right_or_refuses():
     # from the incenter every case answers; from the centroid 19 refused
     # (F or the Newton determinant beyond the normal doubles) and needles
@@ -670,7 +668,7 @@ def test_descent_on_extreme_inputs_is_right_or_refuses():
     # so values are compared in logs.
     rng = random.Random(1707)
     for _ in range(1000):
-        tri, n = _extreme_case(rng)
+        tri, n = extreme_case(rng)
         res = projected_gradient(tri, n)
         truth = minimize_closed_form(tri, n)
         assert res.iterations <= 25, (tri, n)
@@ -859,35 +857,31 @@ def _frozen_closed_form(tri, n):
     return res.point_canonical, res.value, res.log_value
 
 
-def test_oracles_match_their_frozen_copy_bit_for_bit():
-    # the descent's value now comes from one kernel read and the closed
-    # form's from one _trilinear_point call; neither may move a bit or
-    # change an error
+def test_closed_form_matches_its_frozen_copy_bit_for_bit():
+    # the closed form's value now comes from one _trilinear_point call; it
+    # may not move a bit or change an error
     cases = [(tri, n) for _, tri in seeded_triangles() for n in (1.01, 2.0, 5.0, 10.0)]
     for abc in ((1.0, 1e160, 1e160), (1e-160, 1.0, 1.0)):  # slivers
         cases += [(CanonicalTriangle(*abc), n) for n in (1.01, 5.0)]
     for k in (-600, 600):
         tri = CanonicalTriangle(*(math.ldexp(v, k) for v in (WORKED.a, WORKED.b, WORKED.c)))
         cases += [(tri, n) for n in (1.01, 2.0, 10.0)]
-    # errors: n out of range for the closed form and for the descent, a
-    # minimizer beyond the doubles and a descent out of steps
+    # errors: n out of range and a minimizer beyond the doubles
     cases += [(WORKED, n) for n in (1.0, 0.5, math.nan, math.inf, 1e19)]
     cases += [(CanonicalTriangle(1e308, 1e308, 1.7e308), 2.0)]
-    few_steps = OracleConfig(pg_max_iters=1)
     for tri, n in cases:
-        for new, old in (
-            (_closed_form, _frozen_closed_form),
-            (projected_gradient, frozen_projected_gradient),
-        ):
-            assert _outcome(new, tri, n) == _outcome(old, tri, n), (new, tri, n)
-        assert _outcome(projected_gradient, tri, n, None, few_steps) == _outcome(
-            frozen_projected_gradient, tri, n, None, few_steps
-        ), (tri, n)
-    # a start off the open triangle
-    start = (0.0, 0.0)
-    assert _outcome(projected_gradient, WORKED, 2.0, start) == _outcome(
-        frozen_projected_gradient, WORKED, 2.0, start
-    )
+        new, old = _outcome(_closed_form, tri, n), _outcome(_frozen_closed_form, tri, n)
+        assert new == old, (tri, n)
+
+
+def test_descent_matches_its_checked_in_digest():
+    # every result and error of the descent on the seeded triangles, the
+    # extreme stream and the named cases of descent_digest.py, bit for bit;
+    # a change that moves them on purpose rewrites the file with that script
+    want = DIGEST_FILE.read_text().splitlines()
+    got = digest_lines()
+    changed = [g.rsplit(" ", 1)[0] for g, w in zip(got, want) if g != w]
+    assert len(got) == len(want) and not changed, changed
 
 
 PROBE = r"""

@@ -1,30 +1,26 @@
 """Helpers shared by the test modules: random triangles in the apex frame,
-a seeded set of thin and regular ones, the nearest point of the closed
-triangle, side slacks, membership of it, the gradient of F as the descent
-reads it, the inverse of ``Isometry.to_original``, a reference copy of the
-KKT certificate and a frozen copy of the descent and the closed form as
-they were before each answer's kernel read was handed back."""
+a seeded set of thin and regular ones, a stream of extreme ones, the
+nearest point of the closed triangle, side slacks, membership of it, the
+gradient of F as the descent reads it, the inverse of
+``Isometry.to_original``, a reference copy of the KKT certificate and a
+frozen copy of the closed form as it was before its answer's kernel read was
+handed back."""
 
 import math
 from itertools import compress
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
 from tripowmin.closed_form import _pow_or_inf, minimize_closed_form
-from tripowmin.errors import (
-    DidNotConverge, InvalidExponent, PointNotFeasible, PointNotInterior, _check_exponent,
-)
+from tripowmin.errors import PointNotFeasible, _check_exponent
 from tripowmin.geometry import (
     CanonicalTriangle, GeneralTriangle, Point, _point, _side_lengths, _slacks,
     _trilinear_point, canonicalize,
 )
 from tripowmin.kkt import (
-    _ROUNDING, KktReport, Verdict, _band, _crosses, _frame, _hessian, _log_value, _over,
-    _powers, _value,
+    _ROUNDING, KktReport, Verdict, _band, _frame, _hessian, _log_value, _powers,
 )
-from tripowmin.oracle import _EPS, _TINY, OracleConfig, PgResult, _incenter
 
 _SIDE_LABELS = ("AB", "AC", "BC")
 
@@ -57,6 +53,24 @@ def seeded_triangles(per_class=64):
             v *= 10.0 ** rng.uniform(-3.0, 3.0)
             out.append((thin, canonicalize(GeneralTriangle(*map(tuple, v.tolist())))[0]))
     return out
+
+
+def extreme_case(rng):
+    """One case of the extreme stream from a ``random.Random``: scales
+    1e-12..1e12; regular shapes, flat ones with apex height down to 1e-8
+    and needles with base down to 1e-6 of the height; n - 1 log-uniform
+    from 1e-4 to 59."""
+    scale = 10.0 ** rng.uniform(-12.0, 12.0)
+    kind = rng.randrange(3)
+    if kind == 0:
+        a, b, c = rng.uniform(0.2, 2.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0)
+    elif kind == 1:
+        a, b, c = 10.0 ** rng.uniform(-8.0, 0.0), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0)
+    else:
+        width = 10.0 ** rng.uniform(-6.0, 0.0)
+        a, b, c = 1.0, width * rng.uniform(0.05, 1.0), width * rng.uniform(0.05, 1.0)
+    n = 1.0 + 10.0 ** rng.uniform(-4.0, math.log10(59.0))
+    return CanonicalTriangle(scale * a, scale * b, scale * c), n
 
 
 def _seg_closest(px, py, ax, ay, bx, by):
@@ -243,123 +257,12 @@ def reference_kkt(tri, n, point):
     )
 
 
-# The descent and the closed form as they were before each answer's kernel
-# read was handed back: verbatim but for their docstrings, the names of the
-# frozen functions they call and ``log_value``, which
-# ``frozen_minimize_closed_form`` returns beside the point and value. The
-# package's must give the same bits and raise the same errors.
-
-def frozen_newton(a, b, c, n, x, y, max_iters):
-    ldexp = math.ldexp
-    frame = _frame(a, b, c)
-    k = frozen_powers(frame, x, y, n)
-    if k[6] is None:  # w, None off the open triangle
-        raise PointNotInterior(f"start {(x, y)} is not strictly inside the triangle")
-    u = (u1x, u1y), (u2x, u2y), (u3x, u3y) = k[7]
-    # the crosses scaled by the power of two that puts the largest in
-    # [0.5, 1), so that a sliver's determinant stays normal
-    crosses = _crosses(u)
-    cross_shift = -math.frexp(max(map(abs, crosses)))[1]
-    c12, c13, c23 = (ldexp(cij, cross_shift) for cij in crosses)
-    it = 0
-    while True:
-        _, _, top, r, ft, (e1, e2, e3), (w1, w2, w3), _ = k
-        det = w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23
-        if not _TINY <= det < math.inf:
-            raise FloatingPointError(
-                f"Newton determinant {det!r} is not a normal double"
-            )
-        t1, t2, t3 = e2 * c12 + e3 * c13, e3 * c23 - e1 * c12, -e1 * c13 - e2 * c23
-        lam2 = n * (w1 * t1 * t1 + w2 * t2 * t2 + w3 * t3 * t3) / (det * ft)
-        dx = ldexp((w1 * t1 * u1y + w2 * t2 * u2y + w3 * t3 * u3y) / det, cross_shift)
-        dy = -ldexp((w1 * t1 * u1x + w2 * t2 * u2x + w3 * t3 * u3x) / det, cross_shift)
-        if lam2 <= 2e-13:
-            nx, ny = x + top * dx, y + top * dy
-            nk = frozen_powers(frame, nx, ny, n)
-            if nk[6] is not None and _over(nk, k) < 1.0:
-                x, y, k = nx, ny, nk
-                it += 1
-            break
-        if it == max_iters:
-            raise DidNotConverge(
-                f"Newton descent hit {max_iters} iterations with "
-                f"lambda^2 / F = {lam2:.3e} > 2e-13"
-            )
-        ds = [ux * dx + uy * dy for ux, uy in u]
-        slope = -lam2
-        i, j = ((1, 2), (0, 2), (0, 1))[r.index(1.0)]
-        if ds[i] < -0.9 * r[i] or ds[j] < -0.9 * r[j]:
-            # the step that moves s_i and s_j as Newton's does, but
-            # shrinks neither below a tenth of itself
-            (uix, uiy), (ujx, ujy) = u[i], u[j]
-            di, dj = max(ds[i], -0.9 * r[i]), max(ds[j], -0.9 * r[j])
-            cij = uix * ujy - uiy * ujx
-            vx, vy = (di * ujy - dj * uiy) / cij, (dj * uix - di * ujx) / cij
-            vs = [ux * vx + uy * vy for ux, uy in u]
-            vslope = n * (e1 * vs[0] + e2 * vs[1] + e3 * vs[2]) / ft
-            if vslope < 0.0:
-                dx, dy, ds, slope = vx, vy, vs, vslope
-        if not abs(dx) + abs(dy) < math.inf:  # halving could never end
-            raise FloatingPointError(f"Newton step ({dx!r}, {dy!r}) is not finite")
-        step = 1.0
-        for ri, dsi in zip(r, ds):
-            if dsi < 0.0:
-                step = min(step, -0.99 * ri / dsi)
-        while True:
-            nx, ny = x + step * top * dx, y + step * top * dy
-            nk = frozen_powers(frame, nx, ny, n)
-            ratio = _over(nk, k) if nk[6] is not None else math.inf
-            # a step too short to move the point ends the run below
-            if ratio <= 1.0 + 1e-4 * step * slope or (nx == x and ny == y):
-                break
-            step *= 0.5
-        x, y, k = nx, ny, nk
-        it += 1
-        if 1.0 - ratio <= 1e-13:
-            break
-    return x, y, _value(k), it
-
-
-def frozen_projected_gradient(
-    tri: CanonicalTriangle, n, start=None, config: Optional[OracleConfig] = None
-) -> PgResult:
-    n = _check_exponent(n)
-    if (1.0 - _EPS) ** (n - 1.0) < _TINY:
-        raise InvalidExponent(
-            f"exponent {n!r} is beyond the descent oracle, which needs "
-            "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
-        )
-    cfg = config if config is not None else OracleConfig()
-    if start is None:
-        start = _incenter(tri.a, tri.b, tri.c)
-    x, y, f, iters = frozen_newton(
-        tri.a, tri.b, tri.c, n, float(start[0]), float(start[1]), cfg.pg_max_iters
-    )
-    return PgResult(Point(x, y), f, iters)
-
-
-def frozen_powers(frame, x, y, n):
-    unit, a, b, c, p, q, normals = frame
-    s1, s2, s3 = _slacks(a, b, c, p, q, x * unit, y * unit)
-    d1, d2, d3 = abs(s1), abs(s2), abs(s3)
-    top = max(d1, d2, d3)
-    r1, r2, r3 = d1 / top, d2 / top, d3 / top
-    m = n - 1.0
-    p1, p2, p3 = r1 ** m, r2 ** m, r3 ** m
-    w = None
-    if s1 > 0.0 and s2 > 0.0 and s3 > 0.0 and r1 > 0.0 and r2 > 0.0 and r3 > 0.0:
-        w = m * p1 / r1, m * p2 / r2, m * p3 / r3
-    return (
-        n,
-        (s1 / unit, s2 / unit, s3 / unit),
-        top / unit,
-        (r1, r2, r3),
-        r1 * p1 + r2 * p2 + r3 * p3,
-        (p1 if s1 > 0.0 else 0.0, p2 if s2 > 0.0 else 0.0, p3 if s3 > 0.0 else 0.0),
-        w,
-        normals,
-    )
-
+# The closed form as it was before its answer's kernel read was handed back:
+# verbatim but for its docstring, the name of the frozen function it calls
+# and ``log_value``, which ``frozen_minimize_closed_form`` returns beside the
+# point and value. The package's must give the same bits and raise the same
+# errors. The descent's bits are pinned by a digest instead
+# (``descent_digest.py``).
 
 def frozen_minimize_closed_form(tri: CanonicalTriangle, n):
     n = _check_exponent(n)

@@ -342,9 +342,14 @@ def _normals(a, b, c, p, q):
 def _incenter(a, b, c):
     """The incenter, from vertex weights proportional to the opposite
     sides' lengths, each divided by their sum before it multiplies a
-    coordinate: c * p itself overflows from side lengths of about 1e154."""
+    coordinate: c * p itself overflows from side lengths of about 1e154.
+    Where the sum overflows but no side does, the weights come from the
+    quarter sides, whose sum is a double. Its height is the inradius."""
     p, q, base = _side_lengths(a, b, c)
     per = p + q + base
+    if per == _INF:
+        p, q, base = 0.25 * p, 0.25 * q, 0.25 * base
+        per = p + q + base
     return c * (p / per) - b * (q / per), a * (base / per)
 
 

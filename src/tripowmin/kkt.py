@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .closed_form import _pow_or_inf
 from .errors import PointNotFeasible, _check_exponent
-from .geometry import CanonicalTriangle, _normals, _side_lengths, _slacks
+from .geometry import CanonicalTriangle, _incenter, _normals, _side_lengths, _slacks
 
 # the active set, indexed by which of AB, AC and BC (bits 4, 2, 1) are active
 _ACTIVE_SETS = (
@@ -113,12 +113,13 @@ def _frame(a, b, c):
     (unit, a, b, c, p, q, normals), a, b, c scaled exactly by the power of
     two ``unit`` that puts the inradius a (b + c) / (p + q + b + c) in
     [0.5, 1), with the side lengths p, q and the unit normals in that unit.
+    The inradius is the incenter's height (``geometry._incenter``), which
+    stays a double where only the perimeter overflows.
     Refuses, with an OverflowError naming the triangle and its inradius, a
     triangle whose inradius is 0 or NaN, whose unit overflows (an inradius
     below about 2^-1024) or whose scaled sides are not all finite: no
     reader of F could answer on it."""
-    p, q, base = _side_lengths(a, b, c)
-    inradius = a * (base / (p + q + base))
+    inradius = _incenter(a, b, c)[1]
     try:
         unit = math.ldexp(1.0, -math.frexp(inradius)[1])
     except OverflowError:
@@ -178,17 +179,22 @@ def _crosses(normals):
     return u1x * u2y - u1y * u2x, u1x, u2x
 
 
+def _det(w, crosses):
+    """sum_{i<j} w_i w_j c_ij^2, the determinant of hess F / (n top^(n-2))
+    from the kernel's weights w and the crosses c of the normals: those of
+    ``_crosses``, or the descent's, scaled by a power of two."""
+    w1, w2, w3 = w
+    c12, c13, c23 = crosses
+    return w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23
+
+
 def _hessian(normals, w):
     """(fxx, det) of F / (n top^(n-2)) at an interior point. det is
     sum_{i<j} w_i w_j (u_i x u_j)^2, which agrees with fxx * fyy - fxy^2
     to roundoff but is positive for n > 1."""
     (u1x, _), (u2x, _), _ = normals
-    w1, w2, w3 = w
-    c12, c13, c23 = _crosses(normals)
-    return (
-        w1 * u1x * u1x + w2 * u2x * u2x,
-        w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23,
-    )
+    w1, w2, _ = w
+    return w1 * u1x * u1x + w2 * u2x * u2x, _det(w, _crosses(normals))
 
 
 def evaluate_F(tri: CanonicalTriangle, n, point) -> float:

@@ -24,9 +24,8 @@ from typing import NamedTuple, Optional
 
 from .closed_form import _pow_or_inf, _trilinear
 from .errors import DidNotConverge, InvalidExponent, PointNotInterior, _check_exponent
-# _incenter is the descent's start, from geometry; tests import it from here
 from .geometry import CanonicalTriangle, Point, _incenter
-from .kkt import _crosses, _frame, _log_value, _over, _powers, _value
+from .kkt import _crosses, _det, _frame, _log_value, _over, _powers, _value
 
 
 _TINY = sys.float_info.min
@@ -271,13 +270,6 @@ def _scaled_crosses(normals):
     shift = -math.frexp(big)[1]
     ldexp = math.ldexp
     return (ldexp(c12, shift), ldexp(c13, shift), ldexp(c23, shift)), shift
-
-
-def _det(w, crosses):
-    """The Newton determinant sum_{i<j} w_i w_j c_ij^2 on scaled crosses."""
-    w1, w2, w3 = w
-    c12, c13, c23 = crosses
-    return w1 * w2 * c12 * c12 + w1 * w3 * c13 * c13 + w2 * w3 * c23 * c23
 
 
 def _log_factor(lr, g, m, lfloor):

@@ -331,6 +331,17 @@ def test_solve_verify_passes_at_the_ends_of_the_exponent_range(n):
     assert doc["oracle"]["passed"] is True
 
 
+@pytest.mark.parametrize("n", ["1", "1.01", "2", "5", "10"])
+def test_solve_verify_passes_where_the_perimeter_overflows(n):
+    # the perimeter of (1, 1, 1e308) overflows, which made the frame read
+    # its inradius, 0.5, as 0 and refuse the triangle: exit 2
+    doc = run_json("solve", "--canonical", "1,1,1e308", "--n", n, "--format", "json",
+                   "--verify")
+    assert doc["oracle"]["passed"] is True
+    if n != "1":  # n = 1 has no certificate
+        assert doc["kkt"]["verdict"] == "satisfied"
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 3: compare judges the value on a fixed 1e-9, "

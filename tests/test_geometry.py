@@ -17,6 +17,7 @@ from tripowmin.geometry import (
     canonicalize,
     incenter,
 )
+from tripowmin.kkt import _frame
 from triangle_helpers import _projector, contains, side_slacks, to_canonical
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
@@ -539,6 +540,19 @@ def test_incenter_matches_area_over_semiperimeter():
     s = 0.5 * (math.hypot(tri.a, tri.b) + math.hypot(tri.a, tri.c) + tri.b + tri.c)
     assert side_distances(tri, inc)[2] == pytest.approx(area / s, rel=1e-13)
     assert inc[1] == pytest.approx(area / s, rel=1e-13)
+
+
+def test_frame_and_incenter_where_the_perimeter_overflows():
+    # the perimeter of (1, 1, 1e308) is 2e308, beyond the doubles, so the
+    # frame read its inradius, 0.5, as 0 and refused the triangle, and the
+    # incenter came out (0, 0), a point on the base
+    tri = CanonicalTriangle(1.0, 1.0, 1e308)
+    unit, *_ = _frame(tri.a, tri.b, tri.c)
+    assert unit == 1.0
+    x, y = incenter(tri)
+    assert math.isfinite(x) and math.isfinite(y)
+    for slack in side_slacks(tri.a, tri.b, tri.c, x, y):
+        assert slack == pytest.approx(0.5, rel=1e-12)
 
 
 def test_incenter_worked_values():

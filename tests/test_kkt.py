@@ -8,9 +8,9 @@ from tripowmin.errors import InvalidExponent, PointNotFeasible, PointNotInterior
 from tripowmin.geometry import CanonicalTriangle, incenter
 from tripowmin.kkt import Verdict, evaluate_F, kkt_residual
 from tripowmin.oracle import projected_gradient
+from digest import EXPONENTS, certificate_points
 from triangle_helpers import (
-    kernel_gradient, random_canonical_triangle, reference_kkt, seeded_triangles,
-    side_slacks,
+    kernel_gradient, random_canonical_triangle, seeded_triangles, side_slacks,
 )
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
@@ -328,30 +328,15 @@ def test_nan_point_is_not_feasible(point):
         projected_gradient(WORKED, 2.0, point)
 
 
-def _bits(report):
-    """Each field of a report, floats as their repr: equal reprs are equal
-    bits, NaN matches NaN and a zero's sign counts."""
-    return {name: repr(value) for name, value in vars(report).items()}
-
-
-def test_report_matches_the_reference_bit_for_bit():
-    # SATISFIED reports skip the multiplier arithmetic; every field must
-    # still be what the direct computation gives, on both failure verdicts too
+def test_certificate_points_reach_every_verdict_and_active_set():
+    # the digest pins kkt_residual's reports at these points, so they must
+    # reach both failing verdicts and every active set
     verdicts, active_sets = set(), set()
     for _, tri in seeded_triangles():
-        a = tri.a
-        for n in (1.01, 2.0, 5.0, 10.0):
-            x, y = minimize_closed_form(tri, n).point_canonical
-            # each side active alone and each pair of them
-            points = [
-                (x, y), (x + 1e-12 * a, y), (x, y - 1e-9 * a), incenter(tri),
-                (0.0, 0.0), (0.5 * tri.c, 0.5 * a), (-0.5 * tri.b, 0.5 * a),
-                *tri.vertices(),
-            ]
-            for point in points:
-                want = reference_kkt(tri, n, point)
-                assert _bits(kkt_residual(tri, n, point)) == _bits(want), (tri, n, point)
-                verdicts.add(want.verdict)
-                active_sets.add(want.active_set)
+        for n in EXPONENTS:
+            for point in certificate_points(tri, n):
+                report = kkt_residual(tri, n, point)
+                verdicts.add(report.verdict)
+                active_sets.add(report.active_set)
     assert verdicts == set(Verdict)
     assert len(active_sets) == 7

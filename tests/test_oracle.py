@@ -1,12 +1,8 @@
 """Grid and descent oracles: accuracy against the closed form, determinism,
 and honest failure when an iteration budget is too small."""
 
-import dataclasses
-import json
 import math
-import os
 import random
-import subprocess
 import sys
 import threading
 import warnings
@@ -25,10 +21,8 @@ from tripowmin.oracle import (
     OracleConfig, _discrepancy, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
-from descent_digest import DIGEST_FILE, digest_lines
 from triangle_helpers import (
-    _projector, contains, extreme_case, frozen_minimize_closed_form, grid_meets,
-    seeded_triangles,
+    _projector, contains, extreme_case, grid_meets, seeded_triangles,
 )
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
@@ -314,36 +308,6 @@ def test_grid_coarse_run_matches_lattice_resolution():
     assert _bits(coarse) == _bits(default)
     spacing = WORKED.diameter() / 64.0
     assert np.linalg.norm(coarse[0] - default[0]) < 2.0 * spacing
-
-
-GRID_BITS = r"""
-import json, sys
-from tripowmin.geometry import CanonicalTriangle
-from tripowmin.oracle import OracleConfig, grid_search
-
-out = []
-for m in (128, 256):
-    for tri, n in ((CanonicalTriangle(3.0, 1.0, 2.0), 5.0),
-                   (CanonicalTriangle(0.02, 1.3, 40.0), 1.01)):
-        (x, y), f = grid_search(tri, n, OracleConfig(grid_resolution=m))
-        out.append([x.hex(), y.hex(), f.hex()])
-print(json.dumps(out))
-"""
-
-
-def test_grid_bits_do_not_depend_on_the_blas_thread_count():
-    # the search is plain Python, so no BLAS thread count may change a bit;
-    # a search that brought a matrix product back, which OpenBLAS may split
-    # across threads, would have to keep it so
-    runs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        out = subprocess.run(
-            [sys.executable, "-c", GRID_BITS], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        runs.append(json.loads(out.stdout))
-    assert runs[0] == runs[1]
 
 
 def _count_line_searches(monkeypatch):
@@ -826,94 +790,6 @@ def test_compare_starting_from_the_grid_keeps_every_incenter_start_outcome(tri):
     for n in START_RULE_EXPONENTS:
         want = _passed_or_error(_incenter_start_compare, tri, n)
         assert _passed_or_error(compare, tri, n) == want, n
-
-
-def _hexed(value):
-    # every float as its hex string, through tuples and dataclasses
-    if isinstance(value, float):
-        return value.hex()
-    if dataclasses.is_dataclass(value):
-        value = dataclasses.astuple(value)
-    if isinstance(value, tuple):
-        return type(value).__name__, tuple(map(_hexed, value))
-    return value
-
-
-def _outcome(f, *args):
-    # the result in hex, or the type and message of the error raised
-    try:
-        return _hexed(f(*args))
-    except Exception as exc:  # compared, not handled
-        return type(exc), str(exc)
-
-
-def _closed_form(tri, n):
-    res = minimize_closed_form(tri, n)
-    return res.point_canonical, res.value, res.log_value
-
-
-def _frozen_closed_form(tri, n):
-    res = frozen_minimize_closed_form(tri, n)
-    return res.point_canonical, res.value, res.log_value
-
-
-def test_closed_form_matches_its_frozen_copy_bit_for_bit():
-    # the closed form's value now comes from one _trilinear_point call; it
-    # may not move a bit or change an error
-    cases = [(tri, n) for _, tri in seeded_triangles() for n in (1.01, 2.0, 5.0, 10.0)]
-    for abc in ((1.0, 1e160, 1e160), (1e-160, 1.0, 1.0)):  # slivers
-        cases += [(CanonicalTriangle(*abc), n) for n in (1.01, 5.0)]
-    for k in (-600, 600):
-        tri = CanonicalTriangle(*(math.ldexp(v, k) for v in (WORKED.a, WORKED.b, WORKED.c)))
-        cases += [(tri, n) for n in (1.01, 2.0, 10.0)]
-    # errors: n out of range and a minimizer beyond the doubles
-    cases += [(WORKED, n) for n in (1.0, 0.5, math.nan, math.inf, 1e19)]
-    cases += [(CanonicalTriangle(1e308, 1e308, 1.7e308), 2.0)]
-    for tri, n in cases:
-        new, old = _outcome(_closed_form, tri, n), _outcome(_frozen_closed_form, tri, n)
-        assert new == old, (tri, n)
-
-
-def test_descent_matches_its_checked_in_digest():
-    # every result and error of the descent on the seeded triangles, the
-    # extreme stream and the named cases of descent_digest.py, bit for bit;
-    # a change that moves them on purpose rewrites the file with that script
-    want = DIGEST_FILE.read_text().splitlines()
-    got = digest_lines()
-    changed = [g.rsplit(" ", 1)[0] for g, w in zip(got, want) if g != w]
-    assert len(got) == len(want) and not changed, changed
-
-
-PROBE = r"""
-import json
-from tripowmin.geometry import CanonicalTriangle
-from tripowmin.oracle import compare, grid_search, projected_gradient
-
-tri = CanonicalTriangle(3.0, 1.0, 2.0)
-gp, gv = grid_search(tri, 3.0)
-pg = projected_gradient(tri, 3.0)
-rep = compare(tri, 3.0)
-print(json.dumps({
-    "grid": [float(gp[0]), float(gp[1]), float(gv)],
-    "pg": [float(pg.point[0]), float(pg.point[1]), float(pg.value), int(pg.iterations)],
-    "compare_passed": bool(rep.passed),
-}))
-"""
-
-
-def test_in_process_results_match_subprocess():
-    gp, gv = grid_search(WORKED, 3.0)
-    pg = projected_gradient(WORKED, 3.0)
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE], capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    got = json.loads(out.stdout)
-    assert got["grid"] == [float(gp[0]), float(gp[1]), float(gv)]
-    assert got["pg"] == [
-        float(pg.point[0]), float(pg.point[1]), float(pg.value), pg.iterations
-    ]
-    assert got["compare_passed"] is True
 
 
 # configuration --------------------------------------------------------------

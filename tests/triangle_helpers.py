@@ -1,28 +1,18 @@
 """Helpers shared by the test modules: random triangles in the apex frame,
 a seeded set of thin and regular ones, a stream of extreme ones, the
 nearest point of the closed triangle, side slacks, membership of it, the
-gradient of F as the descent reads it, the inverse of
-``Isometry.to_original``, a reference copy of the KKT certificate and a
-frozen copy of the closed form as it was before its answer's kernel read was
-handed back."""
+gradient of F as the descent reads it and the inverse of
+``Isometry.to_original``."""
 
 import math
-from itertools import compress
-from types import SimpleNamespace
 
 import numpy as np
 
-from tripowmin.closed_form import _pow_or_inf, minimize_closed_form
-from tripowmin.errors import PointNotFeasible, _check_exponent
+from tripowmin.closed_form import minimize_closed_form
 from tripowmin.geometry import (
-    CanonicalTriangle, GeneralTriangle, Point, _point, _side_lengths, _slacks,
-    _trilinear_point, canonicalize,
+    CanonicalTriangle, GeneralTriangle, Point, _side_lengths, _slacks, canonicalize,
 )
-from tripowmin.kkt import (
-    _ROUNDING, KktReport, Verdict, _band, _frame, _hessian, _log_value, _powers,
-)
-
-_SIDE_LABELS = ("AB", "AC", "BC")
+from tripowmin.kkt import _frame, _log_value, _powers
 
 
 def _thinness(v):
@@ -43,15 +33,19 @@ def seeded_triangles(per_class=64):
             if thin:
                 tau = 10.0 ** rng.uniform(-3.0, -2.0)
                 foot = rng.uniform(0.05, 0.95)
-                v = np.array([(0.0, 0.0), (1.0, 0.0), (foot, tau)])
                 t = rng.uniform(0.0, 2.0 * math.pi)
-                v = v @ np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]])
+                cos, sin = math.cos(t), math.sin(t)
+                # in plain floats: a matrix product's BLAS kernel, picked at
+                # run time, may fuse the multiply-adds
+                v = [(x * cos - y * sin, x * sin + y * cos)
+                     for x, y in ((0.0, 0.0), (1.0, 0.0), (foot, tau))]
             else:
-                v = rng.uniform(-1.0, 1.0, size=(3, 2))
-                if _thinness(v.tolist()) < 1e-2:
+                v = rng.uniform(-1.0, 1.0, size=(3, 2)).tolist()
+                if _thinness(v) < 1e-2:
                     continue
-            v *= 10.0 ** rng.uniform(-3.0, 3.0)
-            out.append((thin, canonicalize(GeneralTriangle(*map(tuple, v.tolist())))[0]))
+            s = 10.0 ** rng.uniform(-3.0, 3.0)
+            tri = GeneralTriangle(*((x * s, y * s) for x, y in v))
+            out.append((thin, canonicalize(tri)[0]))
     return out
 
 
@@ -185,104 +179,3 @@ def to_canonical(iso, point):
     ca, sa = math.cos(iso.angle), math.sin(iso.angle)
     x, y = float(point[0]), float(point[1])
     return Point(ca * x - sa * y + iso.translation[0], sa * x + ca * y + iso.translation[1])
-
-
-def reference_kkt(tri, n, point):
-    """The KKT certificate written the direct way: every multiplier and
-    residual formed whatever the verdict, and the report built from them.
-    ``kkt_residual`` must build the same report, bit for bit."""
-    n = _check_exponent(n)
-    x, y = float(point[0]), float(point[1])
-    tol = 1e-9 * tri.a
-    frame = unit, a, b, c, p, q, normals = _frame(tri.a, tri.b, tri.c)
-    _, slacks, top, _, _, _, w, _ = _powers(frame, x, y, n)
-    s1, s2, s3 = slacks
-    # written so that a NaN slack fails it too
-    if not (s1 >= -tol and s2 >= -tol and s3 >= -tol):
-        raise PointNotFeasible(
-            f"point {(x, y)} violates a side constraint by more than {tol}"
-        )
-
-    lengths = p, q, b + c
-    longest = max(lengths)
-    # the point's own rounding, eps (b + c) across and eps a up, along the
-    # sides' unit normals (a, -b) / p, (-a, -c) / q and (0, 1)
-    d3 = _ROUNDING * a / unit
-    m = n - 1.0
-    bands = (
-        _band(s1, d3 * (lengths[2] + b) / p, p / longest, top, m),
-        _band(s2, d3 * (lengths[2] + c) / q, q / longest, top, m),
-        _band(s3, d3, lengths[2] / longest, top, m),
-    )
-    (lo1, _, low1, high1), (lo2, _, low2, high2), (lo3, _, low3, high3) = bands
-    active = not lo1, not lo2, not lo3
-    floor = max(low1, low2, low3)
-    nu = [0.0, 0.0, 0.0]
-    stationarity = comp_slack = 0.0
-    verdict = Verdict.SATISFIED
-    if floor > min(high1, high2, high3):
-        # mu = lo_k^(n-1) / rho_k is the least that every lower bound
-        # allows, and nu_i = hi_i^(n-1) - mu rho_i on each side whose upper
-        # bound falls short of it, mu rho_i = lo_k^(n-1) L_i / L_k
-        k = (low1, low2, low3).index(floor)
-        mu_per_length = _pow_or_inf(bands[k][0], m) / lengths[k]
-        verdict = Verdict.STATIONARITY_FAILED
-        for i, (lo, hi, _, high) in enumerate(bands):
-            if high < floor:
-                nu[i] = _pow_or_inf(hi, m) - mu_per_length * lengths[i]
-                if not lo:
-                    verdict = Verdict.MULTIPLIER_NEGATIVE
-        stationarity = max((abs(v) for v, on in zip(nu, active) if not on), default=0.0)
-        comp_slack = max(abs(v * s) for v, s in zip(nu, slacks))
-
-    # the scales of the Hessian and the gradient, n top^(n-2) and n top^(n-1)
-    h_fxx = h_det = math.nan  # second-order fields are undefined on the boundary
-    if w is not None:
-        h = n * _pow_or_inf(top, n - 2.0)
-        h_fxx, h_det = _hessian(normals, w)
-        h_fxx, h_det = h_fxx * h if h_fxx else h_fxx, h_det * h * h if h_det else h_det
-        g = h * top
-    else:
-        g = n * _pow_or_inf(top, n - 1.0)
-    m1, m2, m3 = nu
-    return KktReport(
-        active_set=tuple(compress(_SIDE_LABELS, active)),
-        # in the triangle's units; an exact 0 stays 0 where g is inf
-        multipliers=(m1 * g if m1 else m1, m2 * g if m2 else m2, m3 * g if m3 else m3),
-        stationarity_residual=stationarity * g if stationarity else stationarity,
-        complementary_slackness_residual=comp_slack * g if comp_slack else comp_slack,
-        hessian_fxx=h_fxx,
-        hessian_det=h_det,
-        verdict=verdict,
-    )
-
-
-# The closed form as it was before its answer's kernel read was handed back:
-# verbatim but for its docstring, the name of the frozen function it calls
-# and ``log_value``, which ``frozen_minimize_closed_form`` returns beside the
-# point and value. The package's must give the same bits and raise the same
-# errors. The descent's bits are pinned by a digest instead
-# (``descent_digest.py``).
-
-def frozen_minimize_closed_form(tri: CanonicalTriangle, n):
-    n = _check_exponent(n)
-    a, b, c = tri.a, tri.b, tri.c
-    inv = 1.0 / (n - 1.0)
-    x, y, h, tot = _trilinear_point(a, b, c, _side_lengths(a, b, c), inv)
-    if not -math.inf < x < math.inf > y > -math.inf:  # both finite, neither NaN
-        raise OverflowError(
-            f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
-        )
-    point = _point((x, y))
-    return SimpleNamespace(
-        point_canonical=point, value=_pow_or_inf(h, n) * tot,
-        log_value=frozen_log_value(tri, n),
-    )
-
-
-def frozen_log_value(tri, n):
-    # MinimizerResult.log_value
-    lengths = _side_lengths(tri.a, tri.b, tri.c)
-    _, _, h, tot = _trilinear_point(tri.a, tri.b, tri.c, lengths, 1.0 / (n - 1.0))
-    return n * math.log(h) + math.log(tot)
-

@@ -110,16 +110,19 @@ def _over(k, base):
 
 def _frame(a, b, c):
     """The triangle as ``_powers`` and the grid read it, formed once:
-    (unit, a, b, c, p, q, normals), a, b, c scaled exactly by the power of
-    two ``unit`` that puts the inradius a (b + c) / (p + q + b + c) in
-    [0.5, 1), with the side lengths p, q and the unit normals in that unit.
-    The inradius is the incenter's height (``geometry._incenter``), which
-    stays a double where only the perimeter overflows.
+    (unit, a, b, c, p, q, normals, incenter), a, b, c scaled exactly by the
+    power of two ``unit`` that puts the inradius a (b + c) / (p + q + b + c)
+    in [0.5, 1), with the side lengths p, q and the unit normals in that
+    unit, and the incenter (``geometry._incenter``) in the triangle's own
+    units, where the oracles' descent starts. The inradius is the
+    incenter's height, which stays a double where only the perimeter
+    overflows.
     Refuses, with an OverflowError naming the triangle and its inradius, a
     triangle whose inradius is 0 or NaN, whose unit overflows (an inradius
     below about 2^-1024) or whose scaled sides are not all finite: no
     reader of F could answer on it."""
-    inradius = _incenter(a, b, c)[1]
+    incenter = _incenter(a, b, c)
+    inradius = incenter[1]
     try:
         unit = math.ldexp(1.0, -math.frexp(inradius)[1])
     except OverflowError:
@@ -132,7 +135,7 @@ def _frame(a, b, c):
             f"triangle a={a!r}, b={b!r}, c={c!r}, inradius {inradius!r}, "
             "leaves the doubles in the unit that puts its inradius in [0.5, 1)"
         )
-    return unit, sa, sb, sc, p, q, _normals(sa, sb, sc, p, q)
+    return unit, sa, sb, sc, p, q, _normals(sa, sb, sc, p, q), incenter
 
 
 def _powers(frame, x, y, n):
@@ -148,7 +151,7 @@ def _powers(frame, x, y, n):
     three powers make all of them. e_i is 0 where s_i <= 0: the one-sided
     derivative at a side, real where a boundary point lands an ulp outside.
     """
-    unit, a, b, c, p, q, normals = frame
+    unit, a, b, c, p, q, normals, _ = frame
     s1, s2, s3 = _slacks(a, b, c, p, q, x * unit, y * unit)
     d1, d2, d3 = abs(s1), abs(s2), abs(s3)
     # max(d1, d2, d3) inlined: a NaN d1 stays top, a NaN d2 or d3 is passed over
@@ -249,7 +252,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a
-    frame = unit, a, b, c, p, q, normals = _frame(tri.a, tri.b, tri.c)
+    frame = unit, a, b, c, p, q, normals, _ = _frame(tri.a, tri.b, tri.c)
     _, slacks, top, _, _, _, w, _ = _powers(frame, x, y, n)
     s1, s2, s3 = slacks
     # written so that a NaN slack fails it too

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 from .closed_form import _pow_or_inf, _trilinear
 from .errors import DidNotConverge, InvalidExponent, PointNotInterior, _check_exponent
-from .geometry import CanonicalTriangle, Point, _incenter
+from .geometry import CanonicalTriangle, Point
 from .kkt import _crosses, _det, _frame, _log_value, _over, _powers, _value
 
 
@@ -32,6 +32,15 @@ _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
 _LINE_TOL = 1e-7  # a line search ends within this share of its interval
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # the golden section's smaller part
+# _norm_min's walk toward a side: a step 16 times nearer crosses 1.2
+# decades a read, where a golden section crosses 0.21, and the bracket it
+# leaves has ends 256 times apart in distance to the side, which Brent
+# closes in about nine reads; 8 and 32 read F as often, within 0.1 reads a
+# call on the benchmark's oracle-compare pools
+_WALK = 16.0
+# ... and stops on a read within 32 tol of the side: the next would land
+# within 2 tol, no farther out than the end check's read at tol
+_WALK_STOP = 32.0
 
 
 @dataclass(frozen=True)
@@ -92,40 +101,119 @@ class DiscrepancyReport:
         fields["passed"] = passed
 
 
-def _line_min(f, lo, hi):
-    """The least of a quasiconvex f on [lo, hi], such as a convex function
-    or its log, by Brent's bounded search (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 5), parabolic steps
-    safeguarded by golden sections, to within _LINE_TOL of the interval;
-    returns (x, f(x)).
+def _norm_min(cu, cv, h, n):
+    """The least on [0, h] of f(x) = log (u^n + v^n)^(1/n), u = cu x and
+    v = cv (h - x) (u, v >= 0, not both 0), to within _LINE_TOL of the
+    interval; returns (x, f(x), the reads of f). Each read is
+    log top + log(1 + (low / top)^n) / n, top the larger of u and v:
+    finite at any n, where n log top is not from about n = 1e306. f is the
+    log of a convex function, so quasiconvex, and the search reads its
+    values alone. The read is written once, in the loop, so that none
+    costs a call.
 
-    The ends are checked first, hi then lo: where f(hi - tol) >= f(hi),
-    quasiconvexity puts the minimizer within tol of hi, and hi itself is
-    returned; the same holds at lo. An end where f is inf never passes,
+    The ends are checked first, h then 0: where f(h - tol) >= f(h),
+    quasiconvexity puts the minimizer within tol of h, and h itself is
+    returned; the same holds at 0. An end where f is inf never passes,
     and an exact tie, as along an isosceles triangle's base at n = 1,
-    goes to hi. Near n = 1, where F along a line is almost a kink at a
-    side, this ends the search within four evaluations, and at n = 1,
-    where F is affine and so monotone along a line, it returns the end
+    goes to h. At n = 1, where f is monotone, this returns the end
     exactly.
+
+    Then Brent's bounded search (Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5): parabolic steps safeguarded by
+    golden sections, from the golden point nearer the lower end. Near
+    n = 1 the minimizer can sit decades nearer that end, and golden
+    sections close in on it by 0.618 a read. So where the golden point is
+    no better than the lower end, the search first brackets the minimizer
+    by geometric steps toward that end (Press et al., Numerical Recipes,
+    3rd ed., 2007, 10.1), each _WALK times nearer, and Brent starts on the
+    bracket. On the seeded triangles at n = 1.01, a search whose minimizer
+    lies 1e-2 to 1e-7 of its interval from a side reads f at most 19
+    times, where golden sections read it 21 to 37 times
+    (tests/test_grid_walk.py).
     """
-    tol = _LINE_TOL * (hi - lo)
-    f_hi = f(hi)
-    if f(hi - tol) >= f_hi < math.inf:
-        return hi, f_hi
-    f_lo = f(lo)
-    if f(lo + tol) >= f_lo < math.inf:
-        return lo, f_lo
+    log, log1p = math.log, math.log1p
+    tol = _LINE_TOL * h
     tol2 = 2.0 * tol
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
+    reads = 0
+    # the read at u is for: 0 to 3 the end checks at h, h - tol, 0 and tol
+    # in turn, 4 the golden point, 5 the walk, 6 Brent
+    stage, u = 0, h
     while True:
+        s, t = cu * u, cv * (h - u)
+        if s < t:
+            s, t = t, s
+        fu = log(s) + log1p((t / s) ** n) / n
+        reads += 1
+        if stage == 6:
+            if fu <= fx:
+                if u >= x:
+                    a = x
+                else:
+                    b = x
+                v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            else:
+                if u < x:
+                    a = u
+                else:
+                    b = u
+                if fu <= fw or w == x:
+                    v, fv, w, fw = w, fw, u, fu
+                elif fu <= fv or v == x or v == w:
+                    v, fv = u, fu
+        elif stage == 5:  # x is the walk's best read, w the one before it
+            # near n = 1, f rises almost linearly away from the lower end,
+            # and a read lies above the end's value until it nears the
+            # minimizer; one below it finds a dip as wide as at larger n,
+            # which further steps would overshoot
+            if f_end <= fu < fx and abs(u - end) >= stop:
+                w, fw, x, fx = x, fx, u, fu
+                u = end + (u - end) / _WALK
+                continue
+            if fu < fx:  # the walk ends on a better read: [end, x] holds it
+                v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+                a, b = (end, w) if end < w else (w, end)
+            else:  # the read lost: [u, w] holds the minimizer
+                v, fv, w, fw = w, fw, u, fu
+                a, b = (u, v) if u < v else (v, u)
+        elif stage == 4:
+            if fu >= f_end:  # no better than the lower end: walk toward it
+                x, fx, w, fw = u, fu, far, f_far
+                stop = _WALK_STOP * tol
+                stage, u = 5, end + (u - end) / _WALK
+                continue
+            a, b, x, fx = 0.0, h, u, fu
+            w, fw, v, fv = x, fx, x, fx
+        elif stage == 0:
+            f_hi, stage, u = fu, 1, h - tol
+            continue
+        elif stage == 1:
+            if fu >= f_hi < math.inf:
+                return h, f_hi, reads
+            stage, u = 2, 0.0
+            continue
+        elif stage == 2:
+            f_lo, stage, u = fu, 3, tol
+            continue
+        else:
+            if fu >= f_lo < math.inf:
+                return 0.0, f_lo, reads
+            if f_lo <= f_hi:
+                end, f_end, far, f_far, u = 0.0, f_lo, h, f_hi, _GOLDEN * h
+            else:
+                end, f_end, far, f_far, u = h, f_hi, 0.0, f_lo, h - _GOLDEN * h
+            stage = 4
+            continue
+        if stage != 6:  # Brent's first step, from the walk or the golden point
+            d = e = 0.0
+            stage = 6
+        # Brent's next point; abs(z) <= m is written -m <= z <= m, and so on,
+        # since each abs is a call
         mid = 0.5 * (a + b)
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            return x, fx
+        half = tol2 - 0.5 * (b - a)
+        if -half <= x - mid <= half:
+            return x, fx, reads
         golden = True
-        if abs(e) > tol:
+        if e > tol or e < -tol:
             # the parabola through (v, fv), (w, fw) and (x, fx)
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
@@ -147,23 +235,7 @@ def _line_min(f, lo, hi):
         if golden:
             e = (a if x >= mid else b) - x
             d = _GOLDEN * e
-        u = x + (d if abs(d) >= tol else tol if d > 0.0 else -tol)
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+        u = x + (d if d >= tol or d <= -tol else tol if d > 0.0 else -tol)
 
 
 def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None):
@@ -176,19 +248,21 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     phi(t) = (t a / p)^n + ((1 - t) a / q)^n, the same on every chord:
     every chord has its least F at the fraction t* that minimizes phi,
     and the minimizer lies on the cevian from the apex through t*. Two
-    line searches (``_line_min``) in turn therefore find it: one over t in
-    [0, 1] reading phi, then one over y in [0, a] along that cevian,
-    where F = (k (a - y))^n + y^n with k = phi(t*)^(1/n) (b + c) / a.
+    line searches in turn therefore find it: one over t in [0, 1] reading
+    phi, then one over y in [0, a] along that cevian, where
+    F = (k (a - y))^n + y^n with k = phi(t*)^(1/n) (b + c) / a. Both are
+    one search, ``_norm_min``, of the n-th root of a two-term sum
+    (cu x)^n + (cv (h - x))^n on [0, h], which it compares in logs;
     phi and F on a line are convex (Boyd & Vandenberghe, Convex
-    Optimization, 3.2), and each search compares the log of their n-th
-    root, log top + log(1 + (low / top)^n) / n with top the larger of
-    the two terms, which stays finite at any n; the log and the root are
-    increasing, so each search stays quasiconvex. Both read values of F
-    alone, never the closed form or a gradient, and no point leaves the
-    triangle, so nothing is projected. The search is deterministic and
-    holds no state between calls, so reruns and threads give the same
-    bits. The name, from the lattice scan the search replaced, is kept
-    for its callers; ``config`` is accepted and not read.
+    Optimization, 3.2), and the log and the root are increasing, so each
+    search stays quasiconvex. On the oracle-compare pools of the
+    benchmark's seeds 0-3 and 201-210 the two read F a mean 24.9 times a
+    call, and at most 37. Both read values of F alone, never the closed
+    form or a gradient, and no point leaves the triangle, so nothing is
+    projected. The search is deterministic and holds no state between
+    calls, so reruns and threads give the same bits. The name, from the
+    lattice scan the search replaced, is kept for its callers; ``config``
+    is accepted and not read.
 
     The search reads the triangle as the kernel ``kkt._powers`` does, in
     the frame of ``kkt._frame``: a, b, c scaled exactly by the power of two
@@ -207,46 +281,29 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
 
 
 def _grid(frame, n):
-    """``grid_search``'s search on the triangle of ``frame``
-    (``kkt._frame``) for a checked n: (x, y, the kernel's read there)."""
-    unit, a, b, c, p, q, _ = frame
-    ap, aq = a / p, a / q
-    t, g = _line_min(_log_norm(ap, aq, 1.0, n), 0.0, 1.0)
+    """``grid_search``'s two searches on the triangle of ``frame``
+    (``kkt._frame``) for a checked n: (x, y, the kernel's read there),
+    from which ``compare`` starts its descent where the point is strictly
+    inside."""
+    unit, a, b, c, p, q, _, _ = frame
+    t, g, _ = _norm_min(a / p, a / q, 1.0, n)
     k = math.exp(g) * ((b + c) / a)  # phi(t)^(1/n) (b + c) / a
-    y, _ = _line_min(_log_norm(1.0, k, a, n), 0.0, a)
+    y, _, _ = _norm_min(1.0, k, a, n)
     xl, xr = b * ((y - a) / a), c * ((a - y) / a)
     x = xl + t * (xr - xl) if t <= 0.5 else xr - (1.0 - t) * (xr - xl)
     x, y = x / unit, y / unit
     return x, y, _powers(frame, x, y, n)
 
 
-def _log_norm(cu, cv, h, n):
-    """The function x -> log (u^n + v^n)^(1/n) with u = cu x and
-    v = cv (h - x), for u, v >= 0, not both 0, as log top +
-    log(1 + (low / top)^n) / n: finite at any n, where n log top is not
-    from about n = 1e306. Each read is one call, which ``_line_min`` makes
-    about 14 times a search."""
-    log, log1p = math.log, math.log1p
-
-    def f(x):
-        u, v = cu * x, cv * (h - x)
-        if u < v:
-            u, v = v, u
-        return log(u) + log1p((v / u) ** n) / n
-
-    return f
-
-
 def _descent_limits(n, config):
-    """The descent's checked n, or InvalidExponent as ``projected_gradient``
-    says, and its step cap."""
-    n = _check_exponent(n)
+    """The descent's step cap for an n checked > 1, or InvalidExponent as
+    ``projected_gradient`` says."""
     if (1.0 - _EPS) ** (n - 1.0) < _TINY:
         raise InvalidExponent(
             f"exponent {n!r} is beyond the descent oracle, which needs "
             "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
         )
-    return n, (config if config is not None else _DEFAULT_CONFIG).pg_max_iters
+    return (config if config is not None else _DEFAULT_CONFIG).pg_max_iters
 
 
 def _descent_start(frame, x, y, n):
@@ -347,7 +404,7 @@ def _newton(frame, x, y, k, max_iters, crosses):
         lam2 = n * (w1 * t1 * t1 + w2 * t2 * t2 + w3 * t3 * t3) / (det * ft)
         dx = ldexp((w1 * t1 * u1y + w2 * t2 * u2y + w3 * t3 * u3y) / det, cross_shift)
         dy = -ldexp((w1 * t1 * u1x + w2 * t2 * u2x + w3 * t3 * u3x) / det, cross_shift)
-        ds = [ux * dx + uy * dy for ux, uy in u]
+        ds = u1x * dx + u1y * dy, u2x * dx + u2y * dy, u3x * dx + u3y * dy
         slope = -lam2
         i, j = ((1, 2), (0, 2), (0, 1))[r.index(1.0)]
         ri, rj, di, dj = r[i], r[j], ds[i], ds[j]
@@ -365,17 +422,19 @@ def _newton(frame, x, y, k, max_iters, crosses):
                 # the side's normal, eps (|u_x| (b + c) + |u_y| a), in the
                 # triangle's units
                 unit, a, b, c = frame[:4]
-                floors = [
-                    log(_EPS * (abs(ux) * (b + c) + abs(uy) * a) / unit) for ux, uy in u
-                ]
+                floors = (
+                    log(_EPS * (abs(u1x) * (b + c) + abs(u1y) * a) / unit),
+                    log(_EPS * (abs(u2x) * (b + c) + abs(u2y) * a) / unit),
+                    log(_EPS * (abs(u3x) * (b + c) + abs(u3y) * a) / unit),
+                )
             lt = log(top)
             fi = _log_factor(li, m * di / ri, m, floors[i] - lt)
             fj = _log_factor(lj, m * dj / rj, m, floors[j] - lt)
             bi, bj = exp(li), exp(lj)
             ti, tj = bi * fi, bj * fj
             vx, vy = (ti * ujy - tj * uiy) / cij, (tj * uix - ti * ujx) / cij
-            vs = [ux * vx + uy * vy for ux, uy in u]
-            vslope = n * (e1 * vs[0] + e2 * vs[1] + e3 * vs[2]) / ft
+            vs1, vs2, vs3 = u1x * vx + u1y * vy, u2x * vx + u2y * vy, u3x * vx + u3y * vy
+            vslope = n * (e1 * vs1 + e2 * vs2 + e3 * vs3) / ft
             if vslope < 0.0:
                 curve, slope = True, vslope
         # the last step: one more full step, taken if it lowers F
@@ -431,9 +490,10 @@ def projected_gradient(
     where all three ratios d_i / max d are 1: from there needles at large
     n take tens of steps, not the hundreds they took from the centroid,
     and near n = 1 the power-model curve of ``_newton`` reaches the
-    vertex in three or four. ``_incenter`` computes it, so the oracle
-    shares no code with the closed form. ``compare`` runs the same loop
-    from the better of the grid's answer and the incenter.
+    vertex in three or four. The frame (``kkt._frame``) holds it, from
+    ``geometry._incenter``, so the oracle shares no code with the closed
+    form. ``compare`` runs the same loop from the better of the grid's
+    answer and the incenter.
 
     Raises InvalidExponent from about n = 3.2e18, where (1 - eps)^(n-1)
     falls below the least normal double: from there the Newton weight of
@@ -444,11 +504,10 @@ def projected_gradient(
     rule holds. A triangle that ``kkt._frame`` refuses raises its
     OverflowError, after any of the exponent.
     """
-    n, max_iters = _descent_limits(n, config)
-    if start is None:
-        start = _incenter(tri.a, tri.b, tri.c)
-    x, y = float(start[0]), float(start[1])
+    n = _check_exponent(n)
+    max_iters = _descent_limits(n, config)
     frame = _frame(tri.a, tri.b, tri.c)
+    x, y = frame[7] if start is None else (float(start[0]), float(start[1]))
     k = _descent_start(frame, x, y, n)
     x, y, k, iters = _newton(frame, x, y, k, max_iters, _scaled_crosses(frame[6]))
     return PgResult(Point(x, y), _value(k), iters)
@@ -465,31 +524,34 @@ def compare(
     oracle, the one of lower log F at its point (the grid on ties).
 
     The descent starts from the better of two points, read through the
-    kernel: the grid's answer moved _LINE_TOL of the way toward the
-    incenter (an end check's side or vertex, where no descent can start,
-    so moves strictly inside), and the incenter. The grid's point is taken
-    where F is lower there and its Newton determinant is a normal double:
-    near n = 1 it is a step or two from the minimizer where the incenter
-    is three or four, at large n it can be far worse than the incenter,
-    and on needles at large n its small slack ratio underflows the Newton
-    weight. Otherwise, and wherever the incenter start raises, the descent
+    kernel: the grid's answer, and the incenter, which the frame holds.
+    Strictly inside, the grid's point starts from the grid's own kernel
+    read; an end check's side or vertex, where no descent can start, is
+    moved _LINE_TOL of the way toward the incenter and read there. The
+    grid's point is taken where F is lower there and its Newton
+    determinant is a normal double: near n = 1 it is a step or two from
+    the minimizer where the incenter is three or four, at large n it can
+    be far worse than the incenter, and on needles at large n its small
+    slack ratio underflows the Newton weight. Otherwise, and wherever the incenter start raises, the descent
     runs as ``projected_gradient`` does. Neither oracle reads the closed
-    form, and the descent stops by its own rule. The kernel's frame
-    (``kkt._frame``) and the crosses of its normals (``_scaled_crosses``)
-    are formed once and serve the grid, the start rule and the descent; an
-    exponent either oracle refuses is reported before a triangle the frame
-    refuses.
+    form, and the descent stops by its own rule. The exponent is checked
+    once, the kernel's frame (``kkt._frame``) and the crosses of its
+    normals (``_scaled_crosses``) are formed once, and they serve the
+    grid, the start rule and the descent; an exponent either oracle
+    refuses is reported before a triangle the frame refuses.
     """
     n, x, y, h, tot = _trilinear(tri, n)
     # an exponent the descent refuses is reported before the frame
-    _, max_iters = _descent_limits(n, config)
+    max_iters = _descent_limits(n, config)
     frame = _frame(tri.a, tri.b, tri.c)
     grid_x, grid_y, grid = _grid(frame, n)
-    sx, sy = _incenter(tri.a, tri.b, tri.c)
+    sx, sy = frame[7]
     start = _descent_start(frame, sx, sy, n)
-    # the grid's point moved toward the incenter (sx, sy), if the better start
-    gx, gy = grid_x + _LINE_TOL * (sx - grid_x), grid_y + _LINE_TOL * (sy - grid_y)
-    k = _powers(frame, gx, gy, n)
+    if grid[6] is not None:  # strictly inside: the grid's own read
+        gx, gy, k = grid_x, grid_y, grid
+    else:  # on a side: moved toward the incenter (sx, sy)
+        gx, gy = grid_x + _LINE_TOL * (sx - grid_x), grid_y + _LINE_TOL * (sy - grid_y)
+        k = _powers(frame, gx, gy, n)
     crosses = _scaled_crosses(frame[6])
     if (
         k[6] is not None

@@ -252,6 +252,28 @@ def test_grid_point_is_right_at_huge_n(abc, n):
     assert math.dist(pt, truth.point_canonical) <= 1e-5 * tri.diameter()
 
 
+def _golden_section_min(f, lo, hi):
+    # a plain golden-section search (Kiefer, Proc. AMS 4, 1953) for the
+    # least of a unimodal f on [lo, hi], to within _LINE_TOL of the
+    # interval: nothing of grid_search's own search, which rests on the
+    # premise the test below checks
+    tol = oracle._LINE_TOL * (hi - lo)
+    ratio = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 @pytest.mark.parametrize("n", [1.01, 2.0, 5.0, 10.0])
 def test_every_chord_has_its_least_F_at_the_same_fraction(n):
     # grid_search rests on this: s1 and s2 both scale with a chord's
@@ -266,7 +288,7 @@ def test_every_chord_has_its_least_F_at_the_same_fraction(n):
         fractions = []
         for y in (0.0, 0.2 * top, 0.4 * top, 0.6 * top, 0.8 * top):
             xl, xr = b * ((y - a) / a), c * ((a - y) / a)
-            x, _ = oracle._line_min(lambda x: evaluate_F(tri, n, (x, y)), xl, xr)
+            x = _golden_section_min(lambda x: evaluate_F(tri, n, (x, y)), xl, xr)
             fractions.append((x - xl) / (xr - xl))
         spread = max(fractions) - min(fractions)
         assert spread <= 4.0 * oracle._LINE_TOL, (tri, n, fractions)
@@ -311,23 +333,18 @@ def test_grid_coarse_run_matches_lattice_resolution():
 
 
 def _count_line_searches(monkeypatch):
-    # the F evaluations of each line search grid_search runs, in the order
-    # they end: the fraction's search, then the height's
+    # the F evaluations of each line search grid_search runs, as the search
+    # returns them, in the order they end: the fraction's search, then the
+    # height's
     seen = []
-    line_min = oracle._line_min
+    norm_min = oracle._norm_min
 
-    def recording(f, lo, hi):
-        calls = [0]
-
-        def counted(x):
-            calls[0] += 1
-            return f(x)
-
-        result = line_min(counted, lo, hi)
-        seen.append(calls[0])
+    def recording(*args):
+        result = norm_min(*args)
+        seen.append(result[2])
         return result
 
-    monkeypatch.setattr(oracle, "_line_min", recording)
+    monkeypatch.setattr(oracle, "_norm_min", recording)
     return seen
 
 
@@ -358,7 +375,8 @@ def _reference_grid_search(tri, n):
     # k = phi(t)^(1/n) (b + c) / a; each compares the log of its sum's
     # n-th root, log top + log(1 + (low / top)^n) / n. The point is taken
     # from the chord's nearer end, scaled back, and F there is evaluated in
-    # the triangle's own units.
+    # the triangle's own units. The searches are the oracle's own; the
+    # value each returns must be this log root at its point, bit for bit
     p, q, base = _side_lengths(tri.a, tri.b, tri.c)
     shift = -math.frexp(tri.a * (base / (p + q + base)))[1]
     a, b, c = (math.ldexp(v, shift) for v in (tri.a, tri.b, tri.c))
@@ -368,11 +386,11 @@ def _reference_grid_search(tri, n):
         top, low = max(u, v), min(u, v)
         return math.log(top) + math.log1p((low / top) ** n) / n
 
-    t, log_root_phi = oracle._line_min(
-        lambda t: log_root(t * (a / p), (1.0 - t) * (a / q)), 0.0, 1.0
-    )
+    t, log_root_phi, _ = oracle._norm_min(a / p, a / q, 1.0, n)
+    assert log_root_phi.hex() == log_root(t * (a / p), (1.0 - t) * (a / q)).hex()
     k = math.exp(log_root_phi) * (base / a)
-    y, _ = oracle._line_min(lambda y: log_root(k * (a - y), y), 0.0, a)
+    y, log_root_f, _ = oracle._norm_min(1.0, k, a, n)
+    assert log_root_f.hex() == log_root(k * (a - y), y).hex()
     xl, xr = b * ((y - a) / a), c * ((a - y) / a)
     x = xl + t * (xr - xl) if t <= 0.5 else xr - (1.0 - t) * (xr - xl)
     x, y = math.ldexp(x, -shift), math.ldexp(y, -shift)

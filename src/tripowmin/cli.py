@@ -26,8 +26,8 @@ from .geometry import (
     canonicalize,
     incenter,
 )
-from .kkt import Verdict, _frame, _log_value, _value, kkt_residual
-from .oracle import _discrepancy, _grid, compare
+from .kkt import Verdict, kkt_residual
+from .oracle import compare
 from .sampling import random_general_triangle
 
 # output names of DerivedConstants' fields, in order
@@ -111,23 +111,16 @@ def cmd_solve(args) -> int:
     if n == 1.0:
         vm = minimize_n1(tri)
         point_c, value, constants = vm.point, vm.value, None
-        if args.verify:
-            # tied altitudes make a whole side minimize, so only the value
-            # is unique: the point gap is reported but not judged
-            gx, gy, grid = _grid(_frame(tri.a, tri.b, tri.c), n)
-            oracle_report = _discrepancy(
-                point_c, value, math.log(value), (gx, gy), _value(grid),
-                _log_value(grid), math.inf, args.tol_value,
-            )
     else:
         res = minimize_closed_form(tri, n, isometry=iso)
         point_c, value = res.point_canonical, res.value
         constants = dict(zip(_CONSTANT_KEYS, res.constants))
-        if args.verify:
+    if args.verify:
+        if n > 1.0:  # n = 1 has no certificate
             kkt_report = kkt_residual(tri, n, point_c)
-            oracle_report = compare(
-                tri, n, None, args.tol_point * tri.diameter(), args.tol_value
-            )
+        oracle_report = compare(
+            tri, n, point_tol=args.tol_point * tri.diameter(), value_tol=args.tol_value
+        )
 
     doc = {
         "triangle": verts,
@@ -236,7 +229,7 @@ def _verify_trial(tri, n, tol_point_rel, tol_value):
     problems = []
     diam = tri.diameter()
 
-    report = compare(tri, n, None, tol_point_rel * diam, tol_value)
+    report = compare(tri, n, point_tol=tol_point_rel * diam, value_tol=tol_value)
     if not report.passed:
         problems.append(
             f"oracle agreement: point_gap={report.point_gap:.3e} "

@@ -138,6 +138,16 @@ def _frame(a, b, c):
     return unit, sa, sb, sc, p, q, _normals(sa, sb, sc, p, q), incenter
 
 
+def _rounding(frame, eps):
+    """A point's rounding along each side's unit normal u_i in the triangle
+    of ``frame``, in its own units: eps (|u_ix| (b + c) + |u_iy| a), that is
+    eps a (2b + c) / p, eps a (b + 2c) / q and eps a."""
+    unit, a, b, c, p, q, _, _ = frame
+    base = b + c
+    d3 = eps * a / unit
+    return d3 * (base + b) / p, d3 * (base + c) / q, d3
+
+
 def _powers(frame, x, y, n):
     """The kernel: F in ratio units at (x, y) in the triangle of ``frame``
     (from ``_frame``), as (n, slacks, top, ratios, total, e, w, normals):
@@ -252,7 +262,7 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     n = _check_exponent(n)
     x, y = float(point[0]), float(point[1])
     tol = 1e-9 * tri.a
-    frame = unit, a, b, c, p, q, normals, _ = _frame(tri.a, tri.b, tri.c)
+    frame = _, _, b, c, p, q, normals, _ = _frame(tri.a, tri.b, tri.c)
     _, slacks, top, _, _, _, w, _ = _powers(frame, x, y, n)
     s1, s2, s3 = slacks
     # written so that a NaN slack fails it too
@@ -268,12 +278,10 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     # bound is finite or -inf
     longest = q if q > p else p
     longest = base if base > longest else longest
-    # the point's own rounding, eps (b + c) across and eps a up, along the
-    # sides' unit normals (a, -b) / p, (-a, -c) / q and (0, 1)
-    d3 = _ROUNDING * a / unit
+    d1, d2, d3 = _rounding(frame, _ROUNDING)
     m = n - 1.0
-    lo1, hi1, low1, high1 = _band(s1, d3 * (base + b) / p, p / longest, top, m)
-    lo2, hi2, low2, high2 = _band(s2, d3 * (base + c) / q, q / longest, top, m)
+    lo1, hi1, low1, high1 = _band(s1, d1, p / longest, top, m)
+    lo2, hi2, low2, high2 = _band(s2, d2, q / longest, top, m)
     lo3, hi3, low3, high3 = _band(s3, d3, base / longest, top, m)
 
     # the scale of the Hessian, n top^(n-2)

@@ -7,11 +7,11 @@ proportional to the chord's length, so s1^n + s2^n is homogeneous of
 degree n in it and every chord has its least F at the same fraction of
 its length: the minimizer lies on the cevian from the apex through that
 fraction, and ``grid_search`` finds the fraction once and then the height
-along the cevian. ``compare`` runs both against the closed form and
-reports the gaps; it starts the descent from the better of the grid's
-answer and the incenter, so the descent reuses the grid's work, and
-neither oracle reads the closed form. Both run on the standard library
-alone.
+along the cevian. ``compare``, the one oracle verdict at every n >= 1,
+runs both against the closed form and reports the gaps; it starts the
+descent from the better of the grid's answer and the incenter, so the
+descent reuses the grid's work, and neither oracle reads the closed
+form. No oracle reads a setting. Both run on the standard library alone.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .closed_form import _pow_or_inf, _trilinear
+from .closed_form import _pow_or_inf, _trilinear, minimize_n1
 from .errors import DidNotConverge, InvalidExponent, PointNotInterior, _check_exponent
 from .geometry import CanonicalTriangle, Point
-from .kkt import _crosses, _det, _frame, _log_value, _over, _powers, _value
+from .kkt import (
+    _crosses, _det, _frame, _log_value, _over, _powers, _rounding, _value,
+)
 
 
 _TINY = sys.float_info.min
@@ -41,23 +43,19 @@ _WALK = 16.0
 # ... and stops on a read within 32 tol of the side: the next would land
 # within 2 tol, no farther out than the end check's read at tol
 _WALK_STOP = 32.0
+# the descent's step cap: no test, digest case or pool takes more than 18
+# steps, so the cap bounds only a run that cannot meet its stopping rule
+_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Knobs for the oracles; each must be an integer.
-
-    ``pg_max_iters`` caps the descent's Newton steps. ``grid_resolution``
-    and ``zoom_iterations`` were the lattice scan's steps per pass and its
-    passes after the first; they are still validated, but ``grid_search``
-    no longer reads them, and they go once the benchmark stops reporting
-    its lattice points from them.
-    """
+    """Read by no oracle: kept, each field still checked to be an integer,
+    only for the benchmark's call sites, which pass one to all three. The
+    descent's step cap is ``_MAX_STEPS``, and the grid has no lattice."""
 
     grid_resolution: int = 42
     zoom_iterations: int = 11
-    # the descent stops within tens of steps; the cap only bounds a run
-    # that cannot meet its stopping rule
     pg_max_iters: int = 200_000
 
     def __post_init__(self):
@@ -72,9 +70,6 @@ class OracleConfig:
             if value < low:
                 raise ValueError(f"{name} must be >= {low}")
             object.__setattr__(self, name, value)
-
-
-_DEFAULT_CONFIG = OracleConfig()  # frozen, so built and validated once
 
 
 class PgResult(NamedTuple):
@@ -295,15 +290,13 @@ def _grid(frame, n):
     return x, y, _powers(frame, x, y, n)
 
 
-def _descent_limits(n, config):
-    """The descent's step cap for an n checked > 1, or InvalidExponent as
-    ``projected_gradient`` says."""
+def _check_descent_exponent(n):
+    """InvalidExponent for an n beyond the descent (``projected_gradient``)."""
     if (1.0 - _EPS) ** (n - 1.0) < _TINY:
         raise InvalidExponent(
             f"exponent {n!r} is beyond the descent oracle, which needs "
             "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
         )
-    return (config if config is not None else _DEFAULT_CONFIG).pg_max_iters
 
 
 def _descent_start(frame, x, y, n):
@@ -341,7 +334,7 @@ def _log_factor(lr, g, m, lfloor):
     return -lr if f > -lr else low if f < low else f
 
 
-def _newton(frame, x, y, k, max_iters, crosses):
+def _newton(frame, x, y, k, crosses):
     """Damped Newton descent on F from (x, y), strictly inside, where the
     kernel ``kkt._powers`` read ``k``; ``crosses`` is ``_scaled_crosses``
     of the frame's normals. Returns (x, y, the kernel's read there,
@@ -371,11 +364,12 @@ def _newton(frame, x, y, k, max_iters, crosses):
     (``_log_factor``), whose end gives each the power Newton asks, however
     many decades away: in the separable model of a vertex, s^n - c s per
     slack, that end is the minimizer. No slack is aimed below its floor,
-    the point's rounding along its side's normal, where the computed slack
-    is noise; one asked a power of 0 or less is aimed at its floor. The
-    curve is taken where it descends at step 0; otherwise Newton's step is
-    cut to 0.99 of the way to the nearest side. Either is halved until
-    Armijo's condition (1e-4, on the slope at step 0) holds.
+    the point's rounding along its side's normal (``kkt._rounding`` at
+    eps), where the computed slack is noise; one asked a power of 0 or
+    less is aimed at its floor. The curve is taken where it descends at
+    step 0; otherwise Newton's step is cut to 0.99 of the way to the
+    nearest side. Either is halved until Armijo's condition (1e-4, on the
+    slope at step 0) holds.
 
     Newton's decrement bounds the gap only where F is near
     self-concordant (Boyd & Vandenberghe 9.6.3): near n = 1 a slack far
@@ -417,16 +411,9 @@ def _newton(frame, x, y, k, max_iters, crosses):
             (uix, uiy), (ujx, ujy) = u[i], u[j]
             cij = uix * ujy - uiy * ujx
             li, lj = log(ri), log(rj)
-            if floors is None:
-                # the log of each slack's floor: the point's rounding along
-                # the side's normal, eps (|u_x| (b + c) + |u_y| a), in the
-                # triangle's units
-                unit, a, b, c = frame[:4]
-                floors = (
-                    log(_EPS * (abs(u1x) * (b + c) + abs(u1y) * a) / unit),
-                    log(_EPS * (abs(u2x) * (b + c) + abs(u2y) * a) / unit),
-                    log(_EPS * (abs(u3x) * (b + c) + abs(u3y) * a) / unit),
-                )
+            if floors is None:  # the log of each slack's floor
+                d1, d2, d3 = _rounding(frame, _EPS)
+                floors = log(d1), log(d2), log(d3)
             lt = log(top)
             fi = _log_factor(li, m * di / ri, m, floors[i] - lt)
             fj = _log_factor(lj, m * dj / rj, m, floors[j] - lt)
@@ -440,9 +427,9 @@ def _newton(frame, x, y, k, max_iters, crosses):
         # the last step: one more full step, taken if it lowers F
         last = lam2 <= 2e-13 and not climb
         if not last:
-            if it == max_iters:
+            if it == _MAX_STEPS:
                 raise DidNotConverge(
-                    f"Newton descent hit {max_iters} iterations with "
+                    f"Newton descent hit {_MAX_STEPS} iterations with "
                     f"lambda^2 / F = {lam2:.3e} > 2e-13"
                 )
             if not abs(dx) + abs(dy) < math.inf:  # halving could never end
@@ -493,23 +480,23 @@ def projected_gradient(
     vertex in three or four. The frame (``kkt._frame``) holds it, from
     ``geometry._incenter``, so the oracle shares no code with the closed
     form. ``compare`` runs the same loop from the better of the grid's
-    answer and the incenter.
+    answer and the incenter. ``config`` is accepted and not read.
 
     Raises InvalidExponent from about n = 3.2e18, where (1 - eps)^(n-1)
     falls below the least normal double: from there the Newton weight of
     a slack one rounding below the largest is not a normal double. Raises
     PointNotInterior for a start not strictly inside, FloatingPointError
     when the Newton system's determinant is not a normal double, and
-    DidNotConverge when ``pg_max_iters`` steps end before the stopping
-    rule holds. A triangle that ``kkt._frame`` refuses raises its
+    DidNotConverge when ``_MAX_STEPS`` (1000) steps end before the
+    stopping rule holds. A triangle that ``kkt._frame`` refuses raises its
     OverflowError, after any of the exponent.
     """
     n = _check_exponent(n)
-    max_iters = _descent_limits(n, config)
+    _check_descent_exponent(n)
     frame = _frame(tri.a, tri.b, tri.c)
     x, y = frame[7] if start is None else (float(start[0]), float(start[1]))
     k = _descent_start(frame, x, y, n)
-    x, y, k, iters = _newton(frame, x, y, k, max_iters, _scaled_crosses(frame[6]))
+    x, y, k, iters = _newton(frame, x, y, k, _scaled_crosses(frame[6]))
     return PgResult(Point(x, y), _value(k), iters)
 
 
@@ -520,31 +507,41 @@ def compare(
     point_tol: float = 1e-6,
     value_tol: float = 1e-9,
 ) -> DiscrepancyReport:
-    """Closed form vs both oracles; gaps measured against the better
-    oracle, the one of lower log F at its point (the grid on ties).
+    """The closed form against the oracles at any n >= 1; gaps measured
+    against the better oracle, the one of lower log F at its point (the
+    grid on ties). ``config`` is accepted and not read. At n = 1 the
+    closed form is ``minimize_n1``'s vertex, the oracle is the grid alone
+    (the descent needs n > 1), and only the value is judged: tied
+    altitudes make a whole side minimize.
 
-    The descent starts from the better of two points, read through the
-    kernel: the grid's answer, and the incenter, which the frame holds.
+    For n > 1 the descent starts from the better of two points, read through
+    the kernel: the grid's answer, and the incenter, which the frame holds.
     Strictly inside, the grid's point starts from the grid's own kernel
     read; an end check's side or vertex, where no descent can start, is
     moved _LINE_TOL of the way toward the incenter and read there. The
-    grid's point is taken where F is lower there and its Newton
-    determinant is a normal double: near n = 1 it is a step or two from
-    the minimizer where the incenter is three or four, at large n it can
-    be far worse than the incenter, and on needles at large n its small
-    slack ratio underflows the Newton weight. Otherwise, and wherever the incenter start raises, the descent
-    runs as ``projected_gradient`` does. Neither oracle reads the closed
-    form, and the descent stops by its own rule. The exponent is checked
-    once, the kernel's frame (``kkt._frame``) and the crosses of its
-    normals (``_scaled_crosses``) are formed once, and they serve the
-    grid, the start rule and the descent; an exponent either oracle
-    refuses is reported before a triangle the frame refuses.
+    grid's point is taken where F is lower there and its Newton determinant
+    is a normal double: near n = 1 it is a step or two from the minimizer
+    where the incenter is three or four, at large n it can be far worse than
+    the incenter, and on needles at large n its small slack ratio underflows
+    the Newton weight. Otherwise, and wherever the incenter start raises,
+    the descent runs as ``projected_gradient`` does. Neither oracle reads
+    the closed form, and the descent stops by its own rule. The kernel's
+    frame (``kkt._frame``) and the crosses of its normals
+    (``_scaled_crosses``) are formed once, and they serve the grid, the
+    start rule and the descent. The exponent is checked first, then the
+    frame formed, then the closed form read, each refusing before the next.
     """
-    n, x, y, h, tot = _trilinear(tri, n)
-    # an exponent the descent refuses is reported before the frame
-    max_iters = _descent_limits(n, config)
+    n = _check_exponent(n, allow_one=True)
+    _check_descent_exponent(n)  # no bound at n = 1
     frame = _frame(tri.a, tri.b, tri.c)
     grid_x, grid_y, grid = _grid(frame, n)
+    if n == 1.0:
+        vertex = minimize_n1(tri)
+        return _discrepancy(
+            vertex.point, vertex.value, math.log(vertex.value), (grid_x, grid_y),
+            _value(grid), _log_value(grid), math.inf, value_tol,
+        )
+    _, x, y, h, tot = _trilinear(tri, n)
     sx, sy = frame[7]
     start = _descent_start(frame, sx, sy, n)
     if grid[6] is not None:  # strictly inside: the grid's own read
@@ -559,7 +556,7 @@ def compare(
         and _TINY <= _det(k[6], crosses[0]) < math.inf
     ):
         sx, sy, start = gx, gy, k
-    pg_x, pg_y, pg, _ = _newton(frame, sx, sy, start, max_iters, crosses)
+    pg_x, pg_y, pg, _ = _newton(frame, sx, sy, start, crosses)
     grid_log, pg_log = _log_value(grid), _log_value(pg)
     if grid_log <= pg_log:
         oracle = (grid_x, grid_y), _value(grid), grid_log

@@ -14,13 +14,14 @@ seeded group split by exponent and triangle class:
   verdicts, so the failure path's multipliers and residuals are pinned;
 - ``grid_search``: the 256-per-class set at n = 1 and the exponents of
   the DESCENT table, and the named cases;
-- ``compare``: the same set at the DESCENT exponents, at ``verify``'s
-  tolerances, and the named cases;
+- ``compare``: the same set at n = 1 and the DESCENT exponents, at
+  ``verify``'s tolerances, and the named cases;
 - ``descent`` (``projected_gradient``, also the point and iteration
   count): the same set at the DESCENT exponents, the extreme stream of
   ``random.Random(1707)`` in blocks of 100, a one-step budget on the
   seeded set, and the named cases, each also under a one-step budget,
-  with a start off the triangle;
+  with a start off the triangle; a budget is set by patching
+  ``oracle._MAX_STEPS``;
 - every reader on ``WIDE``, whose perimeter overflows although its
   inradius is 0.5 (group ``named 1,1,1e308``).
 
@@ -53,7 +54,8 @@ from pathlib import Path
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.geometry import CanonicalTriangle, incenter
 from tripowmin.kkt import evaluate_F, kkt_residual
-from tripowmin.oracle import OracleConfig, compare, grid_search, projected_gradient
+from tripowmin import oracle
+from tripowmin.oracle import compare, grid_search, projected_gradient
 from triangle_helpers import extreme_case, seeded_triangles
 
 DIGEST_FILE = Path(__file__).with_name("digest.txt")
@@ -97,7 +99,20 @@ def _closed_form(tri, n):
 
 
 def _compare(tri, n):
-    return compare(tri, n, None, 1e-5 * tri.diameter(), 1e-8)
+    return compare(tri, n, point_tol=1e-5 * tri.diameter(), value_tol=1e-8)
+
+
+def _one_step(tri, n):
+    # the descent with a budget of one Newton step
+    saved, oracle._MAX_STEPS = oracle._MAX_STEPS, 1
+    try:
+        return projected_gradient(tri, n)
+    finally:
+        oracle._MAX_STEPS = saved
+
+
+def _descent(tri, n, start=None, one_step=False):
+    return _one_step(tri, n) if one_step else projected_gradient(tri, n, start)
 
 
 def _tokens(value):
@@ -152,7 +167,7 @@ def _groups():
     yield from per_class("grid_search", grid_search, (1.0,) + DESCENT)
     yield "grid_search named", grid_search, named
     yield "grid_search named 1,1,1e308", grid_search, [(WIDE, 1.0)] + wide
-    yield from per_class("compare", _compare, DESCENT)
+    yield from per_class("compare", _compare, (1.0,) + DESCENT)
     yield "compare named", _compare, named
     yield "compare named 1,1,1e308", _compare, wide
 
@@ -162,12 +177,11 @@ def _groups():
     for first in range(0, len(stream), 100):
         calls = stream[first:first + 100]
         yield f"descent extreme {first}-{first + 99}", projected_gradient, calls
-    one_step = OracleConfig(pg_max_iters=1)
-    calls = [(tri, n, None, one_step) for _, tri in seeded for n in DESCENT]
-    yield "descent one-step seeded", projected_gradient, calls
-    calls = named + [(tri, n, None, one_step) for tri, n in named]
+    calls = [(tri, n) for _, tri in seeded for n in DESCENT]
+    yield "descent one-step seeded", _one_step, calls
+    calls = named + [(tri, n, None, True) for tri, n in named]
     calls.append((WORKED, 2.0, (0.0, 0.0)))  # a start off the open triangle
-    yield "descent named", projected_gradient, calls
+    yield "descent named", _descent, calls
     yield "descent named 1,1,1e308", projected_gradient, wide
 
 

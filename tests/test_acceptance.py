@@ -18,11 +18,10 @@ from tripowmin.geometry import (
     incenter,
 )
 from tripowmin.kkt import Verdict, evaluate_F, kkt_residual
-from tripowmin.oracle import OracleConfig, grid_search, projected_gradient
+from tripowmin.oracle import grid_search, projected_gradient
 from triangle_helpers import _projector, contains, kernel_gradient, side_slacks
 
 WORKED = CanonicalTriangle(3.0, 1.0, 2.0)
-ORACLE_CFG = OracleConfig(pg_max_iters=200_000)
 ORACLE_EXPONENTS = (2.0, 3.0, 4.0, 5.0, 7.0, 10.0)
 
 
@@ -134,8 +133,8 @@ def test_criterion_04_oracle_equivalence_within_budget():
     bad = []
     for tri, n, res in _oracle_population():
         diam = tri.diameter()
-        gp, gv = grid_search(tri, n, ORACLE_CFG)
-        pg = projected_gradient(tri, n, config=ORACLE_CFG)
+        gp, gv = grid_search(tri, n)
+        pg = projected_gradient(tri, n)
         for label, pt, val in (("grid", gp, gv), ("descent", pg.point, pg.value)):
             point_gap = float(np.hypot(*(pt - res.point_canonical)))
             value_gap = abs(val - res.value) / max(abs(res.value), 1e-300)
@@ -215,7 +214,7 @@ def test_criterion_08_n1_smallest_altitude_vertex():
         vm = minimize_n1(tri)
         h = altitudes(tri)
         smallest = min(h)
-        gp, gv = grid_search(tri, 1.0, ORACLE_CFG)
+        gp, gv = grid_search(tri, 1.0)
         checks = (
             abs(vm.value - smallest) <= 1e-12 * smallest,
             float(np.hypot(*(gp - vm.point))) <= 1e-5 * tri.diameter(),

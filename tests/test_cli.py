@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 
 WORKED_ARGS = ["--vertices", "0,3 -1,0 2,0"]
 README = Path(__file__).resolve().parent.parent / "README.md"
+CLI_SOURCE = Path(__file__).resolve().parent.parent / "src" / "tripowmin" / "cli.py"
 
 
 def run_cli(*args):
@@ -412,6 +414,24 @@ def test_solve_n1_verify_accepts_any_point_of_a_minimizing_side():
     assert doc["minimizer"] == {"x": -1.0, "y": 0.0}
     assert doc["oracle"]["point_gap"] > 1.0
     assert doc["oracle"]["passed"] is True
+
+
+def test_cli_imports_no_private_name_of_kkt_or_oracle():
+    # the CLI reads verdicts through the public calls alone: kkt_residual
+    # and compare, which builds the oracle verdict at every n >= 1
+    tree = ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))
+    imported, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("kkt", "oracle"):
+            imported |= {alias.name for alias in node.names}
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("kkt", "oracle") and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert "compare" in imported and "kkt_residual" in imported
+    assert not private, private
 
 
 def test_overflowed_value_at_finite_point_stays_infinity():

@@ -21,6 +21,7 @@ from tripowmin.oracle import (
     OracleConfig, _discrepancy, compare, grid_search, projected_gradient,
 )
 from tripowmin.sampling import random_general_triangle
+from digest import _tokens
 from triangle_helpers import (
     _projector, contains, extreme_case, grid_meets, seeded_triangles,
 )
@@ -55,7 +56,7 @@ def test_grid_rejects_exponents_outside_its_domain(n):
     # unchecked, nan finds no point, inf gives a value of 0 or inf and -1
     # divides by zero in numpy
     with pytest.raises(InvalidExponent, match=">= 1"):
-        grid_search(WORKED, n, OracleConfig(grid_resolution=8, zoom_iterations=1))
+        grid_search(WORKED, n)
 
 
 def test_grid_keeps_isosceles_symmetry():
@@ -74,7 +75,7 @@ def test_grid_point_is_feasible():
         assert contains(tri, pt)
 
 
-def test_grid_ties_go_to_lowest_lattice_index():
+def test_grid_tie_along_the_base_at_n1_goes_to_the_right_end():
     # for n = 1 every point of an isosceles triangle's base ties exactly;
     # a line search checks its upper end first, so the search keeps to the
     # right-hand vertex (c, 0)
@@ -308,28 +309,37 @@ def test_grid_point_scales_exactly_with_the_triangle(n):
         assert (sx.hex(), sy.hex()) == (math.ldexp(x, k).hex(), math.ldexp(y, k).hex())
 
 
-def test_grid_zoom_prefixes_never_get_worse():
-    # the search reads no zoom setting, so every zoom_iterations gives the
-    # same value; a search that read it again must not get worse with more
-    values = []
-    for k in range(9):
-        _, v = grid_search(WORKED, 3.0, OracleConfig(zoom_iterations=k))
-        values.append(v)
-    for earlier, later in zip(values, values[1:]):
-        assert later <= earlier
-    # and the deepest zoom is close to the truth
+def _hexed(result):
+    # every field of a result, each float as hex, as the digest reads it
+    return list(_tokens(result))
+
+
+def test_no_oracle_config_moves_a_bit():
+    # OracleConfig is accepted by all three oracles and read by none: no
+    # value of any field, a one-step descent budget included, moves a bit
+    # of grid_search, projected_gradient or compare from their defaults
+    configs = [OracleConfig(zoom_iterations=k) for k in range(9)]
+    configs += [
+        OracleConfig(zoom_iterations=0, grid_resolution=64),
+        OracleConfig(grid_resolution=8, zoom_iterations=1),
+        OracleConfig(pg_max_iters=1),
+    ]
+    start = (1.9, 0.05)  # near a vertex, where one step does not end the descent
+    for n in (1.0, 1.01, 3.0, 10.0):
+        grid, rep = _hexed(grid_search(WORKED, n)), _hexed(compare(WORKED, n))
+        pg = None
+        if n > 1.0:
+            pg = projected_gradient(WORKED, n, start)
+            assert pg.iterations > 1
+            pg = _hexed(pg)
+        for cfg in configs:
+            assert _hexed(grid_search(WORKED, n, cfg)) == grid, (n, cfg)
+            assert _hexed(compare(WORKED, n, cfg)) == rep, (n, cfg)
+            if pg is not None:
+                assert _hexed(projected_gradient(WORKED, n, start, cfg)) == pg, (n, cfg)
+    # and the grid is close to the truth
     truth = minimize_closed_form(WORKED, 3.0).value
-    assert values[-1] == pytest.approx(truth, rel=1e-9)
-
-
-def test_grid_coarse_run_matches_lattice_resolution():
-    # the config is accepted and not read: a coarse one gives the default's
-    # bits, so also a point within two steps of a 64-step lattice
-    cfg = OracleConfig(zoom_iterations=0, grid_resolution=64)
-    default, coarse = grid_search(WORKED, 2.0), grid_search(WORKED, 2.0, cfg)
-    assert _bits(coarse) == _bits(default)
-    spacing = WORKED.diameter() / 64.0
-    assert np.linalg.norm(coarse[0] - default[0]) < 2.0 * spacing
+    assert grid_search(WORKED, 3.0)[1] == pytest.approx(truth, rel=1e-9)
 
 
 def _count_line_searches(monkeypatch):
@@ -418,7 +428,7 @@ def _dense_grid_search(tri, n):
         return grid_search(tri, n)
 
 
-def test_coarse_zoom_lattice_misses_nothing_the_dense_one_meets():
+def test_line_tolerance_misses_nothing_a_thousand_times_tighter_meets():
     # thinness 2 * area / diameter^2 from 1e-3 to 0.85, with the base the
     # longest side, so the thinness is the height over the base: line
     # searches to 1e-7 of their interval lose no case that searches a
@@ -440,14 +450,14 @@ def test_coarse_zoom_lattice_misses_nothing_the_dense_one_meets():
     assert not lost, lost
 
 
-def test_lattice_value_is_inf_where_the_winners_power_overflows():
+def test_grid_value_is_inf_where_its_power_overflows():
     # the winner's value is read in the triangle's own units, where Python's
     # float power raises OverflowError bare; the search must return inf
     # instead, and warn nothing
     tri = CanonicalTriangle(3e100, 1e100, 2e100)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (x, y), f = grid_search(tri, 5.0, OracleConfig(grid_resolution=8, zoom_iterations=1))
+        (x, y), f = grid_search(tri, 5.0)
     assert f == math.inf and math.isfinite(x) and math.isfinite(y)
 
 
@@ -512,9 +522,11 @@ def test_descent_is_bit_deterministic():
     assert a.value == b.value and a.iterations == b.iterations
 
 
-def test_descent_converged_result_stable_under_longer_budget():
-    short = projected_gradient(WORKED, 3.0, config=OracleConfig(pg_max_iters=10))
-    long = projected_gradient(WORKED, 3.0, config=OracleConfig(pg_max_iters=50))
+def test_descent_converged_result_stable_under_longer_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_STEPS", 10)
+    short = projected_gradient(WORKED, 3.0)
+    monkeypatch.setattr(oracle, "_MAX_STEPS", 50)
+    long = projected_gradient(WORKED, 3.0)
     assert np.array_equal(short.point, long.point)
     assert short.value == long.value
 
@@ -565,13 +577,21 @@ def test_descent_answers_up_to_the_exponent_it_can_represent():
         assert str(exc.value).startswith(f"exponent {n!r} ")
 
 
-def test_descent_reports_exhausted_budget():
-    with pytest.raises(DidNotConverge):
-        projected_gradient(
-            WORKED, 3.0,
-            start=np.array([1.9, 0.05]),
-            config=OracleConfig(pg_max_iters=1),
-        )
+def test_descent_reports_exhausted_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_STEPS", 1)
+    with pytest.raises(DidNotConverge, match="hit 1 iterations"):
+        projected_gradient(WORKED, 3.0, start=np.array([1.9, 0.05]))
+
+
+def test_a_descent_that_spins_stops_at_the_step_cap():
+    # from the grid's point on (1, 1, 1) at n = 1e15, a far worse start than
+    # the incenter, the descent cannot meet its stopping rule: it ran out
+    # the old cap of 200,000 steps. It must stop at the module's cap
+    tri = CanonicalTriangle(1.0, 1.0, 1.0)
+    start, _ = grid_search(tri, 1e15)
+    with pytest.raises(DidNotConverge, match=f"hit {oracle._MAX_STEPS} iterations"):
+        projected_gradient(tri, 1e15, start=start)
+    assert oracle._MAX_STEPS == 1000
 
 
 @pytest.mark.parametrize(
@@ -699,7 +719,7 @@ def test_closed_form_never_above_oracle():
     for _ in range(15):
         tri, _ = canonicalize(random_general_triangle(rng))
         for n in (2.0, 5.0):
-            rep = compare(tri, n, OracleConfig(pg_max_iters=200_000))
+            rep = compare(tri, n)
             assert rep.closed_form_value <= rep.oracle_value * (1 + 1e-12)
 
 
@@ -720,9 +740,32 @@ def test_value_gap_stays_relative_below_1e300():
     assert rep.passed and rep.value_gap_rel < 1e-12
 
 
-def test_compare_rejects_n1():
-    with pytest.raises(InvalidExponent):
-        compare(WORKED, 1.0)
+@pytest.mark.parametrize("n", [math.nextafter(1.0, 0.0), 0.5, -1.0, math.nan, math.inf])
+def test_compare_refuses_exponents_below_1(n):
+    with pytest.raises(InvalidExponent, match=">= 1"):
+        compare(WORKED, n)
+
+
+def test_compare_at_n1_judges_the_least_altitude():
+    # the closed form is minimize_n1's vertex, the oracle the grid alone:
+    # its end checks return a vertex, whose F, one altitude, the kernel
+    # reads within two roundings of the closed form's. The gap is read in
+    # logs, so it also holds the rounding of each log, eps |log F|
+    eps = sys.float_info.epsilon
+    for _, tri in seeded_triangles(per_class=256):
+        rep = compare(tri, 1.0)
+        value, oracle_value = rep.closed_form_value, rep.oracle_value
+        assert rep.passed, tri
+        assert abs(value - oracle_value) <= 2.0 * eps * max(value, oracle_value), tri
+        assert rep.value_gap_rel <= 2.0 * eps * max(1.0, abs(math.log(value))), tri
+
+
+def test_compare_at_n1_passes_a_tie_on_its_value_alone():
+    # on (2, 1, 1) the base's two vertices tie: minimize_n1 takes the left,
+    # the grid the right, and the point gap of 2 is reported, not judged
+    rep = compare(ISOSCELES, 1.0)
+    assert rep.passed and rep.value_gap_rel == 0.0
+    assert rep.point_gap > 0.0
 
 
 # the extreme list of the grid's large-n test, two slivers and a needle,
@@ -757,21 +800,17 @@ def test_only_the_frame_refuses_a_triangle_beyond_the_doubles(abc, n):
     calls = {
         "grid_search": lambda: grid_search(tri, n),
         "evaluate_F": lambda: evaluate_F(tri, n, point),
+        "compare": lambda: compare(tri, n, None, 1e-6 * tri.diameter(), 1e-9),
     }
     if n > 1.0:
         calls.update({
             "projected_gradient": lambda: projected_gradient(tri, n),
-            "compare": lambda: compare(tri, n, None, 1e-6 * tri.diameter(), 1e-9),
             "kkt_residual": lambda: kkt_residual(tri, n, point),
         })
     for name, call in calls.items():
         with pytest.raises(OverflowError) as err:
             call()
-        if name == "compare" and abc == (1.0, 1e308, 1e308):
-            # the closed form's own refusal may come first: b + c overflows
-            assert "inradius" in str(err.value) or "is not finite" in str(err.value)
-        else:
-            assert "inradius" in str(err.value), name
+        assert "inradius" in str(err.value), name
 
 
 def _incenter_start_compare(tri, n, config, point_tol, value_tol):

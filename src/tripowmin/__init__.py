@@ -1,9 +1,9 @@
 """Closed-form minimization of powered distance sums over a triangle.
 
-For a triangle with side lines L1, L2, L3 and a real exponent n > 1, the
-function F(P) = d(P,L1)^n + d(P,L2)^n + d(P,L3)^n has a unique minimizer in
-the closed triangle.  This package computes that point and the minimum value
-in closed form, certifies the answer with first- and second-order optimality
+For a triangle with side lines L1, L2, L3 and a real exponent n >= 1, the
+function F(P) = d(P,L1)^n + d(P,L2)^n + d(P,L3)^n has a minimizer in the
+closed triangle, unique for n > 1.  This package computes that point and
+the minimum value in closed form, certifies the answer with first- and second-order optimality
 checks, and cross-validates it against two independent numeric oracles.
 """
 
@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 from .closed_form import (
     DerivedConstants,
     MinimizerResult,
-    VertexMinimum,
     minimize_closed_form,
-    minimize_n1,
 )
 from .errors import (
     DegenerateTriangle,
@@ -66,7 +64,6 @@ __all__ = [
     "PointNotInterior",
     "TriPowMinError",
     "Verdict",
-    "VertexMinimum",
     "altitudes",
     "canonicalize",
     "compare",
@@ -75,7 +72,6 @@ __all__ = [
     "incenter",
     "kkt_residual",
     "minimize_closed_form",
-    "minimize_n1",
     "projected_gradient",
     "random_general_triangle",
 ]

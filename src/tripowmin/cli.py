@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import __version__
-from .closed_form import minimize_closed_form, minimize_n1
+from .closed_form import minimize_closed_form
 from .errors import (
     DegenerateTriangle,
     DidNotConverge,
@@ -106,18 +106,12 @@ def _point_dict(pt) -> dict:
 
 def cmd_solve(args) -> int:
     tri, iso, verts = _triangle_from_args(args)
-    n = _check_exponent(args.n, allow_one=True)
+    res = minimize_closed_form(tri, args.n, isometry=iso)
+    n, point_c = res.exponent, res.point_canonical
+    constants = dict(zip(_CONSTANT_KEYS, res.constants))
     kkt_report = oracle_report = None
-    if n == 1.0:
-        vm = minimize_n1(tri)
-        point_c, value, constants = vm.point, vm.value, None
-    else:
-        res = minimize_closed_form(tri, n, isometry=iso)
-        point_c, value = res.point_canonical, res.value
-        constants = dict(zip(_CONSTANT_KEYS, res.constants))
     if args.verify:
-        if n > 1.0:  # n = 1 has no certificate
-            kkt_report = kkt_residual(tri, n, point_c)
+        kkt_report = kkt_residual(tri, n, point_c)
         oracle_report = compare(
             tri, n, point_tol=args.tol_point * tri.diameter(), value_tol=args.tol_value
         )
@@ -127,8 +121,8 @@ def cmd_solve(args) -> int:
         "canonical": dataclasses.asdict(tri),
         "n": n,
         "minimizer": _point_dict(point_c),
-        "minimizer_original": _point_dict(iso.to_original(point_c)),
-        "value": value,
+        "minimizer_original": _point_dict(res.point_original),
+        "value": res.value,
         "constants": constants,
         "kkt": None if kkt_report is None else dataclasses.asdict(kkt_report),
         "oracle": None
@@ -145,16 +139,14 @@ def cmd_solve(args) -> int:
             ["n", "x", "y", "x_original", "y_original", "value", *_CONSTANT_KEYS]
         )
         cells = [n, mc["x"], mc["y"], mo["x"], mo["y"], doc["value"]]
-        cells += constants.values() if constants else [None] * 5
-        writer.writerow([_fmt(v) for v in cells])
+        writer.writerow([_fmt(v) for v in cells + list(constants.values())])
     else:
         print(f"canonical: {_kv(doc['canonical'])}")
         print(f"n: {_fmt(n)}")
         print(f"minimizer (canonical): {_kv(doc['minimizer'])}")
         print(f"minimizer (original): {_kv(doc['minimizer_original'])}")
         print(f"value: {_fmt(doc['value'])}")
-        if constants:
-            print(f"constants: {_kv(constants)}")
+        print(f"constants: {_kv(constants)}")
         if kkt:
             print(
                 f"kkt: verdict={kkt['verdict'].value} "
@@ -368,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("sequence", help="minimizers for a list of exponents")
     add_shared_flags(p_seq)
-    p_seq.add_argument("--n-list", help="comma-separated exponents, each > 1")
+    p_seq.add_argument("--n-list", help="comma-separated exponents, each >= 1")
     p_seq.add_argument(
         "--n-max", type=int, help="run integer exponents 2..N inclusive"
     )

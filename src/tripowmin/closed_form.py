@@ -1,10 +1,11 @@
-"""Closed-form minimizers of the powered-distance sum over a triangle.
+"""The closed-form minimizer of the powered-distance sum over a triangle.
 
 For exponent n > 1 the minimum of d1^n + d2^n + d3^n over the closed
 triangle sits strictly inside, at the trilinear point d_i ~ L_i^(1/(n-1)),
 L_i the length of side i: the symmedian (Lemoine) point at n = 2, tending
-to the incenter as n -> infinity. n = 1 degenerates to a vertex (the one
-with the smallest altitude).
+to the incenter as n -> infinity. At n = 1 the same formula, with the root
+1/(n-1) at its n -> 1+ limit inf, gives the vertex of the smallest
+altitude, and a point of the side joining two vertices whose altitudes tie.
 """
 
 from __future__ import annotations
@@ -15,16 +16,18 @@ from typing import NamedTuple, Optional
 
 from .errors import _check_exponent
 from .geometry import (
-    CanonicalTriangle, Isometry, Point, _point, _side_lengths, _trilinear_point,
-    altitudes,
+    CanonicalTriangle, Isometry, Point, _finite_lengths, _point, _side_lengths,
+    _trilinear_point,
 )
 
 
 class DerivedConstants(NamedTuple):
     """The paper's constants for exponent n: side lengths p, q, distance
     ratios t = d1/d2 = (p/q)^(1/(n-1)) and r = d3/d2 = ((b+c)/q)^(1/(n-1)),
-    and lam = q + (b+c)r + pt = a(b+c)/d2, so t^n + r^n + 1 = lam/q. A
-    constant that leaves the double range reads inf."""
+    and lam = q + (b+c)r + pt = a(b+c)/d2, so t^n + r^n + 1 = lam/q. At
+    n = 1 t and r are their n -> 1+ limits, each 0, 1 or inf. The ratios
+    are the point's (``geometry._finite_lengths``), and a constant that
+    leaves the double range reads inf."""
 
     p: float
     q: float
@@ -55,11 +58,12 @@ class MinimizerResult:
 
     @property
     def constants(self) -> DerivedConstants:
-        tri = self.triangle
-        inv = 1.0 / (self.exponent - 1.0)
-        p, q, base = _side_lengths(tri.a, tri.b, tri.c)
-        t = _pow_or_inf(p / q, inv)
-        r = _pow_or_inf(base / q, inv)
+        a, b, c = self.triangle.a, self.triangle.b, self.triangle.c
+        root = _root(self.exponent)
+        l1, l2, l3 = _finite_lengths(a, b, c)
+        t = _pow_or_inf(l1 / l2, root)
+        r = _pow_or_inf(l3 / l2, root)
+        p, q, base = _side_lengths(a, b, c)
         return DerivedConstants(p, q, t, r, q + base * r + p * t)
 
     @property
@@ -70,12 +74,6 @@ class MinimizerResult:
         return n * math.log(h) + math.log(tot)
 
 
-class VertexMinimum(NamedTuple):
-    label: str  # 'A' = apex, 'B' = (-b, 0), 'C' = (c, 0)
-    point: Point
-    value: float
-
-
 def _pow_or_inf(base: float, n: float) -> float:
     """base ** n, or inf where that leaves the doubles and ** raises."""
     try:
@@ -84,43 +82,38 @@ def _pow_or_inf(base: float, n: float) -> float:
         return math.inf
 
 
+def _root(n):
+    """The trilinear root 1/(n-1) of a checked n, and inf, its n -> 1+
+    limit, at n = 1."""
+    return 1.0 / (n - 1.0) if n > 1.0 else math.inf
+
+
 def _trilinear(tri: CanonicalTriangle, n):
     """The checked n and ``minimize_closed_form``'s x, y, h and tot."""
     n = _check_exponent(n)
     a, b, c = tri.a, tri.b, tri.c
-    x, y, h, tot = _trilinear_point(a, b, c, _side_lengths(a, b, c), 1.0 / (n - 1.0))
-    if not -math.inf < x < math.inf > y > -math.inf:  # both finite, neither NaN
-        raise OverflowError(
-            f"minimizer ({x}, {y}) of a={a}, b={b}, c={c} is not finite"
-        )
-    return n, x, y, h, tot
+    return (n, *_trilinear_point(a, b, c, _side_lengths(a, b, c), _root(n)))
 
 
 def minimize_closed_form(
     tri: CanonicalTriangle, n, isometry: Optional[Isometry] = None
 ) -> MinimizerResult:
-    """Interior minimizer of the powered-distance sum for n > 1.
+    """Minimizer of the powered-distance sum for any n >= 1.
 
     Stationarity n * d_i^(n-1) = mu * L_i makes the side distances
     proportional to L_i^(1/(n-1)): a trilinear point, computed in ratios
-    to the longest side so that nothing overflows for any n > 1. With
+    to the longest side so that nothing overflows for any n. With
     d_i = h * w_i and w_i^(n-1) = L_i / L_max the value is
     h^n * sum_i (L_i / L_max) * w_i, one power, which reads an honest 0.0
-    or inf when it leaves the double range. A point that itself leaves the
-    range (a side length overflows) raises OverflowError, not NaN.
+    or inf when it leaves the double range. Where a side length overflows
+    the ratios come from the half triangle, so the point is always finite.
+    At n = 1 the root is inf, and w_i is 1 on each longest side and 0 on
+    the others: where two altitudes tie, the point lies on the side
+    joining their vertices, all of which minimizes, and on the
+    equilateral, where F is constant, it is the incenter.
     """
     n, x, y, h, tot = _trilinear(tri, n)
     point = _point((x, y))
     original = point if isometry is None else isometry.to_original(point)
     return MinimizerResult(tri, point, original, _pow_or_inf(h, n) * tot, n)
 
-
-def minimize_n1(tri: CanonicalTriangle) -> VertexMinimum:
-    """Exponent-1 minimum: the vertex whose altitude is smallest.
-
-    The plain distance sum is minimized at a vertex and its value there is
-    that vertex's altitude; ties resolve in the order apex, left, right.
-    """
-    alts = altitudes(tri)
-    best = min(range(3), key=alts.__getitem__)  # the first of equal minima
-    return VertexMinimum("ABC"[best], tri.vertices()[best], alts[best])

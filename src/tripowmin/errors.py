@@ -27,11 +27,10 @@ class DidNotConverge(TriPowMinError):
     """An iterative oracle hit its iteration cap far from stationarity."""
 
 
-def _check_exponent(n, allow_one: bool = False) -> float:
-    """``float(n)``, or InvalidExponent unless it is finite and > 1
-    (>= 1 with ``allow_one``)."""
+def _check_exponent(n) -> float:
+    """``float(n)``, or InvalidExponent unless it is finite and >= 1, the
+    domain of every reader of F; the descent alone narrows it to n > 1."""
     n = float(n)
-    if 1.0 < n < math.inf or (allow_one and n == 1.0):
+    if 1.0 <= n < math.inf:
         return n
-    bound = ">= 1" if allow_one else "> 1"
-    raise InvalidExponent(f"exponent must be a finite real {bound}, got {n!r}")
+    raise InvalidExponent(f"exponent must be a finite real >= 1, got {n!r}")

@@ -312,22 +312,33 @@ def _side_lengths(a, b, c):
     return math.hypot(a, b), math.hypot(a, c), b + c
 
 
+def _finite_lengths(a, b, c):
+    """``_side_lengths``, or where one of them leaves the doubles, those of
+    the half triangle: exact halves, in the same ratios, and doubles, since
+    no side of a triangle of doubles is twice the largest double."""
+    lengths = _side_lengths(a, b, c)
+    return _side_lengths(0.5 * a, 0.5 * b, 0.5 * c) if _INF in lengths else lengths
+
+
 def _trilinear_point(a, b, c, lengths, root):
     """The point at distances h * w_i from the sides AB, AC, BC, with
-    w_i = rho_i^root and rho_i = L_i / L_max for the side ``lengths``,
-    the powered-sum minimizer for root 1/(n-1) (the closed form's alone).
-    Returns (x, y, h, tot), tot = sum rho_i * w_i. Each rho_i and w_i is
-    at most 1, and h solves sum L_i * d_i = 2 * area = a * (b + c) in the
-    ratios, so no term leaves the triangle's scale."""
+    w_i = rho_i^root and rho_i = L_i / L_max for the side ``lengths`` (or,
+    where one is inf, ``_finite_lengths``): the powered-sum minimizer for
+    root 1/(n-1), and for root inf its n -> 1+ limit (the closed form's
+    alone). Returns (x, y, h, tot), tot = sum rho_i * w_i. Each rho_i and
+    w_i is at most 1, and h solves sum L_i * d_i = 2 * area = a * (b + c)
+    in the ratios, so no term leaves the triangle's scale."""
     l1, l2, l3 = lengths
     # max(lengths) inlined, keeping the first of equal lengths; no length
-    # is NaN, and an infinite b + c stays the longest
+    # is NaN, and an infinite one stays the longest
     longest = l2 if l2 > l1 else l1
     longest = l3 if l3 > longest else longest
+    if longest == _INF:
+        return _trilinear_point(a, b, c, _finite_lengths(a, b, c), root)
     r1, r2, r3 = l1 / longest, l2 / longest, l3 / longest
     w1, w2, w3 = r1 ** root, r2 ** root, r3 ** root
     tot = r1 * w1 + r2 * w2 + r3 * w3
-    h = a * r3 / tot
+    h = _altitude(a, l3, longest) / tot
     return (c * r1 * w1 - b * r2 * w2) / tot, h * w3, h, tot
 
 
@@ -372,5 +383,5 @@ def _altitude(a, base, side):
 def altitudes(tri: CanonicalTriangle) -> Altitudes:
     """Altitudes dropped from (0, a), (-b, 0) and (c, 0) respectively."""
     a = tri.a
-    p, q, base = _side_lengths(a, tri.b, tri.c)
+    p, q, base = _finite_lengths(a, tri.b, tri.c)
     return Altitudes(a, _altitude(a, base, q), _altitude(a, base, p))

@@ -214,7 +214,7 @@ def evaluate_F(tri: CanonicalTriangle, n, point) -> float:
     """Powered-distance sum at any planar point (n >= 1); 0 or inf where it
     leaves the doubles. Raises ``_frame``'s OverflowError for a triangle
     beyond the doubles."""
-    n = _check_exponent(n, allow_one=True)
+    n = _check_exponent(n)
     frame = _frame(tri.a, tri.b, tri.c)
     return _value(_powers(frame, float(point[0]), float(point[1]), n))
 
@@ -248,6 +248,8 @@ def kkt_residual(tri: CanonicalTriangle, n, point) -> KktReport:
     lower bound open is nu_i >= 0. For the least mu that every lower bound
     allows, nu_i < 0 on each side whose upper bound falls short of it:
     MULTIPLIER_NEGATIVE if one of them is active, else STATIONARITY_FAILED.
+    At n = 1 every bound is -log rho_i, or -inf at r = 0, so the test
+    reads: each side off the active set is a longest side.
 
     The report's fields are the ratio-unit ones times G (or the Hessian's
     scale), in the triangle's own units: +-inf where that leaves the

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .closed_form import _pow_or_inf, _trilinear, minimize_n1
+from .closed_form import _pow_or_inf, _trilinear
 from .errors import DidNotConverge, InvalidExponent, PointNotInterior, _check_exponent
 from .geometry import CanonicalTriangle, Point
 from .kkt import (
@@ -270,7 +270,7 @@ def grid_search(tri: CanonicalTriangle, n, config: Optional[OracleConfig] = None
     kernel, is in the triangle's own units: 0 or inf where F leaves the
     doubles.
     """
-    n = _check_exponent(n, allow_one=True)
+    n = _check_exponent(n)
     x, y, k = _grid(_frame(tri.a, tri.b, tri.c), n)
     return Point(x, y), _value(k)
 
@@ -290,13 +290,19 @@ def _grid(frame, n):
     return x, y, _powers(frame, x, y, n)
 
 
-def _check_descent_exponent(n):
-    """InvalidExponent for an n beyond the descent (``projected_gradient``)."""
+def _check_descent_exponent(n) -> float:
+    """``float(n)``, or InvalidExponent unless the descent
+    (``projected_gradient``) takes it: a finite n > 1, since at n = 1 F is
+    not strictly convex, and below about 3.2e18."""
+    n = float(n)
+    if not 1.0 < n < math.inf:
+        raise InvalidExponent(f"exponent must be a finite real > 1, got {n!r}")
     if (1.0 - _EPS) ** (n - 1.0) < _TINY:
         raise InvalidExponent(
             f"exponent {n!r} is beyond the descent oracle, which needs "
             "(1 - eps)^(n-1) to be a normal double (n below about 3.2e18)"
         )
+    return n
 
 
 def _descent_start(frame, x, y, n):
@@ -482,17 +488,17 @@ def projected_gradient(
     form. ``compare`` runs the same loop from the better of the grid's
     answer and the incenter. ``config`` is accepted and not read.
 
-    Raises InvalidExponent from about n = 3.2e18, where (1 - eps)^(n-1)
-    falls below the least normal double: from there the Newton weight of
-    a slack one rounding below the largest is not a normal double. Raises
+    Raises InvalidExponent at n = 1, where F is linear, and from about
+    n = 3.2e18, where (1 - eps)^(n-1) falls below the least normal double:
+    from there the Newton weight of a slack one rounding below the largest
+    is not a normal double. Raises
     PointNotInterior for a start not strictly inside, FloatingPointError
     when the Newton system's determinant is not a normal double, and
     DidNotConverge when ``_MAX_STEPS`` (1000) steps end before the
     stopping rule holds. A triangle that ``kkt._frame`` refuses raises its
     OverflowError, after any of the exponent.
     """
-    n = _check_exponent(n)
-    _check_descent_exponent(n)
+    n = _check_descent_exponent(n)
     frame = _frame(tri.a, tri.b, tri.c)
     x, y = frame[7] if start is None else (float(start[0]), float(start[1]))
     k = _descent_start(frame, x, y, n)
@@ -510,9 +516,8 @@ def compare(
     """The closed form against the oracles at any n >= 1; gaps measured
     against the better oracle, the one of lower log F at its point (the
     grid on ties). ``config`` is accepted and not read. At n = 1 the
-    closed form is ``minimize_n1``'s vertex, the oracle is the grid alone
-    (the descent needs n > 1), and only the value is judged: tied
-    altitudes make a whole side minimize.
+    oracle is the grid alone (the descent needs n > 1), and only the value
+    is judged: tied altitudes make a whole side minimize.
 
     For n > 1 the descent starts from the better of two points, read through
     the kernel: the grid's answer, and the incenter, which the frame holds.
@@ -531,37 +536,35 @@ def compare(
     start rule and the descent. The exponent is checked first, then the
     frame formed, then the closed form read, each refusing before the next.
     """
-    n = _check_exponent(n, allow_one=True)
-    _check_descent_exponent(n)  # no bound at n = 1
+    n = _check_exponent(n)
+    if n > 1.0:
+        _check_descent_exponent(n)
     frame = _frame(tri.a, tri.b, tri.c)
     grid_x, grid_y, grid = _grid(frame, n)
-    if n == 1.0:
-        vertex = minimize_n1(tri)
-        return _discrepancy(
-            vertex.point, vertex.value, math.log(vertex.value), (grid_x, grid_y),
-            _value(grid), _log_value(grid), math.inf, value_tol,
-        )
     _, x, y, h, tot = _trilinear(tri, n)
-    sx, sy = frame[7]
-    start = _descent_start(frame, sx, sy, n)
-    if grid[6] is not None:  # strictly inside: the grid's own read
-        gx, gy, k = grid_x, grid_y, grid
-    else:  # on a side: moved toward the incenter (sx, sy)
-        gx, gy = grid_x + _LINE_TOL * (sx - grid_x), grid_y + _LINE_TOL * (sy - grid_y)
-        k = _powers(frame, gx, gy, n)
-    crosses = _scaled_crosses(frame[6])
-    if (
-        k[6] is not None
-        and _log_value(k) < _log_value(start)
-        and _TINY <= _det(k[6], crosses[0]) < math.inf
-    ):
-        sx, sy, start = gx, gy, k
-    pg_x, pg_y, pg, _ = _newton(frame, sx, sy, start, crosses)
-    grid_log, pg_log = _log_value(grid), _log_value(pg)
-    if grid_log <= pg_log:
-        oracle = (grid_x, grid_y), _value(grid), grid_log
+    oracle = (grid_x, grid_y), _value(grid), _log_value(grid)
+    if n == 1.0:  # no descent, and the point is not judged
+        point_tol = math.inf
     else:
-        oracle = (pg_x, pg_y), _value(pg), pg_log
+        sx, sy = frame[7]
+        start = _descent_start(frame, sx, sy, n)
+        if grid[6] is not None:  # strictly inside: the grid's own read
+            gx, gy, k = grid_x, grid_y, grid
+        else:  # on a side: moved toward the incenter (sx, sy)
+            gx = grid_x + _LINE_TOL * (sx - grid_x)
+            gy = grid_y + _LINE_TOL * (sy - grid_y)
+            k = _powers(frame, gx, gy, n)
+        crosses = _scaled_crosses(frame[6])
+        if (
+            k[6] is not None
+            and _log_value(k) < _log_value(start)
+            and _TINY <= _det(k[6], crosses[0]) < math.inf
+        ):
+            sx, sy, start = gx, gy, k
+        pg_x, pg_y, pg, _ = _newton(frame, sx, sy, start, crosses)
+        pg_log = _log_value(pg)
+        if pg_log < oracle[2]:
+            oracle = (pg_x, pg_y), _value(pg), pg_log
     return _discrepancy(
         (x, y), _pow_or_inf(h, n) * tot, n * math.log(h) + math.log(tot), *oracle,
         point_tol, value_tol,

@@ -7,8 +7,8 @@ and message of the error raised. The readers and their groups, each
 seeded group split by exponent and triangle class:
 
 - ``closed_form``: ``minimize_closed_form``'s point, value and
-  log_value on ``seeded_triangles(per_class=256)`` at n in {1.01, 2, 5,
-  10}, and on the named cases;
+  log_value on ``seeded_triangles(per_class=256)`` at n in {1, 1.01, 2,
+  5, 10}, and on the named cases;
 - ``kkt_residual`` and ``evaluate_F``: at the ``certificate_points`` of
   ``seeded_triangles()`` at the same n, which reach both failing
   verdicts, so the failure path's multipliers and residuals are pinned;
@@ -26,7 +26,8 @@ seeded group split by exponent and triangle class:
   inradius is 0.5 (group ``named 1,1,1e308``).
 
 The named cases are two slivers, the worked triangle scaled 2^-600 and
-2^600, exponents out of range and a minimizer beyond the doubles.
+2^600, n = 1 and exponents out of range, and a triangle whose sides leave
+the doubles.
 
 No input passes through a numpy matrix product, whose fused
 multiply-adds vary with the BLAS kernel numpy picks at run time: the
@@ -87,7 +88,7 @@ def _named_cases():
     for k in (-600, 600):
         tri = CanonicalTriangle(*(math.ldexp(v, k) for v in (WORKED.a, WORKED.b, WORKED.c)))
         cases += [(tri, n) for n in (1.01, 2.0, 10.0)]
-    # exponents out of range, and a minimizer beyond the doubles
+    # n = 1 and exponents out of range, and sides beyond the doubles
     cases += [(WORKED, n) for n in (1.0, 0.5, math.nan, math.inf, 1e19)]
     cases += [(CanonicalTriangle(1e308, 1e308, 1.7e308), 2.0)]
     return cases
@@ -157,11 +158,11 @@ def _groups():
 
     named = _named_cases()
     wide = [(WIDE, n) for n in EXPONENTS]
-    yield from per_class("closed_form", _closed_form, EXPONENTS)
+    yield from per_class("closed_form", _closed_form, (1.0,) + EXPONENTS)
     yield "closed_form named", _closed_form, named
     yield "closed_form named 1,1,1e308", _closed_form, wide
     for reader, f in ("kkt_residual", kkt_residual), ("evaluate_F", evaluate_F):
-        for label, _, calls in per_class(reader, f, EXPONENTS, small):
+        for label, _, calls in per_class(reader, f, (1.0,) + EXPONENTS, small):
             yield label, f, at_points(calls)
         yield f"{reader} named 1,1,1e308", f, at_points(wide)
     yield from per_class("grid_search", grid_search, (1.0,) + DESCENT)

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from tripowmin.closed_form import minimize_closed_form, minimize_n1
+from tripowmin.closed_form import minimize_closed_form
 from tripowmin.geometry import (
     CanonicalTriangle,
     GeneralTriangle,
@@ -211,17 +211,18 @@ def test_criterion_08_n1_smallest_altitude_vertex():
     rng = np.random.default_rng(108)
     bad = []
     for tri in _random_triangles(rng, 100):
-        vm = minimize_n1(tri)
+        res = minimize_closed_form(tri, 1.0)
         h = altitudes(tri)
         smallest = min(h)
         gp, gv = grid_search(tri, 1.0)
         checks = (
-            abs(vm.value - smallest) <= 1e-12 * smallest,
-            float(np.hypot(*(gp - vm.point))) <= 1e-5 * tri.diameter(),
-            abs(gv - vm.value) <= 1e-8 * abs(vm.value),
+            abs(res.value - smallest) <= 1e-12 * smallest,
+            res.point_canonical == tri.vertices()[h.index(smallest)],
+            float(np.hypot(*(gp - res.point_canonical))) <= 1e-5 * tri.diameter(),
+            abs(gv - res.value) <= 1e-8 * abs(res.value),
         )
         if not all(checks):
-            bad.append((tri, vm, gp, gv))
+            bad.append((tri, res, gp, gv))
     _report(8, not bad,
             "n=1 minimum sits at the smallest-altitude vertex, grid agrees")
     assert not bad, bad[:3]

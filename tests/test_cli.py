@@ -114,18 +114,23 @@ def test_solve_formats_agree_to_twelve_digits():
     assert row[5] == "%.12g" % doc["value"]
 
 
-def test_solve_n1_returns_vertex_and_null_constants():
+def test_solve_n1_returns_vertex_and_limit_constants():
     doc = run_json("solve", *WORKED_ARGS, "--n", "1", "--format", "json")
     assert doc["minimizer"] == {"x": -1.0, "y": 0.0}
     assert doc["value"] == pytest.approx(9.0 / math.sqrt(13.0), rel=1e-13)
-    assert doc["constants"] is None
+    # the n -> 1+ limits: only AC, the longest side, keeps a distance
+    c = doc["constants"]
+    assert (c["t"], c["r"]) == (0.0, 0.0)
+    assert c["lambda"] == c["q"] == pytest.approx(math.sqrt(13.0), rel=1e-15)
     assert doc["kkt"] is None
 
 
-def test_solve_n1_with_verify_uses_grid_only():
-    doc = run_json("solve", *WORKED_ARGS, "--n", "1", "--format", "json", "--verify")
-    assert doc["kkt"] is None
-    assert doc["oracle"]["passed"] is True
+def test_solve_n1_with_verify_certifies_and_checks_the_grid():
+    out = run_cli("solve", "--canonical", "3,1,2", "--n", "1", "--verify")
+    assert out.returncode == 0, out.stderr
+    assert "constants: p=3.16227766017 q=3.60555127546 t=0 r=0 lambda=3.60555127546\n" in out.stdout
+    assert "kkt: verdict=satisfied " in out.stdout
+    assert "oracle: passed=true " in out.stdout
 
 
 def test_solve_general_triangle_reports_original_frame():
@@ -170,7 +175,7 @@ def test_solve_rotated_right_triangle_frames_the_right_angle():
         ["solve", "--vertices", "0,0 1,inf 0,1", "--n", "2"],
         ["solve", "--canonical", "2,1", "--n", "2"],
         ["solve", "--canonical", "-2,1,1", "--n", "2"],
-        ["sequence", *WORKED_ARGS, "--n-list", "1,2"],
+        ["sequence", *WORKED_ARGS, "--n-list", "0.5,2"],
         ["sequence", *WORKED_ARGS, "--n-list", ""],
         ["sequence", *WORKED_ARGS, "--n-max", "1"],
         ["sequence", *WORKED_ARGS],
@@ -206,8 +211,6 @@ def test_tolerance_must_be_a_non_negative_number(command, flag, value):
 @pytest.mark.parametrize(
     "args",
     [
-        # OverflowError: the base b + c overflows, so the point is NaN
-        ["solve", "--canonical", "1,1e308,1e308", "--n", "2"],
         # OverflowError: canonicalize's frame has a base of about 3.4e308
         ["solve", "--vertices", "0,1.7e308 -1.7e308,-1.7e308 1.7e308,-1.7e308",
          "--n", "2"],
@@ -218,9 +221,7 @@ def test_tolerance_must_be_a_non_negative_number(command, flag, value):
         # x = 1e301, failed the right vertex (exit 3)
         ["solve", "--canonical", "1,1e308,1e308", "--n", "1", "--verify"],
     ],
-    # args1 is the id it had among the commands that the certificate and
-    # the descent refused before they worked in ratio units
-    ids=["args1", "frame-beyond-the-doubles", "certificate-beyond-the-inradius-unit",
+    ids=["frame-beyond-the-doubles", "certificate-beyond-the-inradius-unit",
          "grid-beyond-the-inradius-unit"],
 )
 def test_arithmetic_error_exits_2_without_traceback(args):
@@ -247,17 +248,44 @@ def test_a_frame_below_the_least_subnormal_exits_2_naming_it():
     )
 
 
+def minimizers(out, fmt):
+    """The canonical and original minimizers that ``solve`` printed."""
+    if fmt == "json":
+        doc = json.loads(out)
+        return [doc[k][c] for k in ("minimizer", "minimizer_original") for c in "xy"]
+    if fmt == "csv":
+        return [float(v) for v in read_csv(out)[1][1:5]]
+    lines = [line for line in out.splitlines() if line.startswith("minimizer")]
+    return [float(kv.split("=")[1]) for line in lines for kv in line.split()[2:]]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize(
-    "triangle",
-    # the base length overflows
-    [["--vertices", "-1e308,0 1e308,0 0,1e308"], ["--canonical", "1,1e308,1e308"]],
+    "triangle, half",
+    # the base length overflows (exit 2 before, the point NaN); halving is exact
+    [(["--vertices", "-1e308,0 1e308,0 0,1e308"], ["--vertices", "-5e307,0 5e307,0 0,5e307"]),
+     (["--canonical", "1,1e308,1e308"], ["--canonical", "0.5,5e307,5e307"])],
 )
-def test_minimizer_outside_double_range_exits_2_not_nan(triangle, fmt):
-    out = run_cli("solve", *triangle, "--n", "2", "--format", fmt)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert "Traceback" not in out.stderr
+def test_minimizer_where_a_side_overflows_is_twice_the_half_triangles(triangle, half, fmt):
+    full_out = run_cli("solve", *triangle, "--n", "2", "--format", fmt)
+    half_out = run_cli("solve", *half, "--n", "2", "--format", fmt)
+    assert full_out.returncode == half_out.returncode == 0, full_out.stderr
+    got, want = minimizers(full_out.stdout, fmt), minimizers(half_out.stdout, fmt)
+    # JSON carries every bit; csv and text twelve digits
+    rel = 0.0 if fmt == "json" else 1e-11
+    assert got == pytest.approx([2.0 * v for v in want], rel=rel, abs=0.0)
+    assert all(math.isfinite(v) for v in got)
+
+
+def test_solve_where_the_base_overflows_reads_its_ratios_from_the_half_triangle():
+    args = ["solve", "--canonical", "1,1e308,1e308", "--format", "json"]
+    doc = run_json(*args, "--n", "1")
+    assert doc["minimizer"] == {"x": 0.0, "y": 1.0}
+    assert doc["value"] == 1.0
+    # r = d3/d2 = 2, not (b + c)/q = inf
+    doc = run_json(*args, "--n", "2")
+    assert doc["minimizer"] == {"x": 0.0, "y": 2.0 / 3.0}
+    assert (doc["constants"]["t"], doc["constants"]["r"]) == (1.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -395,25 +423,42 @@ def test_solve_n1_verify_passes_at_the_ends_of_the_scale(canonical, x):
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["minimizer"] == {"x": x, "y": 0.0}
+    assert doc["kkt"]["verdict"] == "satisfied"
     assert doc["oracle"]["passed"] is True
 
 
 def test_solve_n1_value_is_the_least_altitude_where_base_over_side_underflows():
-    # a * (base / q) read 0: base / q underflows, the altitude does not
+    # a * (base / q) read 0: base / q underflows, the altitude does not.
+    # AB and AC tie for longest, so the point is the bisector's foot
     doc = run_json("solve", "--canonical", "1e300,1e-300,1e-300", "--n", "1",
                    "--format", "json")
-    assert doc["minimizer"] == {"x": -1e-300, "y": 0.0}
-    assert doc["value"] == pytest.approx(2e-300, rel=1e-15, abs=0.0)
+    assert doc["minimizer"] == {"x": 0.0, "y": 0.0}
+    assert doc["value"] == 2e-300
 
 
 def test_solve_n1_verify_accepts_any_point_of_a_minimizing_side():
-    # altitudes from B and C tie, so the whole base minimizes; the grid
-    # oracle lands near C while the vertex rule picks B
+    # altitudes from B and C tie, so the whole base minimizes: the closed
+    # form gives the foot of the apex's bisector, the grid oracle lands on C
     doc = run_json("solve", "--canonical", "2,1,1", "--n", "1", "--format", "json",
                    "--verify")
-    assert doc["minimizer"] == {"x": -1.0, "y": 0.0}
-    assert doc["oracle"]["point_gap"] > 1.0
+    assert doc["minimizer"] == {"x": 0.0, "y": 0.0}
+    assert doc["kkt"]["verdict"] == "satisfied"
+    assert doc["oracle"]["point_gap"] == 1.0
     assert doc["oracle"]["passed"] is True
+
+
+def test_cli_tests_no_exponent():
+    # every n >= 1 takes the one path: no comparison reads the exponent
+    tree = ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))
+    reads = [
+        ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Name) and operand.id == "n"
+            or isinstance(operand, ast.Attribute) and operand.attr == "n"
+            for operand in (node.left, *node.comparators)
+        )
+    ]
+    assert not reads, reads
 
 
 def test_cli_imports_no_private_name_of_kkt_or_oracle():
@@ -462,7 +507,7 @@ def test_json_writes_non_finite_floats_as_null(args, path):
 
 
 def test_sequence_checks_every_exponent_before_printing():
-    out = run_cli("sequence", *WORKED_ARGS, "--n-list", "2,1,3")
+    out = run_cli("sequence", *WORKED_ARGS, "--n-list", "2,0.5,3")
     assert out.returncode == 2
     assert out.stdout == ""
 
@@ -492,6 +537,14 @@ def test_sequence_accepts_fractional_exponents():
     assert out.returncode == 0
     rows = read_csv(out.stdout)
     assert [r[0] for r in rows[1:-1]] == ["1.5", "2.5", "3.25"]
+
+
+def test_sequence_starts_at_n1_with_the_vertex_of_the_least_altitude():
+    doc = run_json("sequence", "--canonical", "3,1,2", "--n-list", "1,2", "--format", "json")
+    first, second = doc["rows"]
+    assert (first["n"], first["x"], first["y"]) == (1.0, -1.0, 0.0)
+    assert first["value"] == pytest.approx(9.0 / math.sqrt(13.0), rel=1e-15)
+    assert (second["x"], second["y"]) == pytest.approx((7.0 / 32.0, 27.0 / 32.0), rel=1e-14)
 
 
 def test_sequence_reports_original_frame_points():

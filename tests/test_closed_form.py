@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from tripowmin.closed_form import minimize_closed_form, minimize_n1
+from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import InvalidExponent
 from tripowmin.geometry import (
     CanonicalTriangle,
     GeneralTriangle,
+    altitudes,
     canonicalize,
     incenter,
 )
-from tripowmin.kkt import evaluate_F
+from tripowmin.kkt import Verdict, evaluate_F, kkt_residual
 from tripowmin.sampling import random_general_triangle
 from triangle_helpers import random_canonical_triangle, side_slacks, to_canonical
 
@@ -167,43 +168,71 @@ def test_point_original_uses_the_supplied_isometry():
     assert np.array_equal(plain.point_original, plain.point_canonical)
 
 
-def test_minimize_n1_picks_smallest_altitude_vertex():
-    vm = minimize_n1(WORKED)
-    assert vm.label == "B"
-    assert np.allclose(vm.point, [-1.0, 0.0])
-    assert vm.value == pytest.approx(9.0 / math.sqrt(13.0), rel=1e-14)
+def test_n1_gives_the_smallest_altitude_vertex():
+    res = minimize_closed_form(WORKED, 1.0)
+    assert res.point_canonical == (-1.0, 0.0)
+    assert res.value == altitudes(WORKED).h_b
+    assert res.value == pytest.approx(9.0 / math.sqrt(13.0), rel=1e-14)
+    # the n -> 1+ limits: only AC, the longest side, keeps a distance
+    assert res.constants[2:4] == (0.0, 0.0)
 
 
-def test_minimize_n1_tie_prefers_apex():
-    # equilateral: every altitude equal, tie broken in A, B, C order
-    vm = minimize_n1(CanonicalTriangle(math.sqrt(3.0), 1.0, 1.0))
-    assert vm.label == "A"
-    assert vm.value == pytest.approx(math.sqrt(3.0), rel=1e-14)
+def test_n1_on_the_equilateral_gives_the_incenter():
+    # every altitude is equal and F is constant: all three sides weigh 1
+    tri = CanonicalTriangle(math.sqrt(3.0), 1.0, 1.0)
+    res = minimize_closed_form(tri, 1.0)
+    assert res.point_canonical == incenter(tri)
+    assert res.value == pytest.approx(math.sqrt(3.0), rel=1e-15)
+    assert kkt_residual(tri, 1.0, res.point_canonical).verdict is Verdict.SATISFIED
+
+
+def test_n1_tie_gives_the_bisector_foot_on_the_minimizing_base():
+    # AB and AC tie for longest, so B and C tie for the smallest altitude
+    # and all of BC minimizes: the point is the foot of the apex's bisector
+    tri = CanonicalTriangle(2.0, 1.0, 1.0)
+    res = minimize_closed_form(tri, 1.0)
+    assert res.point_canonical == (0.0, 0.0)
+    assert res.value == altitudes(tri).h_b == altitudes(tri).h_c
+    assert res.constants[2:4] == (1.0, 0.0)
+    assert kkt_residual(tri, 1.0, res.point_canonical).verdict is Verdict.SATISFIED
 
 
 @pytest.mark.parametrize("s", [1e-200, 1e-160, 1e160, 1e200])
-def test_minimize_n1_at_the_ends_of_the_scale(s):
+def test_n1_at_the_ends_of_the_scale(s):
     # the altitudes were a * base / side, and a * base left the doubles:
     # at 1e-200 the value read 0, at 1e-160 it was wrong in the fifth
     # digit, and at 1e200 vertex A won against infinite altitudes
-    vm = minimize_n1(CanonicalTriangle(3.0 * s, s, 2.0 * s))
-    assert vm.label == "B"
-    assert vm.value == pytest.approx(s * 2.4961508830135313, rel=1e-15, abs=0.0)
+    res = minimize_closed_form(CanonicalTriangle(3.0 * s, s, 2.0 * s), 1.0)
+    assert res.point_canonical == (-s, 0.0)
+    assert res.value == pytest.approx(s * 2.4961508830135313, rel=1e-15, abs=0.0)
 
 
-def test_minimize_n1_agrees_with_dense_evaluation():
+def test_n1_value_is_the_least_altitude_where_base_over_side_underflows():
+    # base / side is 2e-600, below the doubles: the altitude is read as
+    # base * (a / side), not as a * 0
+    tri = CanonicalTriangle(1e300, 1e-300, 1e-300)
+    res = minimize_closed_form(tri, 1.0)
+    assert res.value == min(altitudes(tri)) == 2e-300
+    assert res.point_canonical == (0.0, 0.0)
+
+
+def test_n1_agrees_with_dense_evaluation():
     rng = np.random.default_rng(16)
     for _ in range(10):
         tri = random_canonical_triangle(rng)
-        vm = minimize_n1(tri)
+        res = minimize_closed_form(tri, 1.0)
+        assert res.value == min(altitudes(tri))
+        assert res.point_canonical in tri.vertices()
         verts = tri.vertices()
         for _ in range(200):
             w = rng.dirichlet([1.0, 1.0, 1.0])
             pt = w @ verts
-            assert vm.value <= evaluate_F(tri, 1.0, pt) + 1e-12
+            assert res.value <= evaluate_F(tri, 1.0, pt) + 1e-12
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.5, 0.0, -3.0, float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "bad", [math.nextafter(1.0, 0.0), 0.5, 0.0, -3.0, float("inf"), float("nan")]
+)
 def test_invalid_exponents_raise(bad):
     with pytest.raises(InvalidExponent):
         minimize_closed_form(WORKED, bad)
@@ -232,13 +261,28 @@ def test_value_overflow_reports_infinity_with_finite_point():
 
 
 @pytest.mark.parametrize(
-    "tri",
-    [CanonicalTriangle(1.0, 1e308, 1e308), CanonicalTriangle(1e308, 1e308, 1e308)],
+    "abc", [(1.0, 1e308, 1e308), (1e308, 1e308, 1e308), (1.5e308, 1.5e308, 1.0)]
 )
-def test_minimizer_outside_double_range_raises_instead_of_nan(tri):
-    # the base b + c overflows, so the side ratios and the point are NaN
-    with pytest.raises(OverflowError, match="not finite"):
-        minimize_closed_form(tri, 2.0)
+@pytest.mark.parametrize("n", [1.0, 1.01, 2.0, 10.0])
+def test_minimizer_where_a_side_overflows_is_twice_the_half_triangles(abc, n):
+    # b + c or a hypot leaves the doubles: the ratios come from the half
+    # triangle, whose sides are doubles, and halving is exact
+    res = minimize_closed_form(CanonicalTriangle(*abc), n)
+    half = minimize_closed_form(CanonicalTriangle(*(0.5 * v for v in abc)), n)
+    assert res.point_canonical == 2.0 * half.point_canonical
+    assert res.constants[2:4] == half.constants[2:4]
+
+
+def test_constants_where_the_base_overflows_are_the_points_ratios():
+    # b + c = inf; t = d1/d2 and r = d3/d2 come from the half triangle's
+    # sides, as the point does, and not from inf / q
+    tri = CanonicalTriangle(1.0, 1e308, 1e308)
+    res = minimize_closed_form(tri, 2.0)
+    p, q, t, r, lam = res.constants
+    assert (p, q, t, r, lam) == (1e308, 1e308, 1.0, 2.0, math.inf)
+    s1, s2, s3 = side_slacks(0.5, 5e307, 5e307, *(0.5 * res.point_canonical))
+    assert s1 / s2 == pytest.approx(t, rel=1e-15)
+    assert s3 / s2 == pytest.approx(r, rel=1e-15)
 
 
 # the trilinear form over the whole double range ------------------------------

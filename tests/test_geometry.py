@@ -589,6 +589,9 @@ def test_altitudes_satisfy_area_identity():
         ((1e300, 1e-300, 1e-300), (1e300, 2e-300, 2e-300)),
         # base / q overflowed: the altitude from B, about 7.1e299, read inf
         ((1e-300, 1e300, 1e-300), (1e-300, 1e300 / math.sqrt(2.0), 1e-300)),
+        # the side AB itself overflows, so base / p read 0, and so did the
+        # altitude from C, the least one: the half triangle's sides are read
+        ((1.5e308, 1.5e308, 1.0), (1.5e308, 1.5e308, 1.5e308 / math.sqrt(2.0))),
     ],
 )
 def test_altitudes_are_normal_where_base_over_side_leaves_the_doubles(abc, want):

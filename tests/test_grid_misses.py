@@ -16,7 +16,7 @@ n = 1e3, and 255 regular and 252 thin at n = 1e6.
 import math
 import sys
 
-from tripowmin.closed_form import minimize_closed_form, minimize_n1
+from tripowmin.closed_form import minimize_closed_form
 from tripowmin.oracle import grid_search
 from triangle_helpers import grid_meets, seeded_triangles
 
@@ -74,13 +74,13 @@ def test_grid_point_miss_counts_at_large_n_are_pinned():
     assert table == PINNED_POINTS
 
 
-def test_grid_at_n1_gives_minimize_n1s_vertex_and_value():
+def test_grid_at_n1_gives_the_closed_forms_vertex_and_value():
     # F is affine at n = 1, so each line search's end check returns the
     # vertex itself; its value, the kernel's sum of slacks there, equals the
     # smallest altitude to within the two formulas' rounding
     eps = sys.float_info.epsilon
     for _, tri in seeded_triangles(per_class=256):
         point, value = grid_search(tri, 1.0)
-        vertex = minimize_n1(tri)
-        assert point == vertex.point, tri
+        vertex = minimize_closed_form(tri, 1.0)
+        assert point == vertex.point_canonical, tri
         assert abs(value - vertex.value) <= 2.0 * eps * vertex.value, tri

@@ -5,7 +5,7 @@ import pytest
 
 from tripowmin.closed_form import minimize_closed_form
 from tripowmin.errors import InvalidExponent, PointNotFeasible, PointNotInterior
-from tripowmin.geometry import CanonicalTriangle, incenter
+from tripowmin.geometry import CanonicalTriangle, altitudes, incenter
 from tripowmin.kkt import Verdict, evaluate_F, kkt_residual
 from tripowmin.oracle import projected_gradient
 from digest import EXPONENTS, certificate_points
@@ -251,6 +251,36 @@ def test_vertices_have_two_active_independent_constraints():
             assert all(rep.multipliers[i] < 0.0 for i, side in
                        enumerate(("AB", "AC", "BC")) if side in expect)
             assert rep.verdict is Verdict.MULTIPLIER_NEGATIVE
+
+
+# extreme shapes and scales that the kernel's frame admits: slivers,
+# needles, flat triangles and the ends of the double range
+N1_EXTREMES = [
+    CanonicalTriangle(*abc) for abc in (
+        (3.0, 1.0, 2.0), (1.0, 1.0, 1.0), (1e-300, 1.0, 1.0), (1e-150, 1e150, 1e150),
+        (1e300, 1e300, 1e299), (1e-300, 1e-300, 2e-300), (1.0, 1e160, 1e160),
+        (1e-160, 1.0, 1.0), (1.0, 1e-200, 1e-200), (1.0, 1.0, 1e308),
+        (6.299436429988343e-11, 5.633277347381022e-07, 2.3132742654516685e-06),
+    )
+]
+
+
+def test_certificate_at_n1_accepts_the_answer_and_refuses_every_other_vertex():
+    # at n = 1 the band test reads: the sides off the active set are
+    # longest sides. The closed form's vertex passes it; another vertex
+    # passes only where its altitude ties the least one in doubles
+    triangles = [tri for _, tri in seeded_triangles(per_class=256)] + N1_EXTREMES
+    refused = 0
+    for tri in triangles:
+        res = minimize_closed_form(tri, 1.0)
+        assert kkt_residual(tri, 1.0, res.point_canonical).verdict is Verdict.SATISFIED, tri
+        for vertex, altitude in zip(tri.vertices(), altitudes(tri)):
+            if altitude != res.value:
+                rep = kkt_residual(tri, 1.0, vertex)
+                assert rep.verdict is Verdict.MULTIPLIER_NEGATIVE, (tri, vertex)
+                refused += 1
+    # only the needle (1, 1e-200, 1e-200) and (1, 1, 1e308) tie two vertices
+    assert refused == 2 * len(triangles) - 2
 
 
 def test_interior_non_minimizer_fails_stationarity():

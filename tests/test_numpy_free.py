@@ -20,7 +20,7 @@ print(res)
 print(motion.to_original(res.point_canonical))
 print(tp.kkt_residual(tri, 2.0, res.point_canonical))
 print(tp.incenter(tri))
-print(tp.minimize_n1(tri))
+print(tp.minimize_closed_form(tri, 1.0))
 print(tp.projected_gradient(tri, 2.0))
 print(tp.grid_search(tri, 2.0))
 print(tp.grid_search(tri, 1.0))

@@ -558,9 +558,10 @@ def test_descent_does_not_stop_on_a_slack_far_below_its_minimizer():
 
 
 def test_descent_rejects_subunit_exponent():
-    with pytest.raises(InvalidExponent):
+    # n = 1 too: F is affine there, and the descent alone needs n > 1
+    with pytest.raises(InvalidExponent, match=r"finite real > 1, got 1\.0$"):
         projected_gradient(WORKED, 1.0)
-    with pytest.raises(InvalidExponent):
+    with pytest.raises(InvalidExponent, match=r"finite real > 1, got 0\.5$"):
         projected_gradient(WORKED, 0.5)
 
 
@@ -747,7 +748,7 @@ def test_compare_refuses_exponents_below_1(n):
 
 
 def test_compare_at_n1_judges_the_least_altitude():
-    # the closed form is minimize_n1's vertex, the oracle the grid alone:
+    # the closed form gives a vertex, the oracle is the grid alone:
     # its end checks return a vertex, whose F, one altitude, the kernel
     # reads within two roundings of the closed form's. The gap is read in
     # logs, so it also holds the rounding of each log, eps |log F|
@@ -761,11 +762,15 @@ def test_compare_at_n1_judges_the_least_altitude():
 
 
 def test_compare_at_n1_passes_a_tie_on_its_value_alone():
-    # on (2, 1, 1) the base's two vertices tie: minimize_n1 takes the left,
-    # the grid the right, and the point gap of 2 is reported, not judged
+    # on (2, 1, 1) the base's two vertices tie: the closed form takes the
+    # foot of the apex's bisector, the grid the right vertex, and the point
+    # gap of 1 is reported, not judged. The closed form's log is
+    # n log h + log tot with tot = 2, so the value gap holds its rounding
+    eps = sys.float_info.epsilon
     rep = compare(ISOSCELES, 1.0)
-    assert rep.passed and rep.value_gap_rel == 0.0
-    assert rep.point_gap > 0.0
+    assert rep.passed and rep.closed_form_value == rep.oracle_value
+    assert rep.value_gap_rel <= 2.0 * eps * max(1.0, abs(math.log(rep.oracle_value)))
+    assert rep.point_gap == 1.0
 
 
 # the extreme list of the grid's large-n test, two slivers and a needle,

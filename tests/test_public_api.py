@@ -19,10 +19,14 @@ def test_public_names_are_exactly_all():
         and not isinstance(getattr(tripowmin, name), types.ModuleType)
     }
     assert public == set(tripowmin.__all__) - {"__version__"}
-    assert len(tripowmin.__all__) == 29
+    assert len(tripowmin.__all__) == 27
 
 
 def test_dropped_names_stay_dropped():
+    # the n = 1 vertex rule is the closed form's n -> 1+ limit
+    for name in ("minimize_n1", "VertexMinimum"):
+        assert not hasattr(tripowmin, name), name
+        assert not hasattr(tripowmin.closed_form, name), name
     for name in ("gradient", "hessian", "HessianInfo"):
         assert not hasattr(tripowmin.kkt, name), name
     assert not hasattr(tripowmin.Isometry, "to_canonical")
